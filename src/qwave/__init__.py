@@ -86,4 +86,4 @@ from .surrogate import (
     train,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -187,9 +187,7 @@ def cmd_simulate(cfg: RunConfig, dump_eigen: bool = False) -> int:
     ev.write_frames_csv(record, _out_path(cfg, FRAMES_FILE))
     ev.write_conservation_csv(record, _out_path(cfg, CONSERVATION_FILE))
     if dump_eigen:
-        grid = record.config.grid
-        h = dz.assemble_hamiltonian(dz.laplacian(grid), dz.harmonic_potential(grid))
-        sp.write_eigen_csv(sp.eigendecompose(h), _out_path(cfg, EIGEN_FILE))
+        sp.write_eigen_csv(record.decomposition, _out_path(cfg, EIGEN_FILE))
     drift = float(np.max(record.conservation_log)) if len(record.conservation_log) else 0.0
     print(
         f"simulate: wrote {len(record.frames)} frames to "

@@ -3,7 +3,8 @@
 Natural units ħ = m = 1 throughout.  The domain [a, b] is sampled on N
 uniform nodes x_i = a + i*dx with dx = (b - a)/(N - 1); the wavefunction
 is pinned to zero at both endpoints (Dirichlet), which the truncated
-tridiagonal stencil encodes with no extra bookkeeping.
+tridiagonal stencil encodes with no extra bookkeeping.  Operators are
+stored as their (diagonal, off_diagonal) bands, O(N) instead of O(N^2).
 """
 
 from __future__ import annotations
@@ -34,26 +35,45 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class Laplacian:
-    """Second-derivative operator: tridiagonal stencil (1, -2, 1)/dx^2.
+class _Tridiagonal:
+    """Real symmetric tridiagonal operator, kept as read-only copies of its
+    bands: off_diagonal[i] couples nodes i and i+1.  Bands that are not
+    finite or not of shapes (n,) and (n-1,) raise ValueError.  `matrix`
+    builds the dense form on demand, for oracles and tests."""
 
-    Stored dense; N is small enough that banded storage buys nothing.
-    """
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
 
-    n: int
-    scale: float  # 1/dx^2
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Real symmetric H = -(1/2) L + diag(V)."""
-
-    matrix: np.ndarray
+    def __post_init__(self):
+        d, e = bands = [np.array(b, dtype=float) for b in (self.diagonal, self.off_diagonal)]
+        if d.ndim != 1 or e.shape != (d.size - 1,) or not all(np.isfinite(b).all() for b in bands):
+            raise ValueError(
+                f"{type(self).__name__} bands must be finite with shapes (n,) and (n-1,), "
+                f"got {d.shape} and {e.shape}"
+            )
+        for name, band in zip(("diagonal", "off_diagonal"), bands):
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonal.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        mat = np.diag(self.diagonal) + np.diag(self.off_diagonal, 1) + np.diag(self.off_diagonal, -1)
+        mat.setflags(write=False)
+        return mat
+
+
+@dataclass(frozen=True)
+class Laplacian(_Tridiagonal):
+    """Second-derivative operator: tridiagonal stencil (1, -2, 1)/dx^2."""
+
+
+@dataclass(frozen=True)
+class Hamiltonian(_Tridiagonal):
+    """Real symmetric tridiagonal H = -(1/2) L + diag(V)."""
 
 
 def make_grid(a: float, b: float, n_points: int) -> Grid:
@@ -75,15 +95,8 @@ def laplacian(grid: Grid) -> Laplacian:
     is exact for quadratics, so applying it to samples of x^2 gives 2 on
     every interior node.
     """
-    n = grid.n_points
     scale = 1.0 / grid.dx**2
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    mat[idx, idx] = -2.0 * scale
-    mat[idx[:-1], idx[:-1] + 1] = scale
-    mat[idx[:-1] + 1, idx[:-1]] = scale
-    mat.setflags(write=False)
-    return Laplacian(n, scale, mat)
+    return Laplacian(np.full(grid.n_points, -2.0 * scale), np.full(grid.n_points - 1, scale))
 
 
 def potential_on_grid(grid: Grid, v: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -100,10 +113,8 @@ def harmonic_potential(grid: Grid) -> np.ndarray:
 
 
 def assemble_hamiltonian(lap: Laplacian, potential: np.ndarray) -> Hamiltonian:
-    """H = -(1/2) L + diag(V); symmetric by construction."""
+    """H = -(1/2) L + diag(V), band by band; symmetric by construction."""
     potential = np.asarray(potential, dtype=float)
     if potential.shape != (lap.n,):
         raise ValueError(f"potential has shape {potential.shape}, Laplacian order is {lap.n}")
-    mat = -0.5 * lap.matrix + np.diag(potential)
-    mat.setflags(write=False)
-    return Hamiltonian(mat)
+    return Hamiltonian(-0.5 * lap.diagonal + potential, -0.5 * lap.off_diagonal)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .discretize import Grid, Hamiltonian
 from .errors import ConservationError
-from .spectral import apply_propagator, build_propagator, eigendecompose
+from .spectral import SpectralDecomposition, apply_propagator, build_propagator, eigendecompose
 from .state import DensityFrame, WaveState, density
 
 NORMALIZATION_MODES = ("ell2", "dx_weighted")
@@ -52,6 +52,7 @@ class EvolutionRecord:
     config: EvolutionConfig
     frames: list[DensityFrame]
     conservation_log: np.ndarray
+    decomposition: SpectralDecomposition | None = None  # the run's; None when read from CSV
 
     @property
     def times(self) -> np.ndarray:
@@ -94,10 +95,10 @@ def run_evolution(
     """Step the state n_steps times, recording a density frame per step.
 
     The initial state defaults to the Gaussian packet in the configured
-    normalization.  record_stride > 1 thins the recorded frames (the
-    conservation check still runs every step).  Aborts with
-    ConservationError if the norm drifts by more than 1e-8, which
-    signals a broken decomposition rather than accumulated rounding.
+    normalization.  record_stride > 1 thins the recorded frames; each
+    logged drift is the worst since the previous recorded frame.  Aborts
+    with ConservationError if the norm drifts by more than 1e-8 or is not
+    finite, which signals a broken decomposition, not rounding.
     """
     if h.n != config.grid.n_points:
         raise ValueError(f"Hamiltonian order {h.n} does not match grid size {config.grid.n_points}")
@@ -119,19 +120,22 @@ def run_evolution(
 
     frames = [density(psi)]
     log = [drift_of(psi)]
+    worst = 0.0
     for k in range(1, config.n_steps + 1):
         psi = apply_propagator(u, psi)
         drift = drift_of(psi)
-        if drift > _DRIFT_ABORT:
+        if not drift <= _DRIFT_ABORT:
             raise ConservationError(
                 f"norm drifted by {drift:.3e} at step {k} (t={k * config.dt:.4g}), "
                 f"beyond the {_DRIFT_ABORT:.0e} abort threshold"
             )
+        worst = max(worst, drift)
         if k % record_stride == 0:
             frames.append(density(psi))
-            log.append(drift)
+            log.append(worst)
+            worst = 0.0
 
-    return EvolutionRecord(config, frames, np.array(log))
+    return EvolutionRecord(config, frames, np.array(log), decomp)
 
 
 def write_frames_csv(record: EvolutionRecord, path) -> None:

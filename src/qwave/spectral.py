@@ -1,16 +1,17 @@
 """Real-symmetric eigendecomposition and the exact unitary propagator.
 
-H = Q diag(lam) Q^T is computed with Householder reduction to tridiagonal
-form followed by the implicit-shift QL iteration, accumulating the full
-eigenvector matrix.  The Hamiltonian from `discretize` is already
-tridiagonal, so the reduction step is skipped for it.  The propagator is
-then exactly U(dt) = Q diag(exp(-i lam dt)) Q^T, so repeated stepping
-carries no splitting error and stays unitary to rounding.
+H = Q diag(lam) Q^T is computed from the Hamiltonian's two bands by the
+implicit-shift QL iteration, its Givens rotations applied to Q^T in the
+wavefront order of Van Zee, van de Geijn & Quintana-Orti (ACM TOMS 40(3),
+2014).  The propagator is then exactly U(dt) = Q diag(exp(-i lam dt)) Q^T,
+so repeated stepping carries no splitting error and stays unitary to
+rounding.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,11 @@ from .discretize import Hamiltonian
 from .errors import ConvergenceError
 from .state import WaveState
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _MAX_QL_ITER = 50
+# QL applies its rotation log once it holds _FLUSH_SWEEPS * n rotations:
+# levels wide enough to amortize numpy's per-call cost, a log far below Q
+_FLUSH_SWEEPS = 16
 
 
 @dataclass(frozen=True)
@@ -47,89 +51,66 @@ class Propagator:
         return self.matrix.shape[0]
 
 
-def _is_tridiagonal(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    if n <= 2:
-        return True
-    mask = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) > 1
-    return not np.any(a[mask])
+def _apply_rotations(qt: np.ndarray, rows: array, cos: array, sin: array) -> None:
+    """Apply logged Givens rotations, in log order, to the rows of Q^T in place.
 
-
-def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce symmetric a to tridiagonal T = Z^T a Z, returning (d, e, Z).
-
-    d holds the diagonal of T, e[i] the subdiagonal coupling nodes i and
-    i+1 (length n, last entry unused), Z the accumulated orthogonal
-    transform.  Classic tred2 recurrences, vectorized row-wise.
+    Rotation k maps rows (x, y) = (rows[k], rows[k] + 1) of the C-ordered
+    qt to (c x - s y, s x + c y).  Each rotation's level is one past the
+    last level to touch its rows, so rotations within a level touch
+    disjoint rows and commute.  QL's sweeps enter that wavefront two rows
+    apart, so a level splits into a few runs i, i+2, i+4, ..., and each
+    run is one strided view of Q^T updated by six ufuncs: every entry
+    sees the same IEEE operations in the same order as the plain loop.
     """
-    z = np.array(a, dtype=float, copy=True)
-    n = z.shape[0]
-    d = np.zeros(n)
-    e = np.zeros(n)
-
-    for i in range(n - 1, 0, -1):
-        l = i - 1
-        h = 0.0
-        if l > 0:
-            scale = np.sum(np.abs(z[i, :i]))
-            if scale == 0.0:
-                e[i] = z[i, l]
-            else:
-                z[i, :i] /= scale
-                h = float(z[i, :i] @ z[i, :i])
-                f = z[i, l]
-                g = -math.copysign(math.sqrt(h), f)
-                e[i] = scale * g
-                h -= f * g
-                z[i, l] = f - g
-                # p = (a u)/h using the lower triangle only
-                z[:i, i] = z[i, :i] / h
-                for j in range(i):
-                    e[j] = (z[j, : j + 1] @ z[i, : j + 1] + z[j + 1 : i, j] @ z[i, j + 1 : i]) / h
-                hh = float(e[:i] @ z[i, :i]) / (h + h)
-                e[:i] -= hh * z[i, :i]
-                # rank-two update a <- a - u w^T - w u^T
-                for j in range(i):
-                    f = z[i, j]
-                    g = e[j]
-                    z[j, : j + 1] -= f * e[: j + 1] + g * z[i, : j + 1]
-        else:
-            e[i] = z[i, l]
-        d[i] = h
-
-    d[0] = 0.0
-    e[0] = 0.0
-    # accumulate the transformations into z
-    for i in range(n):
-        if d[i] != 0.0:
-            gv = z[i, :i] @ z[:i, :i]
-            z[:i, :i] -= np.outer(z[:i, i], gv)
-        d[i] = z[i, i]
-        z[i, i] = 1.0
-        z[i, :i] = 0.0
-        z[:i, i] = 0.0
-    return d, e, z
+    if not rows:
+        return
+    last = [0] * qt.shape[0]
+    levels = array("i")
+    for i in rows:
+        a, b = last[i], last[i + 1]
+        last[i] = last[i + 1] = level = (a if a > b else b) + 1
+        levels.append(level)
+    rows, levels = np.frombuffer(rows, dtype=np.intc), np.frombuffer(levels, dtype=np.intc)
+    order = np.lexsort((rows, levels))
+    rows, levels = rows[order], levels[order]
+    cos, sin = np.frombuffer(cos)[order, None], np.frombuffer(sin)[order, None]
+    breaks = (levels[1:] != levels[:-1]) | (rows[1:] != rows[:-1] + 2)
+    bounds = [0, *(np.flatnonzero(breaks) + 1).tolist(), rows.size]
+    t, u = np.empty((2, int(np.max(np.diff(bounds))), qt.shape[1]))
+    for lo, hi, i in zip(bounds[:-1], bounds[1:], rows[bounds[:-1]].tolist()):
+        c, s, ti, ui, k = cos[lo:hi], sin[lo:hi], t[: hi - lo], u[: hi - lo], 2 * (hi - lo)
+        x, y = qt[i : i + k : 2], qt[i + 1 : i + 1 + k : 2]
+        np.multiply(s, x, out=ti)
+        np.multiply(c, y, out=ui)
+        np.add(ti, ui, out=ti)  # new y
+        np.multiply(c, x, out=ui)
+        np.multiply(s, y, out=x)
+        np.subtract(ui, x, out=x)  # new x
+        y[...] = ti
 
 
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit-shift QL on a symmetric tridiagonal matrix.
+def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Implicit-shift QL (Numerical Recipes tqli) on a symmetric tridiagonal.
 
-    d: diagonal, e: subdiagonal with e[i] coupling nodes i and i+1
-    (e[n-1] ignored), z: matrix whose columns the rotations are applied
-    to (identity, or the Householder accumulation).  Returns eigenvalues
-    (unsorted) and eigenvector columns.
+    d: diagonal, e: off-diagonal with e[i] coupling nodes i and i+1.
+    The scalar recurrence runs on Python floats and logs its rotations;
+    every _FLUSH_SWEEPS * n of them are applied to Q^T in level batches.
+    Returns eigenvalues (unsorted) and Q^T, eigenvectors as rows.
     """
     n = d.shape[0]
-    d = np.array(d, dtype=float, copy=True)
-    e = np.append(np.asarray(e, dtype=float)[: n - 1], 0.0)
-    z = np.array(z, dtype=float, copy=True)
+    d = d.tolist()
+    e = e.tolist() + [0.0]
+    eps = _EPS
+    qt = np.eye(n)
+    rows, cos, sin = array("i"), array("d"), array("d")
+    flush_at = _FLUSH_SWEEPS * n
 
     for l in range(n):
         iters = 0
         while True:
             for m in range(l, n - 1):
                 dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
+                if abs(e[m]) <= eps * dd:
                     break
             else:
                 m = n - 1
@@ -163,43 +144,35 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> tuple[np.ndarra
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
+                rows.append(i)
+                cos.append(c)
+                sin.append(s)
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    return d, z
+            if len(rows) >= flush_at:
+                _apply_rotations(qt, rows, cos, sin)
+                rows, cos, sin = array("i"), array("d"), array("d")
+    _apply_rotations(qt, rows, cos, sin)
+    return np.array(d), qt
 
 
 def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
-    """Factor a symmetric Hamiltonian as H = Q diag(lam) Q^T.
+    """Factor the tridiagonal Hamiltonian as H = Q diag(lam) Q^T.
 
     Eigenvalues are sorted ascending; each eigenvector column is signed
     so its largest-magnitude entry is positive, which makes the
     decomposition reproducible across runs.
     """
-    a = np.asarray(h.matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"Hamiltonian matrix must be square, got shape {a.shape}")
-    scale = np.max(np.abs(a))
-    if scale > 0 and np.max(np.abs(a - a.T)) > 1e-12 * scale:
-        raise ValueError("Hamiltonian matrix is not symmetric within 1e-12 relative tolerance")
-
-    if _is_tridiagonal(a):
-        d = np.diag(a).copy()
-        e = np.append(np.diag(a, k=-1).copy(), 0.0)
-        z = np.eye(a.shape[0])
-    else:
-        d, e_full, z = _householder_tridiagonalize(a)
-        e = np.append(e_full[1:], 0.0)  # shift so e[i] couples nodes i, i+1
-
-    lam, q = _ql_implicit(d, e, z)
+    lam, qt = _ql_implicit(h.diagonal, h.off_diagonal)
 
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
-    q = q[:, order]
+    # one unbuffered pass into C order, and Q^T freed first, to keep the peak low
+    q = np.empty_like(qt)
+    np.take(qt.T, order, axis=1, out=q, mode="clip")
+    del qt
     # sign convention: largest-magnitude entry of each column is positive
     anchors = np.argmax(np.abs(q), axis=0)
     flip = q[anchors, np.arange(q.shape[1])] < 0.0

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qwave import compare as cp
 from qwave import dataset as dsm
@@ -16,6 +17,11 @@ from qwave import evolve as ev
 from qwave import spectral as sp
 from qwave import surrogate as sg
 from qwave.config import RunConfig
+
+# property tests repeat exactly and ignore wall-clock deadlines, which a
+# loaded machine would otherwise trip
+settings.register_profile("qwave", deadline=None, derandomize=True, database=None)
+settings.load_profile("qwave")
 
 
 @pytest.fixture(scope="session")

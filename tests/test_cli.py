@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qwave import cli
+from qwave import evolve as ev
+from qwave import spectral as sp
 from qwave.config import (
     RunConfig,
     apply_overrides,
@@ -154,6 +156,20 @@ class TestPipeline:
         lines = (out / "eigen.csv").read_text().splitlines()
         assert lines[0].startswith("eig_0,")
         assert len(lines) == 2 + 40
+
+    def test_dump_eigen_solves_once(self, tmp_path, monkeypatch):
+        # eigen.csv comes from the decomposition the run stepped with
+        calls = []
+        real = sp.eigendecompose
+
+        def counting(h):
+            calls.append(h.n)
+            return real(h)
+
+        monkeypatch.setattr(sp, "eigendecompose", counting)
+        monkeypatch.setattr(ev, "eigendecompose", counting)
+        assert _cli(tmp_path / "out", "simulate", "--dump-eigen") == 0
+        assert calls == [40]
 
 
 class TestExitCodes:

@@ -90,6 +90,14 @@ class TestHamiltonian:
         assert default_hamiltonian.matrix[0, 0] == pytest.approx(408.51, rel=1e-4)
         assert default_hamiltonian.matrix[0, 1] == pytest.approx(-198.005, rel=1e-4)
 
+    def test_stored_as_bands(self):
+        grid = dz.make_grid(-5.0, 5.0, 800)
+        h = dz.assemble_hamiltonian(dz.laplacian(grid), dz.harmonic_potential(grid))
+        assert h.diagonal.nbytes + h.off_diagonal.nbytes == 8 * (800 + 799)
+        assert not h.diagonal.flags.writeable and not h.off_diagonal.flags.writeable
+        assert np.array_equal(np.diag(h.matrix), h.diagonal)
+        assert np.array_equal(np.diag(h.matrix, -1), h.off_diagonal)
+
     def test_dimension_mismatch_rejected(self):
         lap = dz.laplacian(dz.make_grid(-1.0, 1.0, 5))
         with pytest.raises(ValueError):

@@ -76,6 +76,23 @@ class TestRunEvolution:
         assert np.allclose(thin.times, full.times[::5])
         assert np.allclose(thin.frames[-1].density, full.frames[-1].density)
 
+    def test_record_stride_logs_worst_drift(self):
+        # each thinned entry is the worst drift since the previous recorded frame;
+        # at 64 points the per-step drift is not monotone, so the two differ
+        grid, h = _small_setup(n=64)
+        s = 4
+        full = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=20), h)
+        thin = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=20), h, record_stride=s)
+        assert thin.conservation_log[0] == full.conservation_log[0]
+        for j in range(1, len(thin.frames)):
+            window = full.conservation_log[(j - 1) * s + 1 : j * s + 1]
+            assert thin.conservation_log[j] == np.max(window)
+
+    def test_record_keeps_its_decomposition(self):
+        grid, h = _small_setup()
+        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=2), h)
+        assert record.decomposition.n == grid.n_points
+
     def test_grid_mismatch_rejected(self, default_hamiltonian):
         grid, _ = _small_setup()
         with pytest.raises(ValueError):

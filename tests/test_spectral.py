@@ -1,5 +1,9 @@
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwave import spectral as sp
 from qwave.discretize import Hamiltonian, assemble_hamiltonian, harmonic_potential, laplacian, make_grid
@@ -20,8 +24,15 @@ DEFAULT_LOW_EIGENVALUES = [
 
 def _random_symmetric(n: int, seed: int) -> Hamiltonian:
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n))
-    return Hamiltonian((a + a.T) / 2.0)
+    return Hamiltonian(rng.normal(size=n), rng.normal(size=n - 1))
+
+
+def _rotate_sequentially(qt, rows, cos, sin):
+    """Reference: the logged rotations applied one at a time, as a plain loop."""
+    for i, c, s in zip(rows, cos, sin):
+        x, y = qt[i].copy(), qt[i + 1].copy()
+        qt[i + 1] = s * x + c * y
+        qt[i] = c * x - s * y
 
 
 class TestEigendecompose:
@@ -38,7 +49,7 @@ class TestEigendecompose:
         assert np.max(np.abs(gram - np.eye(25))) < 1e-13
 
     def test_matches_lapack_dense_path(self):
-        # dual route: from-scratch Householder+QL against numpy's LAPACK
+        # dual route: from-scratch QL against numpy's LAPACK on the dense form
         h = _random_symmetric(30, 4)
         d = sp.eigendecompose(h)
         lam_ref = np.linalg.eigvalsh(h.matrix)
@@ -72,24 +83,100 @@ class TestEigendecompose:
 
     def test_degenerate_spectrum(self):
         # identity block plus distinct entries: repeated eigenvalue 1
-        h = Hamiltonian(np.diag([1.0, 1.0, 1.0, 2.0, 5.0]))
+        h = Hamiltonian(np.array([1.0, 1.0, 1.0, 2.0, 5.0]), np.zeros(4))
         d = sp.eigendecompose(h)
         assert np.allclose(d.eigenvalues, [1.0, 1.0, 1.0, 2.0, 5.0])
         assert np.max(np.abs(d.eigenvectors.T @ d.eigenvectors - np.eye(5))) < 1e-13
 
-    def test_asymmetric_rejected(self):
-        a = np.array([[1.0, 2.0], [0.0, 1.0]])
+    def test_nonfinite_entry_rejected(self):
         with pytest.raises(ValueError):
-            sp.eigendecompose(Hamiltonian(a))
+            sp.eigendecompose(Hamiltonian(np.array([1.0, np.nan, 1.0]), np.ones(2)))
+        with pytest.raises(ValueError):
+            sp.eigendecompose(Hamiltonian(np.ones(3), np.array([1.0, np.inf])))
 
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            sp.eigendecompose(Hamiltonian(np.zeros((3, 4))))
+    def test_off_diagonal_length_rejected(self):
+        for wrong in (np.ones(3), np.ones(1), np.ones((2, 1))):
+            with pytest.raises(ValueError):
+                sp.eigendecompose(Hamiltonian(np.ones(3), wrong))
 
     def test_convergence_error_surfaces(self, monkeypatch):
         monkeypatch.setattr(sp, "_MAX_QL_ITER", 0)
         with pytest.raises(ConvergenceError):
             sp.eigendecompose(_random_symmetric(8, 6))
+
+
+def _assert_solves(h, lam, q, tol):
+    hm = h.matrix
+    scale = max(1.0, float(np.max(np.abs(hm))))
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(hm))) <= tol * scale
+    assert np.max(np.abs(hm @ q - q * lam[None, :])) <= tol * scale
+    assert np.max(np.abs(q.T @ q - np.eye(h.n))) <= tol
+
+
+_entries = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def _tridiagonals(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.lists(_entries, min_size=n, max_size=n))
+    e = draw(st.lists(_entries, min_size=n - 1, max_size=n - 1))
+    return Hamiltonian(np.array(d), np.array(e))
+
+
+class TestSolverProperties:
+    @given(_tridiagonals())
+    def test_random_tridiagonal(self, h):
+        d = sp.eigendecompose(h)
+        _assert_solves(h, d.eigenvalues, d.eigenvectors, 1e-12)
+
+    def test_wilkinson_clusters(self):
+        # W21+: the top pair agrees to about 7e-14
+        h = Hamiltonian(np.abs(np.arange(21.0) - 10.0), np.ones(20))
+        d = sp.eigendecompose(h)
+        assert d.eigenvalues[-1] - d.eigenvalues[-2] < 1e-12
+        _assert_solves(h, d.eigenvalues, d.eigenvectors, 1e-13)
+
+    def test_default_top_doublets(self, default_hamiltonian, default_decomposition):
+        # the top of the default spectrum holds left/right edge doublets 5.3e-11 apart
+        lam = default_decomposition.eigenvalues[-20:]
+        q = default_decomposition.eigenvectors[:, -20:]
+        assert np.min(np.diff(lam)) < 1e-9
+        hm = default_hamiltonian.matrix
+        assert np.max(np.abs(hm @ q - q * lam[None, :])) <= 1e-12 * np.max(np.abs(hm))
+        assert np.max(np.abs(q.T @ q - np.eye(20))) <= 1e-13
+
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, n - 2), st.floats(-np.pi, np.pi)),
+                    max_size=60,
+                ),
+            )
+        )
+    )
+    def test_level_batches_match_sequential_loop(self, case):
+        n, rotations = case
+        rows = [i for i, _ in rotations]
+        cos = [float(np.cos(t)) for _, t in rotations]
+        sin = [float(np.sin(t)) for _, t in rotations]
+        start = np.random.default_rng(n).normal(size=(n, n))
+        expected = start.copy()
+        _rotate_sequentially(expected, rows, cos, sin)
+        got = start.copy()
+        sp._apply_rotations(got, array("i", rows), array("d", cos), array("d", sin))
+        assert np.array_equal(got, expected)
+
+    def test_flush_interval_does_not_change_bits(self, monkeypatch):
+        grid = make_grid(-4.0, 4.0, 80)
+        h = assemble_hamiltonian(laplacian(grid), harmonic_potential(grid))
+        batched = sp.eigendecompose(h)
+        monkeypatch.setattr(sp, "_FLUSH_SWEEPS", 0)  # apply after every sweep
+        per_sweep = sp.eigendecompose(h)
+        assert np.array_equal(batched.eigenvalues, per_sweep.eigenvalues)
+        assert np.array_equal(batched.eigenvectors, per_sweep.eigenvectors)
 
 
 class TestPropagator:
