@@ -90,10 +90,11 @@ def _build_parser() -> _CleanArgumentParser:
         "predict", parents=[common], help="predict test-horizon frames with a trained model"
     )
     pred.add_argument("--mode", choices=sorted(PRED_FILES), default="one-step")
-    sub.add_parser(
+    comp = sub.add_parser(
         "compare", parents=[common],
         help="score predictions against simulated frames; write report.csv",
     )
+    comp.add_argument("--mode", choices=sorted(PRED_FILES), default="one-step")
     snap = sub.add_parser(
         "snapshot", parents=[common],
         help="write x/truth/prediction columns for selected times",
@@ -266,7 +267,7 @@ def cmd_predict(cfg: RunConfig, mode: str) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig, mode: str = "one-step") -> int:
+def cmd_compare(cfg: RunConfig, mode: str) -> int:
     scaler, _ = _load_split(cfg)
     record = _record_from_csv(cfg, _require(cfg, FRAMES_FILE, "simulate"))
     pred_times, preds = _read_pred_csv(
@@ -351,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "predict":
             return cmd_predict(cfg, args.mode)
         if args.command == "compare":
-            return cmd_compare(cfg)
+            return cmd_compare(cfg, args.mode)
         if args.command == "snapshot":
             return cmd_snapshot(cfg, _parse_float_list(args.times, "--times"), args.mode)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -9,7 +9,7 @@ never clamps).  Scaled-unit losses live in the training log instead.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class ComparisonReport:
     mean_max_abs_err: float
     mean_peak_position_err: float
     clamped_values: int
-    metadata: dict[str, object] = field(default_factory=dict)
 
 
 def frame_metrics(predicted: np.ndarray, truth: np.ndarray, t: float) -> FrameMetrics:
@@ -66,7 +65,6 @@ def build_report(
     predictions_scaled: np.ndarray,
     target_times: np.ndarray,
     scaler: Scaler,
-    metadata: dict[str, object] | None = None,
 ) -> ComparisonReport:
     """Compare inverse-transformed predictions against the recorded truth.
 
@@ -102,7 +100,6 @@ def build_report(
         mean_max_abs_err=float(np.mean([f.max_abs_err for f in frames])),
         mean_peak_position_err=float(np.mean([f.peak_position_err for f in frames])),
         clamped_values=clamped,
-        metadata=dict(metadata or {}),
     )
 
 

@@ -13,11 +13,26 @@ The prediction is W_out h_L + b_out with no output nonlinearity;
 densities are scaled to [0, 1] before training and negative outputs are
 only clamped at reporting time.  All gradients are exact reverse-mode
 accumulation through every timestep.
+
+The four gates are stacked in GATES order into W = [W_i; W_f; W_c; W_o]
+(4H x N), U (4H x H) and b (4H), the standard LSTM layout.  The forward
+pass projects all L inputs in one matrix product, X W^T + b, and then
+needs one U h_{t-1} product per step.  The backward pass collects the
+gate deltas of every step in one (L, 4H) array D and forms
+dW = D^T X, dU = D^T H_prev and db = sum_t D_t once.
+
+Every parameter of a model lives in one contiguous float64 vector
+(`Params.flat`); W, U, b, W_out, b_out and the per-gate blocks named in
+PARAM_KEYS are views into it, and gradients share the layout.  Adam,
+clipping and the finiteness check are therefore a few vector operations
+over the whole parameter set.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,39 +47,112 @@ GATES = ("i", "f", "c", "o")
 # fixed parameter order: gate weights, then the dense head
 PARAM_KEYS = tuple(f"{kind}_{g}" for g in GATES for kind in ("W", "U", "b")) + ("W_out", "b_out")
 
+# the stacked blocks, back to back in the flat vector
+_BLOCKS = ("W", "U", "b", "W_out", "b_out")
+
+
+class Params(Mapping):
+    """Every LSTM parameter (or gradient) as a view into one flat vector.
+
+    `flat` holds the blocks W (4H, N), U (4H, H), b (4H,), W_out (N, H)
+    and b_out (N,) back to back; the attributes of the same names are
+    views of them.  As a mapping over PARAM_KEYS, params["W_f"] is rows
+    H:2H of W, and so on for every gate.  Assigning params[key] = array
+    copies into that view and raises ValueError on a shape mismatch, so
+    the flat vector stays the only storage.
+    """
+
+    def __init__(self, flat: np.ndarray, input_dim: int, hidden_dim: int):
+        n, h = input_dim, hidden_dim
+        shapes = {"W": (4 * h, n), "U": (4 * h, h), "b": (4 * h,), "W_out": (n, h), "b_out": (n,)}
+        if flat.shape != (_param_count(n, h),) or flat.dtype != np.float64:
+            raise ValueError(f"flat vector {flat.dtype}{flat.shape} does not fit N={n}, H={h}")
+        self.flat = flat
+        offset = 0
+        for name in _BLOCKS:
+            size = math.prod(shapes[name])
+            setattr(self, name, flat[offset : offset + size].reshape(shapes[name]))
+            offset += size
+        self._views: dict[str, np.ndarray] = {}
+        for k, g in enumerate(GATES):
+            for kind in ("W", "U", "b"):
+                self._views[f"{kind}_{g}"] = getattr(self, kind)[k * h : (k + 1) * h]
+        self._views["W_out"] = self.W_out
+        self._views["b_out"] = self.b_out
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self._views[key]
+
+    def __setitem__(self, key: str, value) -> None:
+        view = self._views[key]
+        value = np.asarray(value, dtype=float)
+        if value.shape != view.shape:
+            raise ValueError(f"parameter {key} has shape {value.shape}, expected {view.shape}")
+        view[...] = value
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def key_at(self, index: int) -> str:
+        """The PARAM_KEYS entry that holds flat[index]."""
+        for name in _BLOCKS:
+            block = getattr(self, name)
+            if index < block.size:
+                return name if name.endswith("_out") else f"{name}_{GATES[index * 4 // block.size]}"
+            index -= block.size
+        raise IndexError(f"index {index} is past the parameter vector")
+
+
+def _param_count(input_dim: int, hidden_dim: int) -> int:
+    """Length of the flat parameter vector for N inputs and H hidden units."""
+    n, h = input_dim, hidden_dim
+    return 4 * h * (n + h + 1) + n * (h + 1)
+
 
 @dataclass
 class SurrogateModel:
     """LSTM gate parameters plus the dense output head.
 
-    params maps each name in PARAM_KEYS to its tensor: W_g is
-    (hidden, input), U_g is (hidden, hidden), b_g is (hidden,), W_out is
-    (input, hidden), b_out is (input,).
+    params is a Params mapping over one zero-initialised flat vector:
+    W_g is (hidden, input), U_g is (hidden, hidden), b_g is (hidden,),
+    W_out is (input, hidden), b_out is (input,).
     """
 
     input_dim: int
     hidden_dim: int
     seed: int
-    params: dict[str, np.ndarray]
+    params: Params = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = Params(
+            np.zeros(_param_count(self.input_dim, self.hidden_dim)), self.input_dim, self.hidden_dim
+        )
 
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments and the shared step counter."""
+    """First/second moments over the flat parameter vector and the step counter."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    # scratch vector, so a step allocates nothing
+    _work: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._work = np.empty_like(self.m)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
-    batch_size: int = 1  # one window per update, per the training protocol
     rng_seed: int = 42  # seeds the per-epoch permutation of the training pairs
     lr: float = 1e-3
     clip_norm: float | None = None
@@ -73,8 +161,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size != 1:
-            raise ValueError(f"batch_size is fixed at 1, got {self.batch_size}")
         if not self.lr >= 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.clip_norm is not None and not self.clip_norm > 0:
@@ -93,41 +179,38 @@ class LossHistory:
 class Tape:
     """Per-step activations cached by forward for exact BPTT."""
 
-    inputs: list[np.ndarray]
-    gates: dict[str, list[np.ndarray]]  # i, f, c (candidate), o per step
-    cells: list[np.ndarray]
-    hiddens: list[np.ndarray]  # h_0 .. h_L, so hiddens[t] is the state BEFORE step t+1
+    inputs: np.ndarray  # (L, N), the window
+    gates: np.ndarray  # (L, 4H) activations i, f, c (candidate), o per step, stacked
+    cells: np.ndarray  # (L, H), c_1 .. c_L
+    hiddens: np.ndarray  # (L + 1, H), h_0 .. h_L, so hiddens[t] is the state BEFORE step t+1
     prediction: np.ndarray
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large negative inputs
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(x: np.ndarray) -> None:
+    """Logistic function in place; exp(-|x|) cannot overflow."""
+    e = np.exp(-np.abs(x))
+    np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=x)
 
 
 def init_model(input_dim: int, hidden_dim: int, rng_seed: int) -> SurrogateModel:
     """Seeded uniform init in [-1/sqrt(hidden), 1/sqrt(hidden)].
 
     Biases start at zero except the forget gate, whose bias of 1 keeps
-    the cell state open early in training.
+    the cell state open early in training.  Draws are taken per key in
+    PARAM_KEYS order.
     """
     if input_dim < 1 or hidden_dim < 1:
         raise ValueError(f"dimensions must be >= 1, got input={input_dim}, hidden={hidden_dim}")
     rng = np.random.default_rng(rng_seed)
     bound = 1.0 / np.sqrt(hidden_dim)
-    params: dict[str, np.ndarray] = {}
+    model = SurrogateModel(int(input_dim), int(hidden_dim), int(rng_seed))
+    params = model.params
     for g in GATES:
         params[f"W_{g}"] = rng.uniform(-bound, bound, size=(hidden_dim, input_dim))
         params[f"U_{g}"] = rng.uniform(-bound, bound, size=(hidden_dim, hidden_dim))
-        params[f"b_{g}"] = np.full(hidden_dim, 1.0) if g == "f" else np.zeros(hidden_dim)
+    params["b_f"] = np.ones(hidden_dim)
     params["W_out"] = rng.uniform(-bound, bound, size=(input_dim, hidden_dim))
-    params["b_out"] = np.zeros(input_dim)
-    return SurrogateModel(int(input_dim), int(hidden_dim), int(rng_seed), params)
+    return model
 
 
 def forward(model: SurrogateModel, window: np.ndarray) -> tuple[np.ndarray, Tape]:
@@ -139,35 +222,30 @@ def forward(model: SurrogateModel, window: np.ndarray) -> tuple[np.ndarray, Tape
         raise ValueError("window must contain at least one frame")
 
     p = model.params
-    h = np.zeros(model.hidden_dim)
-    c = np.zeros(model.hidden_dim)
-    tape = Tape(
-        inputs=[],
-        gates={g: [] for g in GATES},
-        cells=[],
-        hiddens=[h],
-        prediction=np.empty(0),
-    )
-    for x in window:
-        i = _sigmoid(p["W_i"] @ x + p["U_i"] @ h + p["b_i"])
-        f = _sigmoid(p["W_f"] @ x + p["U_f"] @ h + p["b_f"])
-        g = np.tanh(p["W_c"] @ x + p["U_c"] @ h + p["b_c"])
-        o = _sigmoid(p["W_o"] @ x + p["U_o"] @ h + p["b_o"])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        tape.inputs.append(x)
-        tape.gates["i"].append(i)
-        tape.gates["f"].append(f)
-        tape.gates["c"].append(g)
-        tape.gates["o"].append(o)
-        tape.cells.append(c)
-        tape.hiddens.append(h)
+    h = model.hidden_dim
+    n_steps = window.shape[0]
+    gates = window @ p.W.T  # every step's input projection at once
+    gates += p.b
+    cells = np.empty((n_steps, h))
+    hiddens = np.zeros((n_steps + 1, h))
+    c_prev = np.zeros(h)
+    for t in range(n_steps):
+        z = gates[t]
+        z += p.U @ hiddens[t]
+        g = np.tanh(z[2 * h : 3 * h])
+        _sigmoid(z)
+        z[2 * h : 3 * h] = g
+        i, f, o = z[:h], z[h : 2 * h], z[3 * h :]
+        c = cells[t]
+        np.multiply(f, c_prev, out=c)
+        c += i * g
+        np.multiply(o, np.tanh(c), out=hiddens[t + 1])
+        c_prev = c
 
-    prediction = p["W_out"] @ h + p["b_out"]
+    prediction = p.W_out @ hiddens[-1] + p.b_out
     if not np.all(np.isfinite(prediction)):
         raise NonFiniteError("non-finite activation in forward pass")
-    tape.prediction = prediction
-    return prediction, tape
+    return prediction, Tape(window, gates, cells, hiddens, prediction)
 
 
 def mse(prediction: np.ndarray, target: np.ndarray) -> float:
@@ -181,99 +259,125 @@ def mse(prediction: np.ndarray, target: np.ndarray) -> float:
         return float(diff @ diff) / prediction.shape[0]
 
 
-def backward(model: SurrogateModel, tape: Tape, target: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of mse(prediction, target) for every parameter."""
+def backward(model: SurrogateModel, tape: Tape, target: np.ndarray) -> Params:
+    """Exact gradients of mse(prediction, target), laid out like model.params."""
     target = np.asarray(target, dtype=float)
+    n, h = model.input_dim, model.hidden_dim
     n_steps = len(tape.inputs)
-    if n_steps == 0 or len(tape.hiddens) != n_steps + 1:
+    if n_steps == 0 or tape.hiddens.shape != (n_steps + 1, h):
         raise ValueError("tape does not come from a completed forward pass")
-    if tape.prediction.shape != (model.input_dim,) or target.shape != (model.input_dim,):
+    if tape.prediction.shape != (n,) or target.shape != (n,):
         raise ValueError(
             f"tape/target width mismatch: prediction {tape.prediction.shape}, "
-            f"target {target.shape}, input_dim {model.input_dim}"
+            f"target {target.shape}, input_dim {n}"
         )
-    if tape.inputs[0].shape != (model.input_dim,) or tape.hiddens[0].shape != (model.hidden_dim,):
+    if tape.inputs.shape != (n_steps, n) or tape.gates.shape != (n_steps, 4 * h):
         raise ValueError("tape shapes do not match this model")
 
     p = model.params
-    grads = {k: np.zeros_like(p[k]) for k in PARAM_KEYS}
+    grads = Params(np.empty_like(p.flat), n, h)
 
-    d_pred = 2.0 * (tape.prediction - target) / model.input_dim
-    grads["W_out"] = np.outer(d_pred, tape.hiddens[-1])
-    grads["b_out"] = d_pred
+    d_pred = 2.0 * (tape.prediction - target) / n
+    np.outer(d_pred, tape.hiddens[-1], out=grads.W_out)
+    grads.b_out[:] = d_pred
 
-    dh = p["W_out"].T @ d_pred
-    dc_carry = np.zeros(model.hidden_dim)
+    # Each step's gate delta is (carried delta) * partner * (activation slope):
+    #   d_i = dc * g * i(1-i),  d_f = dc * c_prev * f(1-f),
+    #   d_c = dc * i * (1-g^2), d_o = dh * tanh(c) * o(1-o),
+    # with dc = dh * o (1 - tanh(c)^2) + (carry from step t+1).  Partners and
+    # slopes do not depend on the deltas, so they are formed for all steps first.
+    a = tape.gates
+    i, f, g, o = (a[:, k * h : (k + 1) * h] for k in range(4))
+    tanh_c = np.tanh(tape.cells)
+    slope = a * (1.0 - a)
+    slope[:, 2 * h : 3 * h] = 1.0 - g**2
+    partner = np.empty_like(a)
+    partner[:, :h] = g
+    partner[0, h : 2 * h] = 0.0  # c_0
+    partner[1:, h : 2 * h] = tape.cells[:-1]
+    partner[:, 2 * h : 3 * h] = i
+    partner[:, 3 * h :] = tanh_c
+    dc_dh = o * (1.0 - tanh_c**2)
+
+    deltas = np.empty_like(a)
+    dh = p.W_out.T @ d_pred
+    dc_carry = np.zeros(h)
     for t in range(n_steps - 1, -1, -1):
-        i = tape.gates["i"][t]
-        f = tape.gates["f"][t]
-        g = tape.gates["c"][t]
-        o = tape.gates["o"][t]
-        c = tape.cells[t]
-        c_prev = tape.cells[t - 1] if t > 0 else np.zeros(model.hidden_dim)
-        h_prev = tape.hiddens[t]
-        x = tape.inputs[t]
+        dc = dh * dc_dh[t]
+        dc += dc_carry
+        d = deltas[t]
+        np.multiply(dc, partner[t, : 3 * h].reshape(3, h), out=d[: 3 * h].reshape(3, h))
+        np.multiply(dh, partner[t, 3 * h :], out=d[3 * h :])
+        d *= slope[t]
+        dh = p.U.T @ d
+        dc_carry = dc * f[t]
 
-        tanh_c = np.tanh(c)
-        dc = dh * o * (1.0 - tanh_c**2) + dc_carry
-
-        d_pre = {
-            "o": dh * tanh_c * o * (1.0 - o),
-            "f": dc * c_prev * f * (1.0 - f),
-            "i": dc * g * i * (1.0 - i),
-            "c": dc * i * (1.0 - g**2),
-        }
-        dh = np.zeros(model.hidden_dim)
-        for gate, d in d_pre.items():
-            grads[f"W_{gate}"] += np.outer(d, x)
-            grads[f"U_{gate}"] += np.outer(d, h_prev)
-            grads[f"b_{gate}"] += d
-            dh += p[f"U_{gate}"].T @ d
-        dc_carry = dc * f
-
+    np.matmul(deltas.T, tape.inputs, out=grads.W)
+    np.matmul(deltas.T, tape.hiddens[:-1], out=grads.U)
+    np.sum(deltas, axis=0, out=grads.b)
     return grads
 
 
-def init_adam(params: dict[str, np.ndarray], lr: float = 1e-3) -> AdamState:
-    state = AdamState(lr=lr)
-    state.m = {k: np.zeros_like(v) for k, v in params.items()}
-    state.v = {k: np.zeros_like(v) for k, v in params.items()}
-    return state
+def _first_nonfinite(vector: np.ndarray) -> int | None:
+    """Index of the first NaN or infinity in vector, or None.
+
+    One dot product is the whole check when every entry is finite: NaN
+    and infinities propagate into it.  Only a non-finite result, which
+    entries above 1e154 also give by overflow, pays for the elementwise
+    search.
+    """
+    if np.isfinite(vector @ vector):
+        return None
+    bad = np.flatnonzero(~np.isfinite(vector))
+    return int(bad[0]) if bad.size else None
 
 
-def adam_step(
-    state: AdamState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    for k, g in grads.items():
-        if g.shape != params[k].shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {k}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for parameter {k}")
+def init_adam(theta: np.ndarray, lr: float = 1e-3) -> AdamState:
+    """Zero moments for the flat parameter vector theta."""
+    return AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta), lr=lr)
+
+
+def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of the flat vector theta, in place.
+
+    The step lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^k)
+    and v_hat = v / (1 - beta2^k), is taken in the equivalent form
+    lr_k * m / (sqrt(v) + eps_k) with lr_k = lr sqrt(1 - beta2^k) / (1 - beta1^k)
+    and eps_k = eps sqrt(1 - beta2^k), which folds both bias corrections
+    into two scalars (Kingma & Ba 2015, section 2).
+    """
+    if grad.shape != theta.shape or theta.shape != state.m.shape:
+        raise ValueError(
+            f"gradient shape {grad.shape} does not match parameters {theta.shape} "
+            f"and moments {state.m.shape}"
+        )
+    bad = _first_nonfinite(grad)
+    if bad is not None:
+        raise NonFiniteError(f"non-finite gradient at index {bad}")
     state.step += 1
-    k_t = state.step
-    bc1 = 1.0 - state.beta1**k_t
-    bc2 = 1.0 - state.beta2**k_t
-    new_params = {}
-    for k, theta in params.items():
-        g = grads[k]
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * g**2
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        new_params[k] = theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, state
+    root_bc2 = math.sqrt(1.0 - state.beta2**state.step)
+    lr_k = state.lr * root_bc2 / (1.0 - state.beta1**state.step)
+    m, v, tmp = state.m, state.v, state._work
+    # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=tmp)
+    m += tmp
+    v *= state.beta2
+    np.square(grad, out=tmp)
+    tmp *= 1.0 - state.beta2
+    v += tmp
+    np.sqrt(v, out=tmp)
+    tmp += state.eps * root_bc2
+    np.divide(m, tmp, out=tmp)
+    tmp *= lr_k
+    theta -= tmp
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> bool:
-    total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+def _clip_gradients(grad: np.ndarray, max_norm: float) -> bool:
+    total = np.sqrt(grad @ grad)
     if total <= max_norm:
         return False
-    factor = max_norm / total
-    for k in grads:
-        grads[k] = grads[k] * factor
+    grad *= max_norm / total
     return True
 
 
@@ -295,10 +399,10 @@ def train(
     """
     if len(data.train) == 0:
         raise ValueError("training set is empty")
-    work = SurrogateModel(
-        model.input_dim, model.hidden_dim, model.seed, {k: v.copy() for k, v in model.params.items()}
-    )
-    state = init_adam(work.params, lr=cfg.lr)
+    work = SurrogateModel(model.input_dim, model.hidden_dim, model.seed)
+    theta = work.params.flat
+    theta[:] = model.params.flat
+    state = init_adam(theta, lr=cfg.lr)
     history = LossHistory(test_mse=[] if cfg.eval_test else None)
     clipped = 0
     rng = np.random.default_rng(cfg.rng_seed)
@@ -313,9 +417,17 @@ def train(
                 raise NonFiniteError(f"loss diverged at epoch {epoch + 1}, pair {pair}")
             losses.append(loss)
             grads = backward(work, tape, target)
-            if cfg.clip_norm is not None and _clip_gradients(grads, cfg.clip_norm):
+            # checked before clipping, which would spread one NaN over every parameter
+            bad = _first_nonfinite(grads.flat)
+            if bad is not None:
+                raise NonFiniteError(
+                    f"non-finite gradient for parameter {grads.key_at(bad)} "
+                    f"at epoch {epoch + 1}, pair {pair}"
+                )
+            if cfg.clip_norm is not None and _clip_gradients(grads.flat, cfg.clip_norm):
                 clipped += 1
-            work.params, state = adam_step(state, work.params, grads)
+            adam_step(state, theta, grads.flat)
+            del grads  # so the next backward can reuse its memory
         history.train_mse.append(float(np.mean(losses)))
         if cfg.eval_test:
             history.test_mse.append(evaluate(work, data.test))
@@ -369,6 +481,7 @@ def save_checkpoint(model: SurrogateModel, path) -> None:
 
 
 def load_checkpoint(path) -> SurrogateModel:
+    """Read a save_checkpoint file; every section must match its parameter's shape."""
     header: dict[str, int] = {}
     sections: dict[str, list[list[float]]] = {}
     current: list[list[float]] | None = None
@@ -393,29 +506,11 @@ def load_checkpoint(path) -> SurrogateModel:
             f"checkpoint {path} has parameter sections {sorted(sections)}, "
             f"expected {sorted(PARAM_KEYS)}"
         )
-    params = {}
+    model = SurrogateModel(header["input_dim"], header["hidden_dim"], header["seed"])
     for key, rows in sections.items():
         tensor = np.array(rows, dtype=float)
-        if key.startswith("b_"):
-            tensor = tensor.reshape(-1)
-        params[key] = tensor
-    model = SurrogateModel(header["input_dim"], header["hidden_dim"], header["seed"], params)
-    _check_shapes(model)
+        model.params[key] = tensor.reshape(-1) if key.startswith("b_") else tensor
     return model
-
-
-def _check_shapes(model: SurrogateModel) -> None:
-    n, h = model.input_dim, model.hidden_dim
-    expected = {f"W_{g}": (h, n) for g in GATES}
-    expected.update({f"U_{g}": (h, h) for g in GATES})
-    expected.update({f"b_{g}": (h,) for g in GATES})
-    expected["W_out"] = (n, h)
-    expected["b_out"] = (n,)
-    for key, shape in expected.items():
-        if model.params[key].shape != shape:
-            raise ValueError(
-                f"parameter {key} has shape {model.params[key].shape}, expected {shape}"
-            )
 
 
 def write_loss_csv(history: LossHistory, path) -> None:

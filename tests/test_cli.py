@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qwave import cli
+from qwave import compare as cp
 from qwave import evolve as ev
 from qwave import spectral as sp
 from qwave.config import (
@@ -112,6 +113,26 @@ class TestPipeline:
             assert (out / name).exists(), name
         text = capsys.readouterr().out
         assert "mean mse" in text
+
+    def test_compare_mode_picks_the_prediction_file(self, tmp_path):
+        out = tmp_path / "out"
+        for argv in (["simulate"], ["export-dataset"], ["train"],
+                     ["predict", "--mode", "one-step"], ["predict", "--mode", "rollout"]):
+            assert _cli(out, *argv) == 0
+        reports = {}
+        for argv in ([], ["--mode", "one-step"], ["--mode", "rollout"]):
+            assert _cli(out, "compare", *argv) == 0
+            reports[" ".join(argv)] = (out / "report.csv").read_bytes()
+        assert reports[""] == reports["--mode one-step"]
+        assert reports["--mode rollout"] != reports[""]
+        # the rollout report is the one built from pred_rollout.csv
+        cfg = RunConfig(grid_n_points=40, evolution_n_steps=30, io_output_dir=str(out))
+        scaler, _ = cli._load_split(cfg)
+        record = cli._record_from_csv(cfg, str(out / "frames.csv"))
+        times, preds = cli._read_pred_csv(out / "pred_rollout.csv", 40)
+        expected = tmp_path / "expected.csv"
+        cp.write_report_csv(cp.build_report(record, preds, times, scaler), expected)
+        assert reports["--mode rollout"] == expected.read_bytes()
 
     def test_simulate_frame_count(self, tmp_path):
         out = tmp_path / "out"

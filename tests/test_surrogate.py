@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwave import dataset as dsm
 from qwave import surrogate as sg
@@ -109,7 +111,7 @@ class TestForward:
         _, tape = sg.forward(model, np.random.default_rng(15).uniform(size=(5, 3)))
         assert len(tape.hiddens) == 6  # h_0 .. h_5
         assert len(tape.cells) == 5
-        assert all(len(tape.gates[g]) == 5 for g in sg.GATES)
+        assert tape.gates.shape == (5, 4 * 2)  # the four gates stacked per step
 
 
 class TestMse:
@@ -172,46 +174,221 @@ class TestBackward:
             sg.backward(model, tape, np.zeros(4))
 
 
+# ------------------------------------------------------------------ reference
+# A four-gate, per-key LSTM and Adam written out gate by gate: the reference
+# that the stacked layout and the flat-vector Adam must reproduce.
+
+
+def _ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_forward(p, window):
+    hidden = p["U_i"].shape[0]
+    h, c = np.zeros(hidden), np.zeros(hidden)
+    steps = []
+    for x in window:
+        i = _ref_sigmoid(p["W_i"] @ x + p["U_i"] @ h + p["b_i"])
+        f = _ref_sigmoid(p["W_f"] @ x + p["U_f"] @ h + p["b_f"])
+        g = np.tanh(p["W_c"] @ x + p["U_c"] @ h + p["b_c"])
+        o = _ref_sigmoid(p["W_o"] @ x + p["U_o"] @ h + p["b_o"])
+        c_prev, h_prev = c, h
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        steps.append((x, i, f, g, o, c, c_prev, h_prev))
+    return p["W_out"] @ h + p["b_out"], steps, h
+
+
+def _ref_backward(p, window, target):
+    pred, steps, h_last = _ref_forward(p, window)
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    d_pred = 2.0 * (pred - target) / len(pred)
+    grads["W_out"] = np.outer(d_pred, h_last)
+    grads["b_out"] = d_pred
+    dh = p["W_out"].T @ d_pred
+    dc_carry = np.zeros_like(dh)
+    for x, i, f, g, o, c, c_prev, h_prev in reversed(steps):
+        tanh_c = np.tanh(c)
+        dc = dh * o * (1.0 - tanh_c**2) + dc_carry
+        d_pre = {
+            "o": dh * tanh_c * o * (1.0 - o),
+            "f": dc * c_prev * f * (1.0 - f),
+            "i": dc * g * i * (1.0 - i),
+            "c": dc * i * (1.0 - g**2),
+        }
+        dh = np.zeros_like(dh)
+        for gate, d in d_pre.items():
+            grads[f"W_{gate}"] += np.outer(d, x)
+            grads[f"U_{gate}"] += np.outer(d, h_prev)
+            grads[f"b_{gate}"] += d
+            dh += p[f"U_{gate}"].T @ d
+        dc_carry = dc * f
+    return pred, grads
+
+
+def _ref_adam(state, params, grads):
+    """Per-key Adam; state is {"step", "m", "v"} with dict moments."""
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, state["lr"]
+    state["step"] += 1
+    bc1 = 1.0 - beta1 ** state["step"]
+    bc2 = 1.0 - beta2 ** state["step"]
+    new = {}
+    for k, theta in params.items():
+        g = grads[k]
+        state["m"][k] = beta1 * state["m"][k] + (1.0 - beta1) * g
+        state["v"][k] = beta2 * state["v"][k] + (1.0 - beta2) * g**2
+        new[k] = theta - lr * (state["m"][k] / bc1) / (np.sqrt(state["v"][k] / bc2) + eps)
+    return new
+
+
+def _assert_close(got, want, rel=1e-12):
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got - want))) <= rel * scale
+
+
+def _random_model(rng, input_dim, hidden_dim, seed):
+    model = sg.init_model(input_dim, hidden_dim, seed)
+    for k in model.params:  # nudge off the init so no block is trivially zero
+        model.params[k] = model.params[k] + rng.normal(0.0, 0.3, model.params[k].shape)
+    return model
+
+
+_dims = st.tuples(
+    st.integers(1, 12), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1)
+)
+
+
+class TestFusedAgainstReference:
+    @given(_dims)
+    def test_forward_and_gradients_match(self, dims):
+        input_dim, hidden_dim, n_steps, seed = dims
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, input_dim, hidden_dim, seed)
+        window = rng.uniform(size=(n_steps, input_dim))
+        target = rng.uniform(size=input_dim)
+        pred, tape = sg.forward(model, window)
+        grads = sg.backward(model, tape, target)
+        ref_pred, ref_grads = _ref_backward(dict(model.params), window, target)
+        _assert_close(pred, ref_pred)
+        for k in sg.PARAM_KEYS:
+            _assert_close(grads[k], ref_grads[k])
+
+    @given(_dims)
+    def test_every_key_is_a_view_of_the_flat_vector(self, dims):
+        input_dim, hidden_dim, n_steps, seed = dims
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, input_dim, hidden_dim, seed)
+        _, tape = sg.forward(model, rng.uniform(size=(n_steps, input_dim)))
+        grads = sg.backward(model, tape, rng.uniform(size=input_dim))
+        for params in (model.params, grads):
+            covered = np.zeros(params.flat.size, dtype=int)
+            for k in sg.PARAM_KEYS:
+                assert np.shares_memory(params[k], params.flat), k
+                marker = np.zeros(params.flat.size)
+                params_k = sg.Params(marker, input_dim, hidden_dim)[k]
+                params_k[...] = 1.0
+                (owned,) = np.nonzero(marker)
+                covered[owned] += 1
+                assert {params.key_at(int(j)) for j in owned} == {k}
+            assert np.all(covered == 1)  # the keys tile the vector exactly
+
+    @given(_dims)
+    def test_adam_matches_per_key_reference(self, dims):
+        input_dim, hidden_dim, n_steps, seed = dims
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, input_dim, hidden_dim, seed)
+        ref_params = {k: v.copy() for k, v in model.params.items()}
+        ref_state = {
+            "lr": 1e-2, "step": 0,
+            "m": {k: np.zeros_like(v) for k, v in ref_params.items()},
+            "v": {k: np.zeros_like(v) for k, v in ref_params.items()},
+        }
+        state = sg.init_adam(model.params.flat, lr=1e-2)
+        for _ in range(3):
+            grads = sg.Params(rng.normal(size=model.params.flat.size), input_dim, hidden_dim)
+            sg.adam_step(state, model.params.flat, grads.flat)
+            ref_params = _ref_adam(ref_state, ref_params, grads)
+        m = sg.Params(state.m, input_dim, hidden_dim)
+        v = sg.Params(state.v, input_dim, hidden_dim)
+        for k in sg.PARAM_KEYS:
+            _assert_close(model.params[k], ref_params[k])
+            _assert_close(m[k], ref_state["m"][k])
+            _assert_close(v[k], ref_state["v"][k])
+
+
+class TestParams:
+    def test_assignment_copies_into_the_view(self):
+        model = sg.init_model(3, 2, 0)
+        view = model.params["U_f"]
+        model.params["U_f"] = np.full((2, 2), 0.5)
+        assert model.params["U_f"] is view
+        assert np.shares_memory(view, model.params.flat)
+        assert np.array_equal(model.params.U[2:4], np.full((2, 2), 0.5))
+
+    def test_assignment_shape_mismatch_rejected(self):
+        model = sg.init_model(3, 2, 0)
+        before = model.params.flat.copy()
+        with pytest.raises(ValueError, match="W_i"):
+            model.params["W_i"] = np.zeros((3, 2))
+        assert np.array_equal(model.params.flat, before)
+
+    def test_views_survive_train_and_load(self, tiny_split, tmp_path):
+        _, split = tiny_split
+        trained, _ = sg.train(sg.init_model(12, 6, 5), split, sg.TrainConfig(epochs=2))
+        sg.save_checkpoint(trained, tmp_path / "model.ckpt")
+        loaded = sg.load_checkpoint(tmp_path / "model.ckpt")
+        for model in (trained, loaded):
+            for k in sg.PARAM_KEYS:
+                assert np.shares_memory(model.params[k], model.params.flat), k
+        assert np.array_equal(loaded.params.flat, trained.params.flat)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = np.array([1.0, -2.0])
         state = sg.init_adam(params, lr=0.01)
-        new, state = sg.adam_step(state, params, {"w": np.zeros(2)})
-        assert np.array_equal(new["w"], params["w"])
+        new = params.copy()
+        sg.adam_step(state, new, np.zeros(2))
+        assert np.array_equal(new, params)
         assert state.step == 1
 
     def test_first_step_is_signed_learning_rate(self):
-        params = {"w": np.array([0.0, 0.0])}
+        params = np.array([0.0, 0.0])
         state = sg.init_adam(params, lr=0.01)
-        g = {"w": np.array([0.5, -0.25])}
-        new, _ = sg.adam_step(state, params, g)
+        g = np.array([0.5, -0.25])
+        sg.adam_step(state, params, g)
         # bias correction gives m_hat = g, v_hat = g^2, so step = lr * sign(g)
-        assert np.allclose(new["w"], [-0.01, 0.01], atol=1e-9)
+        assert np.allclose(params, [-0.01, 0.01], atol=1e-9)
 
     def test_constant_gradient_recurrences(self):
-        params = {"w": np.array([1.0])}
-        g = {"w": np.array([0.3])}
+        params = np.array([1.0])
+        g = np.array([0.3])
         state = sg.init_adam(params, lr=0.1)
-        p1, state = sg.adam_step(state, params, g)
-        p2, state = sg.adam_step(state, p1, g)
+        sg.adam_step(state, params, g)
+        sg.adam_step(state, params, g)
         assert state.step == 2
         beta1, beta2 = state.beta1, state.beta2
-        assert state.m["w"][0] == pytest.approx((1 - beta1**2) * 0.3)
-        assert state.v["w"][0] == pytest.approx((1 - beta2**2) * 0.09)
+        assert state.m[0] == pytest.approx((1 - beta1**2) * 0.3)
+        assert state.v[0] == pytest.approx((1 - beta2**2) * 0.09)
         # both bias-corrected steps move by lr * g / (|g| + eps) = lr
-        assert p2["w"][0] == pytest.approx(1.0 - 0.2, abs=1e-8)
+        assert params[0] == pytest.approx(1.0 - 0.2, abs=1e-8)
 
     def test_shape_mismatch_rejected(self):
-        params = {"w": np.zeros(3)}
+        params = np.zeros(3)
         state = sg.init_adam(params)
         with pytest.raises(ValueError):
-            sg.adam_step(state, params, {"w": np.zeros(4)})
+            sg.adam_step(state, params, np.zeros(4))
 
     def test_nonfinite_gradient_rejected(self):
-        params = {"w": np.zeros(2)}
+        params = np.zeros(2)
         state = sg.init_adam(params)
         with pytest.raises(NonFiniteError):
-            sg.adam_step(state, params, {"w": np.array([1.0, float("nan")])})
+            sg.adam_step(state, params, np.array([1.0, float("nan")]))
 
 
 class TestTrain:
@@ -267,6 +444,22 @@ class TestTrain:
         with pytest.raises(NonFiniteError, match="epoch"):
             sg.train(model, split, sg.TrainConfig(epochs=2, lr=1e160))
 
+    def test_nonfinite_gradient_names_its_parameter(self, tiny_split, monkeypatch):
+        _, split = tiny_split
+        backward = sg.backward
+
+        def poisoned(model, tape, target):
+            grads = backward(model, tape, target)
+            grads["U_o"][1, 2] = float("nan")
+            return grads
+
+        monkeypatch.setattr(sg, "backward", poisoned)
+        model = sg.init_model(12, 6, 0)
+        # with clipping on too: the NaN must still be named where it arose
+        for clip in (None, 1.0):
+            with pytest.raises(NonFiniteError, match="U_o"):
+                sg.train(model, split, sg.TrainConfig(epochs=1, clip_norm=clip))
+
     def test_clip_fires_and_is_logged(self, tiny_split, caplog):
         _, split = tiny_split
         model = sg.init_model(12, 6, 0)
@@ -284,8 +477,6 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             sg.TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            sg.TrainConfig(batch_size=2)
         with pytest.raises(ValueError):
             sg.TrainConfig(clip_norm=0.0)
 
