@@ -54,6 +54,7 @@ from .evolve import (
     EvolutionRecord,
     gaussian_initial,
     read_frames_csv,
+    record_from_frames,
     record_from_frames_csv,
     run_evolution,
     write_conservation_csv,

@@ -174,8 +174,11 @@ def _load_frames(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return ev.read_frames_csv(path)
 
 
-def _load_split(cfg: RunConfig) -> tuple[dsm.Scaler, dsm.SplitDataset]:
-    times, frames = _load_frames(cfg)
+def _load_split(
+    cfg: RunConfig, loaded: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[dsm.Scaler, dsm.SplitDataset]:
+    """Scaler and split from frames.csv, or from its (times, frames) when already read."""
+    times, frames = loaded or _load_frames(cfg)
     scaler = dsm.load_scaler(_require(cfg, SCALER_FILE, "export-dataset"))
     split = dsm.prepare_split(
         frames, times, cfg.dataset_lookback, cfg.dataset_split_fraction, scaler
@@ -200,6 +203,15 @@ def cmd_simulate(cfg: RunConfig, dump_eigen: bool = False) -> int:
 def _record_from_csv(cfg: RunConfig, path: str) -> ev.EvolutionRecord:
     grid = dz.make_grid(cfg.grid_a, cfg.grid_b, cfg.grid_n_points)
     return ev.record_from_frames_csv(grid, cfg.evolution_dt, cfg.evolution_normalization_mode, path)
+
+
+def _record(cfg: RunConfig, loaded: tuple[np.ndarray, np.ndarray]) -> ev.EvolutionRecord:
+    """The simulated record from frames.csv's already-read (times, frames)."""
+    grid = dz.make_grid(cfg.grid_a, cfg.grid_b, cfg.grid_n_points)
+    path = os.path.join(cfg.io_output_dir, FRAMES_FILE)
+    return ev.record_from_frames(
+        grid, cfg.evolution_dt, cfg.evolution_normalization_mode, *loaded, source=path
+    )
 
 
 def cmd_table(cfg: RunConfig, times: list[float], indices: list[int]) -> int:
@@ -268,8 +280,9 @@ def cmd_predict(cfg: RunConfig, mode: str) -> int:
 
 
 def cmd_compare(cfg: RunConfig, mode: str) -> int:
-    scaler, _ = _load_split(cfg)
-    record = _record_from_csv(cfg, _require(cfg, FRAMES_FILE, "simulate"))
+    loaded = _load_frames(cfg)  # read once, for the split and the record
+    scaler, _ = _load_split(cfg, loaded)
+    record = _record(cfg, loaded)
     pred_times, preds = _read_pred_csv(
         _require(cfg, PRED_FILES[mode], f"predict --mode {mode}"), cfg.grid_n_points
     )
@@ -285,8 +298,9 @@ def cmd_compare(cfg: RunConfig, mode: str) -> int:
 
 
 def cmd_snapshot(cfg: RunConfig, times: list[float], mode: str) -> int:
-    scaler, _ = _load_split(cfg)
-    record = _record_from_csv(cfg, _require(cfg, FRAMES_FILE, "simulate"))
+    loaded = _load_frames(cfg)  # read once, for the split and the record
+    scaler, _ = _load_split(cfg, loaded)
+    record = _record(cfg, loaded)
     pred_times, preds = _read_pred_csv(
         _require(cfg, PRED_FILES[mode], f"predict --mode {mode}"), cfg.grid_n_points
     )

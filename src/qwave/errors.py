@@ -14,7 +14,7 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """The eigenvalue iteration failed to converge."""
+    """An eigenpair from inverse iteration missed its residual bound."""
 
 
 class ConservationError(NumericalError):

@@ -165,21 +165,30 @@ def write_conservation_csv(record: EvolutionRecord, path) -> None:
             fh.write(f"{frame.time:.17g},{drift:.17g}\n")
 
 
-def record_from_frames_csv(
-    grid: Grid, dt: float, normalization_mode: str, path
+def record_from_frames(
+    grid: Grid, dt: float, normalization_mode: str, times: np.ndarray, frames: np.ndarray,
+    source: str,
 ) -> EvolutionRecord:
-    """Rebuild a record from a frame CSV for table/comparison use.
+    """Rebuild a record from frame-table arrays read from source, for
+    table/comparison use.
 
-    The conservation log is not stored in the frame CSV, so the rebuilt
+    The conservation log is not stored in the frame table, so the rebuilt
     record carries zeros there; the real log lives in its own CSV.
     """
-    times, frames = read_frames_csv(path)
     if frames.shape[1] != grid.n_points:
         raise ValueError(
-            f"{path} has {frames.shape[1]} columns, grid has {grid.n_points} nodes"
+            f"{source} has {frames.shape[1]} columns, grid has {grid.n_points} nodes"
         )
     config = EvolutionConfig(
         grid=grid, dt=dt, n_steps=max(len(times) - 1, 0), normalization_mode=normalization_mode
     )
     density_frames = [DensityFrame(float(t), row) for t, row in zip(times, frames)]
     return EvolutionRecord(config, density_frames, np.zeros(len(density_frames)))
+
+
+def record_from_frames_csv(
+    grid: Grid, dt: float, normalization_mode: str, path
+) -> EvolutionRecord:
+    """record_from_frames on a frame CSV read from path."""
+    times, frames = read_frames_csv(path)
+    return record_from_frames(grid, dt, normalization_mode, times, frames, source=str(path))

@@ -1,17 +1,25 @@
 """Real-symmetric eigendecomposition and the exact unitary propagator.
 
-H = Q diag(lam) Q^T is computed from the Hamiltonian's two bands by the
-implicit-shift QL iteration, its Givens rotations applied to Q^T in the
-wavefront order of Van Zee, van de Geijn & Quintana-Orti (ACM TOMS 40(3),
-2014).  The propagator is then exactly U(dt) = Q diag(exp(-i lam dt)) Q^T,
-so repeated stepping carries no splitting error and stays unitary to
+H = Q diag(lam) Q^T is computed from the Hamiltonian's two bands in
+O(N^2), by the route of LAPACK's dstebz and dstein (Wilkinson, The
+Algebraic Eigenvalue Problem, 1965; Demmel, Applied Numerical Linear
+Algebra, 5.3, 1997).  Sturm-count multisection brackets every eigenvalue
+to about one ulp of max|H|; inverse iteration with a partially pivoted
+LU of H - sigma I then gives the eigenvectors.  Both loop once over the N
+rows per pass, with vector operations across the whole spectrum.  Columns
+whose eigenvalues lie closer than 1e-3 of the 1-norm of H are
+orthogonalized together, so inside a near-degenerate cluster Q holds some
+orthonormal basis of the cluster's invariant subspace.  Every pair must
+meet |H q - lam q| <= 1e-10 max|H|, or ConvergenceError names the column.
+
+The propagator is then exactly U(dt) = Q diag(exp(-i lam dt)) Q^T, so
+repeated stepping carries no splitting error and stays unitary to
 rounding.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +29,22 @@ from .errors import ConvergenceError
 from .state import WaveState
 
 _EPS = float(np.finfo(float).eps)
-_MAX_QL_ITER = 50
-# QL applies its rotation log once it holds _FLUSH_SWEEPS * n rotations:
-# levels wide enough to amortize numpy's per-call cost, a log far below Q
-_FLUSH_SWEEPS = 16
+_TINY = float(np.finfo(float).tiny)
+# interior test points per interval and sweep: a sweep cuts each interval
+# to a quarter, so half the sweeps of plain bisection
+_PROBES = 3
+# inverse iteration: each shift's distance from its eigenvalue, relative to
+# max|H|, and the number of solves
+_SHIFT = 1e-14
+_INVERSE_SOLVES = 3
+# eigenvalues closer than this times the 1-norm of H share a cluster
+# (dstein's ORTOL)
+_CLUSTER_GAP = 1e-3
+# the largest accepted |H q - lam q| of a column, relative to max|H|
+_RESIDUAL_BOUND = 1e-10
+# entries of one work array: the LU bands, the residual check and the
+# propagator build hold N x (this // N) values at a time
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -51,132 +71,240 @@ class Propagator:
         return self.matrix.shape[0]
 
 
-def _apply_rotations(qt: np.ndarray, rows: array, cos: array, sin: array) -> None:
-    """Apply logged Givens rotations, in log order, to the rows of Q^T in place.
+def _sturm_counts(d: list, e2: list, x: np.ndarray, pivmin: float) -> np.ndarray:
+    """The number of eigenvalues below each shift in x, all shifts at once.
 
-    Rotation k maps rows (x, y) = (rows[k], rows[k] + 1) of the C-ordered
-    qt to (c x - s y, s x + c y).  Each rotation's level is one past the
-    last level to touch its rows, so rotations within a level touch
-    disjoint rows and commute.  QL's sweeps enter that wavefront two rows
-    apart, so a level splits into a few runs i, i+2, i+4, ..., and each
-    run is one strided view of Q^T updated by six ufuncs: every entry
-    sees the same IEEE operations in the same order as the plain loop.
+    The LDL^T pivots q_i = d_i - x - e_{i-1}^2 / q_{i-1} run as one loop
+    over the rows.  A pivot smaller than pivmin in magnitude becomes
+    -pivmin, as in LAPACK's dlaebz, so no division overflows.
     """
-    if not rows:
-        return
-    last = [0] * qt.shape[0]
-    levels = array("i")
-    for i in rows:
-        a, b = last[i], last[i + 1]
-        last[i] = last[i + 1] = level = (a if a > b else b) + 1
-        levels.append(level)
-    rows, levels = np.frombuffer(rows, dtype=np.intc), np.frombuffer(levels, dtype=np.intc)
-    order = np.lexsort((rows, levels))
-    rows, levels = rows[order], levels[order]
-    cos, sin = np.frombuffer(cos)[order, None], np.frombuffer(sin)[order, None]
-    breaks = (levels[1:] != levels[:-1]) | (rows[1:] != rows[:-1] + 2)
-    bounds = [0, *(np.flatnonzero(breaks) + 1).tolist(), rows.size]
-    t, u = np.empty((2, int(np.max(np.diff(bounds))), qt.shape[1]))
-    for lo, hi, i in zip(bounds[:-1], bounds[1:], rows[bounds[:-1]].tolist()):
-        c, s, ti, ui, k = cos[lo:hi], sin[lo:hi], t[: hi - lo], u[: hi - lo], 2 * (hi - lo)
-        x, y = qt[i : i + k : 2], qt[i + 1 : i + 1 + k : 2]
-        np.multiply(s, x, out=ti)
-        np.multiply(c, y, out=ui)
-        np.add(ti, ui, out=ti)  # new y
-        np.multiply(c, x, out=ui)
-        np.multiply(s, y, out=x)
-        np.subtract(ui, x, out=x)  # new x
-        y[...] = ti
+    q, t, a = np.empty((3, x.size))
+    tiny = np.empty(x.size, dtype=bool)
+    negative = np.empty((len(d), x.size), dtype=bool)
+    # ufuncs bound once, outputs passed by position: the loop makes 7N calls
+    subtract, divide, absolute, less, copyto = np.subtract, np.divide, np.absolute, np.less, np.copyto
+    subtract(d[0], x, q)
+    for i, row in enumerate(negative):
+        if i:
+            divide(e2[i - 1], q, t)
+            subtract(d[i], x, q)
+            subtract(q, t, q)
+        absolute(q, a)
+        less(a, pivmin, tiny)
+        copyto(q, -pivmin, where=tiny)
+        less(q, 0.0, row)
+    return np.count_nonzero(negative, axis=0)
 
 
-def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit-shift QL (Numerical Recipes tqli) on a symmetric tridiagonal.
+def _bisect(d: np.ndarray, e: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Every eigenvalue, ascending, by Sturm-count multisection (dstebz).
 
-    d: diagonal, e: off-diagonal with e[i] coupling nodes i and i+1.
-    The scalar recurrence runs on Python floats and logs its rotations;
-    every _FLUSH_SWEEPS * n of them are applied to Q^T in level batches.
-    Returns eigenvalues (unsorted) and Q^T, eigenvectors as rows.
+    An interval carries the eigenvalue counts at its ends.  Each sweep
+    counts at _PROBES interior points of every interval and keeps the
+    subintervals that hold an eigenvalue, so the list grows from the
+    Gershgorin interval to one interval per distinct eigenvalue.  The
+    sweep count depends only on the Gershgorin width, so every run does
+    the same work.  radius holds each row's Gershgorin radius.
     """
-    n = d.shape[0]
+    n = d.size
+    e2 = (e * e).tolist()
+    pivmin = _TINY * max([1.0, *e2])
+    lower, upper = float(np.min(d - radius)), float(np.max(d + radius))
+    tnorm = max(abs(lower), abs(upper))
+    slack = 2.0 * _EPS * n * tnorm + 4.0 * pivmin
+    lower, upper = lower - slack, upper + slack
+    sweeps = math.ceil(math.log((upper - lower) / (_EPS * tnorm), _PROBES + 1))
+
+    ends = np.array([[lower], [upper]])
+    counts = np.array([[0], [n]])
+    fractions = np.arange(1, _PROBES + 1)[:, None] / (_PROBES + 1)
     d = d.tolist()
-    e = e.tolist() + [0.0]
-    eps = _EPS
-    qt = np.eye(n)
-    rows, cos, sin = array("i"), array("d"), array("d")
-    flush_at = _FLUSH_SWEEPS * n
+    for _ in range(sweeps):
+        lo, hi = ends
+        probes = np.minimum(lo + fractions * (hi - lo), hi)
+        below = _sturm_counts(d, e2, probes.ravel(), pivmin).reshape(probes.shape)
+        # monotone inside each interval, as dlaebz enforces
+        below = np.maximum.accumulate(np.clip(below, counts[0], counts[1]), axis=0)
+        points = np.concatenate((ends[:1], probes, ends[1:])).T
+        marks = np.concatenate((counts[:1], below, counts[1:])).T
+        keep = marks[:, 1:] > marks[:, :-1]
+        ends = np.stack((points[:, :-1][keep], points[:, 1:][keep]))
+        counts = np.stack((marks[:, :-1][keep], marks[:, 1:][keep]))
+    return np.repeat(0.5 * (ends[0] + ends[1]), counts[1] - counts[0])
 
-    for l in range(n):
-        iters = 0
-        while True:
-            for m in range(l, n - 1):
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            iters += 1
-            if iters > _MAX_QL_ITER:
-                raise ConvergenceError(
-                    f"QL iteration for eigenvalue {l} did not converge "
-                    f"within {_MAX_QL_ITER} sweeps (|e|={abs(e[l]):.3e})"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rotation underflow: drop the shift and restart the sweep
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                rows.append(i)
-                cos.append(c)
-                sin.append(s)
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-            if len(rows) >= flush_at:
-                _apply_rotations(qt, rows, cos, sin)
-                rows, cos, sin = array("i"), array("d"), array("d")
-    _apply_rotations(qt, rows, cos, sin)
-    return np.array(d), qt
+
+def _start_vectors(x: np.ndarray, first_column: int) -> None:
+    """Fill x with a fixed pseudo-random start in [-1/2, 1/2).
+
+    Entry (i, j) is splitmix64's output number i * N + first_column + j,
+    its index in the full N x N start, so the values depend on neither
+    the block size nor numpy's random module.
+    """
+    n, m = x.shape
+    index = np.arange(n, dtype=np.uint64)[:, None] * np.uint64(n)
+    z = (index + np.arange(first_column + 1, first_column + m + 1, dtype=np.uint64)) * np.uint64(
+        0x9E3779B97F4A7C15
+    )
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    np.multiply(z >> np.uint64(11), 2.0**-53, out=x)
+    x -= 0.5
+
+
+def _inverse_iteration(
+    d: list, e: list, sigma: np.ndarray, x: np.ndarray, tol: float, clusters: list,
+    bands: np.ndarray, swap: np.ndarray,
+) -> None:
+    """Overwrite x with _INVERSE_SOLVES solves of (T - sigma_j I) x_j = x_j.
+
+    T - sigma_j I is factored once per shift by elimination with partial
+    pivoting (LAPACK dgttrf), one loop over the rows with vector
+    operations across the shifts: row i of x holds entry i of every
+    shift's vector.  Pivots smaller than tol are raised to tol, as dlagts
+    does.  Each solve ends with the columns scaled to unit norm and each
+    cluster of columns, a (lo, hi) range, replaced by its QR factor Q.
+    Orthogonalizing after every solve, as dstein does, keeps a column whose
+    shift lies nearer a cluster mate's eigenvalue than its own from
+    collapsing onto the mate's vector.  bands (4 x N x m) and swap (N x m)
+    are the caller's workspace for the LU.
+    """
+    n, m = x.shape
+    u0, u1, u2, lm = bands
+    t = np.empty(m)
+    pivot, sub = d[0] - sigma, np.full(m, e[0] if n > 1 else 0.0)
+    for i in range(n - 1):
+        ei, en = e[i], (e[i + 1] if i + 2 < n else 0.0)
+        below = d[i + 1] - sigma
+        if ei == 0.0:  # T splits here: nothing to eliminate
+            u0[i], u1[i], u2[i], lm[i], swap[i] = pivot, sub, 0.0, 0.0, False
+            pivot, sub = below, np.full(m, en)
+            continue
+        s = swap[i]
+        np.abs(pivot, out=t)
+        np.less(t, abs(ei), out=s)
+        u0[i] = np.where(s, ei, pivot)
+        np.divide(np.where(s, pivot, ei), u0[i], out=lm[i])
+        u1[i] = np.where(s, below, sub)
+        np.multiply(s, en, out=u2[i])
+        np.multiply(lm[i], u1[i], out=t)
+        pivot = np.where(s, sub, below) - t
+        sub = np.where(s, lm[i] * -en, en)
+    u0[-1] = pivot
+    small = np.abs(u0) < tol
+    u0[small] = np.where(u0[small] < 0.0, -tol, tol)
+    swapped = swap[:-1].any(axis=1).tolist()
+    fill = [en != 0.0 for en in e[1:]] + [False]
+
+    multiply, subtract, divide, copyto = np.multiply, np.subtract, np.divide, np.copyto
+    for _ in range(_INVERSE_SOLVES):
+        for i in range(n - 1):  # forward: row swaps, then L
+            xi, xn = x[i], x[i + 1]
+            if swapped[i]:
+                s = swap[i]
+                copyto(t, xi)
+                copyto(xi, xn, where=s)
+                copyto(xn, t, where=s)
+            multiply(lm[i], xi, t)
+            subtract(xn, t, xn)
+        divide(x[-1], u0[-1], x[-1])
+        for i in range(n - 2, -1, -1):  # back substitution through U
+            xi = x[i]
+            multiply(u1[i], x[i + 1], t)
+            subtract(xi, t, xi)
+            if fill[i] and swapped[i]:
+                multiply(u2[i], x[i + 2], t)
+                subtract(xi, t, xi)
+            divide(xi, u0[i], xi)
+        x /= np.sqrt(np.einsum("ij,ij->j", x, x))
+        for lo, hi in clusters:
+            x[:, lo:hi] = np.linalg.qr(x[:, lo:hi])[0]
+
+
+def _column_blocks(lam: np.ndarray, gap: float, width: int) -> list:
+    """Group the columns into blocks of at most width columns that never
+    split a cluster, a run of eigenvalues with consecutive gaps below gap;
+    a cluster wider than width is a block of its own.  Returns [lo, hi,
+    clusters] per block, with its clusters of two or more columns as
+    (lo, hi) ranges relative to the block."""
+    bounds = [0, *(np.flatnonzero(np.diff(lam) >= gap) + 1).tolist(), lam.size]
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if not blocks or hi - blocks[-1][0] > width:
+            blocks.append([lo, hi, []])
+        block = blocks[-1]
+        block[1] = hi
+        if hi - lo > 1:
+            block[2].append((lo - block[0], hi - block[0]))
+    return blocks
+
+
+def _check_residuals(h: Hamiltonian, lam: np.ndarray, q: np.ndarray, hmax: float) -> None:
+    """Raise ConvergenceError unless max_i |(H q_j - lam_j q_j)_i| is within
+    _RESIDUAL_BOUND * hmax for every column j.  Works on blocks of rows,
+    so it holds no N x N temporary."""
+    d, e = h.diagonal, h.off_diagonal
+    n = d.size
+    bound = _RESIDUAL_BOUND * hmax
+    worst = np.zeros(n)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        r = (d[r0:r1, None] - lam) * q[r0:r1]
+        lo, hi = max(r0, 1), min(r1, n - 1)
+        r[lo - r0 :] += e[lo - 1 : r1 - 1, None] * q[lo - 1 : r1 - 1]
+        r[: hi - r0] += e[r0:hi, None] * q[r0 + 1 : hi + 1]
+        np.maximum(worst, np.max(np.abs(r), axis=0), out=worst)
+    failed = np.flatnonzero(~(worst <= bound))
+    if failed.size:
+        j = int(failed[0])
+        raise ConvergenceError(
+            f"eigenvector {j} (eigenvalue {lam[j]:.17g}) has residual |Hq - lam q| = "
+            f"{worst[j]:.3e}, above {bound:.3e} ({_RESIDUAL_BOUND:g} max|H|)"
+        )
 
 
 def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
     """Factor the tridiagonal Hamiltonian as H = Q diag(lam) Q^T.
 
-    Eigenvalues are sorted ascending; each eigenvector column is signed
-    so its largest-magnitude entry is positive, which makes the
-    decomposition reproducible across runs.
+    Eigenvalues are ascending, and each eigenvector column is signed so
+    its largest-magnitude entry is positive, which makes the
+    decomposition reproducible across runs.  Raises ConvergenceError if
+    an eigenpair misses its residual bound.
     """
-    lam, qt = _ql_implicit(h.diagonal, h.off_diagonal)
-
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    # one unbuffered pass into C order, and Q^T freed first, to keep the peak low
-    q = np.empty_like(qt)
-    np.take(qt.T, order, axis=1, out=q, mode="clip")
-    del qt
-    # sign convention: largest-magnitude entry of each column is positive
-    anchors = np.argmax(np.abs(q), axis=0)
-    flip = q[anchors, np.arange(q.shape[1])] < 0.0
-    q[:, flip] *= -1.0
+    d, e = h.diagonal, h.off_diagonal
+    n = d.size
+    hmax = max(float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
+    if hmax == 0.0:
+        lam, q = np.zeros(n), np.eye(n)
+    else:
+        # a power-of-two scale, exact, puts max|T| in [1/2, 1)
+        scale = math.ldexp(1.0, math.frexp(hmax)[1])
+        d, e = d / scale, e / scale
+        radius = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])  # Gershgorin
+        lam = _bisect(d, e, radius)
+        norm1 = float(np.max(np.abs(d) + radius))
+        sigma = lam + _SHIFT * hmax / scale
+        q = np.empty((n, n))
+        blocks = _column_blocks(lam, _CLUSTER_GAP * norm1, max(1, _BLOCK_ENTRIES // n))
+        # one workspace for every block: freed once, it leaves the heap at the end
+        widest = max(c1 - c0 for c0, c1, _ in blocks)
+        bands, swap = np.empty((4, n, widest)), np.empty((n, widest), dtype=bool)
+        d, e = d.tolist(), e.tolist()
+        for c0, c1, clusters in blocks:
+            block, m = q[:, c0:c1], c1 - c0
+            _start_vectors(block, c0)
+            _inverse_iteration(
+                d, e, sigma[c0:c1], block, _EPS * norm1, clusters, bands[:, :, :m], swap[:, :m]
+            )
+            # sign convention: largest-magnitude entry of each column is positive
+            anchors = np.argmax(np.abs(block), axis=0)
+            block *= np.where(block[anchors, np.arange(m)] < 0.0, -1.0, 1.0)
+        del bands, swap
+        lam *= scale
+    _check_residuals(h, lam, q, hmax)
 
     lam.setflags(write=False)
     q.setflags(write=False)
@@ -184,11 +312,24 @@ def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
 
 
 def build_propagator(decomp: SpectralDecomposition, dt: float) -> Propagator:
-    """U(dt) = Q diag(exp(-i lam dt)) Q^T; dt may be zero or negative."""
+    """U(dt) = Q diag(exp(-i lam dt)) Q^T; dt may be zero or negative.
+
+    Re U = Q diag(cos lam dt) Q^T and Im U = -Q diag(sin lam dt) Q^T are
+    two real GEMMs per block of rows, written straight into U: no complex
+    copy of Q and no N x N temporary is made.
+    """
     if not math.isfinite(dt):
         raise ValueError(f"time step must be finite, got {dt}")
-    phases = np.exp(-1j * decomp.eigenvalues * dt)
-    u = (decomp.eigenvectors * phases[None, :]) @ decomp.eigenvectors.T
+    q = decomp.eigenvectors
+    n = decomp.n
+    angle = decomp.eigenvalues * dt
+    cos, minus_sin = np.cos(angle), -np.sin(angle)
+    u = np.empty((n, n), dtype=complex)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for r0 in range(0, n, rows):
+        block = q[r0 : r0 + rows]
+        u.real[r0 : r0 + rows] = (block * cos) @ q.T
+        u.imag[r0 : r0 + rows] = (block * minus_sin) @ q.T
     u.setflags(write=False)
     return Propagator(float(dt), u)
 

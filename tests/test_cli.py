@@ -192,6 +192,22 @@ class TestPipeline:
         assert _cli(tmp_path / "out", "simulate", "--dump-eigen") == 0
         assert calls == [40]
 
+    def test_compare_and_snapshot_read_frames_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        for argv in (["simulate"], ["export-dataset"], ["train"], ["predict"]):
+            assert _cli(out, *argv) == 0
+        reads = []
+        real = ev.read_frames_csv
+
+        def counting(path):
+            reads.append(os.path.basename(path))
+            return real(path)
+
+        monkeypatch.setattr(ev, "read_frames_csv", counting)
+        assert _cli(out, "compare") == 0
+        assert _cli(out, "snapshot", "--times", "1.4") == 0
+        assert reads == ["frames.csv", "frames.csv"]
+
 
 class TestExitCodes:
     def test_no_command_prints_help(self, capsys):
