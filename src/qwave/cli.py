@@ -186,9 +186,18 @@ def _load_split(
     return scaler, split
 
 
+def _load_predictions(cfg: RunConfig, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(target times, scaled predictions) from the mode's prediction file."""
+    path = _require(cfg, PRED_FILES[mode], f"predict --mode {mode}")
+    times, preds = ev.read_frames_csv(path)
+    if preds.shape[1] != cfg.grid_n_points:
+        raise ConfigError(f"{path} has {preds.shape[1]} columns, expected {cfg.grid_n_points}")
+    return times, preds
+
+
 def cmd_simulate(cfg: RunConfig, dump_eigen: bool = False) -> int:
     record = _simulate(cfg)
-    ev.write_frames_csv(record, _out_path(cfg, FRAMES_FILE))
+    ev.write_frames_csv(record.times, record.density_matrix(), _out_path(cfg, FRAMES_FILE))
     ev.write_conservation_csv(record, _out_path(cfg, CONSERVATION_FILE))
     if dump_eigen:
         sp.write_eigen_csv(record.decomposition, _out_path(cfg, EIGEN_FILE))
@@ -250,13 +259,15 @@ def cmd_train(cfg: RunConfig) -> int:
         epochs=cfg.training_epochs,
         rng_seed=cfg.training_rng_seed,
         lr=cfg.training_lr,
+        batch_size=cfg.training_batch_size,
         clip_norm=cfg.training_clip,
     )
     trained, history = sg.train(model, split, train_cfg)
     sg.save_checkpoint(trained, _out_path(cfg, CHECKPOINT_FILE))
     sg.write_loss_csv(history, _out_path(cfg, LOSS_FILE))
     print(
-        f"train: {cfg.training_epochs} epochs on {len(split.train)} pairs; "
+        f"train: {cfg.training_epochs} epochs on {len(split.train)} pairs "
+        f"in batches of {cfg.training_batch_size}; "
         f"epoch MSE {history.train_mse[0]:.6e} -> {history.train_mse[-1]:.6e}"
     )
     return 0
@@ -274,7 +285,8 @@ def cmd_predict(cfg: RunConfig, mode: str) -> int:
         preds = sg.predict_one_step(model, split.test.inputs)
     else:
         preds = sg.predict_rollout(model, split.test.inputs[0], len(split.test))
-    _write_pred_csv(preds, split.test.target_times, _out_path(cfg, PRED_FILES[mode]))
+    # the frames.csv layout, in scaled units; t is each target frame's time
+    ev.write_frames_csv(split.test.target_times, preds, _out_path(cfg, PRED_FILES[mode]))
     print(f"predict: wrote {len(preds)} {mode} frames to {_out_path(cfg, PRED_FILES[mode])}")
     return 0
 
@@ -283,9 +295,7 @@ def cmd_compare(cfg: RunConfig, mode: str) -> int:
     loaded = _load_frames(cfg)  # read once, for the split and the record
     scaler, _ = _load_split(cfg, loaded)
     record = _record(cfg, loaded)
-    pred_times, preds = _read_pred_csv(
-        _require(cfg, PRED_FILES[mode], f"predict --mode {mode}"), cfg.grid_n_points
-    )
+    pred_times, preds = _load_predictions(cfg, mode)
     report = cp.build_report(record, preds, pred_times, scaler)
     cp.write_report_csv(report, _out_path(cfg, REPORT_FILE))
     print(
@@ -301,9 +311,7 @@ def cmd_snapshot(cfg: RunConfig, times: list[float], mode: str) -> int:
     loaded = _load_frames(cfg)  # read once, for the split and the record
     scaler, _ = _load_split(cfg, loaded)
     record = _record(cfg, loaded)
-    pred_times, preds = _read_pred_csv(
-        _require(cfg, PRED_FILES[mode], f"predict --mode {mode}"), cfg.grid_n_points
-    )
+    pred_times, preds = _load_predictions(cfg, mode)
     physical = dsm.inverse_transform(scaler, preds)
     recorded = record.times
     for t in times:
@@ -320,26 +328,6 @@ def cmd_snapshot(cfg: RunConfig, times: list[float], mode: str) -> int:
         cp.write_snapshot_csv(record.config.grid, record.frames[k].density, physical[j], path)
         print(f"snapshot: wrote {path}")
     return 0
-
-
-def _write_pred_csv(preds: np.ndarray, target_times: np.ndarray, path) -> None:
-    """Same row layout as frames.csv; values stay in scaled units."""
-    n = preds.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(f"x_{i}" for i in range(n)) + "\n")
-        for t, row in zip(target_times, preds):
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _read_pred_csv(path, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if header[:1] != ["t"] or len(header) != n_points + 1:
-        raise ConfigError(f"{path} has {len(header) - 1} columns, expected {n_points}")
-    times = np.array([float(r[0]) for r in rows])
-    preds = np.array([[float(v) for v in r[1:]] for r in rows])
-    return times, preds
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -35,7 +35,7 @@ class WindowedDataset:
     """Sliding-window pairs: inputs[k] = frames[k..k+L), targets[k] = frames[k+L]."""
 
     lookback: int
-    inputs: np.ndarray  # (M, L, N)
+    inputs: np.ndarray  # (M, L, N), a read-only view of the frames
     targets: np.ndarray  # (M, N)
     target_times: np.ndarray  # (M,)
 
@@ -81,7 +81,12 @@ def inverse_transform(scaler: Scaler, frames: np.ndarray) -> np.ndarray:
 
 
 def windowize(frames: np.ndarray, lookback: int, times: np.ndarray | None = None) -> WindowedDataset:
-    """Cut F frames into M = F - lookback (input sequence, next frame) pairs."""
+    """Cut F frames into M = F - lookback (input sequence, next frame) pairs.
+
+    The inputs are a read-only sliding-window view of frames, not a copy:
+    overlapping windows share the frame rows, so M windows cost no more
+    memory than the frames themselves.
+    """
     frames = np.asarray(frames, dtype=float)
     if lookback < 1:
         raise ValueError(f"lookback must be >= 1, got {lookback}")
@@ -95,7 +100,7 @@ def windowize(frames: np.ndarray, lookback: int, times: np.ndarray | None = None
         raise ValueError(f"times has shape {times.shape}, expected ({n_frames},)")
 
     n_pairs = n_frames - lookback
-    inputs = np.stack([frames[k : k + lookback] for k in range(n_pairs)])
+    inputs = np.lib.stride_tricks.sliding_window_view(frames, (lookback, frames.shape[1]))[:n_pairs, 0]
     targets = frames[lookback:].copy()
     target_times = times[lookback:].copy()
     return WindowedDataset(lookback, inputs, targets, target_times)

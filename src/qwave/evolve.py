@@ -138,17 +138,23 @@ def run_evolution(
     return EvolutionRecord(config, frames, np.array(log), decomp)
 
 
-def write_frames_csv(record: EvolutionRecord, path) -> None:
-    """Frame CSV: header t,x_0,...,x_{N-1}, one row per frame, 17 digits."""
-    n = record.config.grid.n_points
+def write_frames_csv(times: np.ndarray, rows: np.ndarray, path) -> None:
+    """Frame table: header t,x_0,...,x_{N-1}, then one row per time, 17 digits.
+
+    The one codec for every frame table: simulated densities and the
+    surrogate's predictions alike.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or len(times) != rows.shape[0]:
+        raise ValueError(f"{len(times)} times for rows of shape {rows.shape}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(f"x_{i}" for i in range(n)) + "\n")
-        for frame in record.frames:
-            fh.write(f"{frame.time:.17g}," + ",".join(f"{v:.17g}" for v in frame.density) + "\n")
+        fh.write("t," + ",".join(f"x_{i}" for i in range(rows.shape[1])) + "\n")
+        for t, row in zip(times, rows):
+            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def read_frames_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a frame CSV back as (times, frames) arrays."""
+    """Read a frame table back as (times, rows) arrays."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("t,x_0"):

@@ -42,6 +42,9 @@ _INVERSE_SOLVES = 3
 _CLUSTER_GAP = 1e-3
 # the largest accepted |H q - lam q| of a column, relative to max|H|
 _RESIDUAL_BOUND = 1e-10
+# eigenvector entries within this relative distance of their column's
+# largest magnitude tie for the sign anchor
+_SIGN_TIE = 1e-8
 # entries of one work array: the LU bands, the residual check and the
 # propagator build hold N x (this // N) values at a time
 _BLOCK_ENTRIES = 1 << 18
@@ -270,9 +273,10 @@ def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
     """Factor the tridiagonal Hamiltonian as H = Q diag(lam) Q^T.
 
     Eigenvalues are ascending, and each eigenvector column is signed so
-    its largest-magnitude entry is positive, which makes the
-    decomposition reproducible across runs.  Raises ConvergenceError if
-    an eigenpair misses its residual bound.
+    that the first entry within a relative _SIGN_TIE of its largest
+    magnitude is positive, which makes the decomposition reproducible
+    across runs.  Raises ConvergenceError if an eigenpair misses its
+    residual bound.
     """
     d, e = h.diagonal, h.off_diagonal
     n = d.size
@@ -299,8 +303,13 @@ def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
             _inverse_iteration(
                 d, e, sigma[c0:c1], block, _EPS * norm1, clusters, bands[:, :, :m], swap[:, :m]
             )
-            # sign convention: largest-magnitude entry of each column is positive
-            anchors = np.argmax(np.abs(block), axis=0)
+            # sign anchor: the first of the tied largest entries, not argmax;
+            # every odd eigenvector of a mirror-symmetric H, such as the default
+            # one, has two of equal magnitude, and rounding would pick between
+            # them.  The LU workspace holds the magnitudes and the tie mask.
+            mags = np.abs(block, out=bands[0, :, :m])
+            tied = np.greater_equal(mags, (1.0 - _SIGN_TIE) * mags.max(axis=0), out=swap[:, :m])
+            anchors = np.argmax(tied, axis=0)
             block *= np.where(block[anchors, np.arange(m)] < 0.0, -1.0, 1.0)
         del bands, swap
         lam *= scale

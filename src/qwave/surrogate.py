@@ -1,4 +1,4 @@
-"""From-scratch LSTM with a linear head, trained by BPTT and Adam.
+"""From-scratch LSTM with a linear head, trained by minibatched BPTT and Adam.
 
 Gate recurrence per step t, with h_0 = c_0 = 0:
 
@@ -15,17 +15,21 @@ only clamped at reporting time.  All gradients are exact reverse-mode
 accumulation through every timestep.
 
 The four gates are stacked in GATES order into W = [W_i; W_f; W_c; W_o]
-(4H x N), U (4H x H) and b (4H), the standard LSTM layout.  The forward
-pass projects all L inputs in one matrix product, X W^T + b, and then
-needs one U h_{t-1} product per step.  The backward pass collects the
-gate deltas of every step in one (L, 4H) array D and forms
-dW = D^T X, dU = D^T H_prev and db = sum_t D_t once.
+(4H x N), U (4H x H) and b (4H), the standard LSTM layout.  Every pass
+works on a batch of B windows, shape (B, L, N), with B = 1 for a single
+window; predictions and targets are (B, N).  The forward pass projects
+all B L inputs in one matrix product, X W^T + b, and then needs one
+(B, H) x (H, 4H) product per step.  The tape holds the batch time-major,
+(L, B, .), so each step's slice is contiguous.  The backward pass returns
+the gradient of the batch mean of the per-window MSE: it collects the
+gate deltas of every step and window in one (L, B, 4H) array D and forms
+dW = D^T X, dU = D^T H_prev and db = sum D once over all L B rows.
 
 Every parameter of a model lives in one contiguous float64 vector
 (`Params.flat`); W, U, b, W_out, b_out and the per-gate blocks named in
 PARAM_KEYS are views into it, and gradients share the layout.  Adam,
 clipping and the finiteness check are therefore a few vector operations
-over the whole parameter set.
+over the whole parameter set, taken once per batch.
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ PARAM_KEYS = tuple(f"{kind}_{g}" for g in GATES for kind in ("W", "U", "b")) + (
 
 # the stacked blocks, back to back in the flat vector
 _BLOCKS = ("W", "U", "b", "W_out", "b_out")
+
+# entries per Adam chunk: the chunk's slices of theta, m, v and the gradient
+# plus the scratch (5 x 128 kB) stay in a 2 MB L2 across its twelve passes,
+# and the scratch is one chunk instead of a whole parameter vector
+_ADAM_CHUNK = 16384
 
 
 class Params(Mapping):
@@ -143,24 +152,27 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    # scratch vector, so a step allocates nothing
+    # scratch for one chunk, so a step allocates nothing
     _work: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._work = np.empty_like(self.m)
+        self._work = np.empty(min(self.m.size, _ADAM_CHUNK))
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     rng_seed: int = 42  # seeds the per-epoch permutation of the training pairs
-    lr: float = 1e-3
+    lr: float = 2e-3
+    batch_size: int = 8  # pairs per Adam update
     clip_norm: float | None = None
     eval_test: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.lr >= 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.clip_norm is not None and not self.clip_norm > 0:
@@ -169,7 +181,7 @@ class TrainConfig:
 
 @dataclass
 class LossHistory:
-    """Per-epoch mean training MSE (scaled units), optional test MSE."""
+    """Per-epoch mean training MSE (scaled units; see train), optional test MSE."""
 
     train_mse: list[float] = field(default_factory=list)
     test_mse: list[float] | None = None
@@ -177,13 +189,13 @@ class LossHistory:
 
 @dataclass
 class Tape:
-    """Per-step activations cached by forward for exact BPTT."""
+    """Per-step activations cached by forward for exact BPTT, time-major."""
 
-    inputs: np.ndarray  # (L, N), the window
-    gates: np.ndarray  # (L, 4H) activations i, f, c (candidate), o per step, stacked
-    cells: np.ndarray  # (L, H), c_1 .. c_L
-    hiddens: np.ndarray  # (L + 1, H), h_0 .. h_L, so hiddens[t] is the state BEFORE step t+1
-    prediction: np.ndarray
+    inputs: np.ndarray  # (L, B, N), the windows
+    gates: np.ndarray  # (L, B, 4H) activations i, f, c (candidate), o per step, stacked
+    cells: np.ndarray  # (L, B, H), c_1 .. c_L
+    hiddens: np.ndarray  # (L + 1, B, H), h_0 .. h_L, so hiddens[t] is the state BEFORE step t+1
+    prediction: np.ndarray  # (B, N)
 
 
 def _sigmoid(x: np.ndarray) -> None:
@@ -213,73 +225,85 @@ def init_model(input_dim: int, hidden_dim: int, rng_seed: int) -> SurrogateModel
     return model
 
 
-def forward(model: SurrogateModel, window: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Run the recurrence over a (L, input_dim) window; return prediction and tape."""
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or window.shape[1] != model.input_dim:
-        raise ValueError(f"window shape {window.shape} does not match input_dim {model.input_dim}")
-    if window.shape[0] < 1:
-        raise ValueError("window must contain at least one frame")
+def forward(model: SurrogateModel, windows: np.ndarray) -> tuple[np.ndarray, Tape]:
+    """Run the recurrence over a (B, L, input_dim) batch; return (B, N) predictions and tape."""
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 3 or windows.shape[2] != model.input_dim:
+        raise ValueError(
+            f"windows shape {windows.shape} is not (batch, lookback, {model.input_dim})"
+        )
+    n_batch, n_steps, n = windows.shape
+    if n_batch < 1 or n_steps < 1:
+        raise ValueError("a batch needs at least one window of at least one frame")
 
     p = model.params
     h = model.hidden_dim
-    n_steps = window.shape[0]
-    gates = window @ p.W.T  # every step's input projection at once
+    inputs = np.ascontiguousarray(windows.transpose(1, 0, 2))
+    # every step's input projection at once
+    gates = (inputs.reshape(n_steps * n_batch, n) @ p.W.T).reshape(n_steps, n_batch, 4 * h)
     gates += p.b
-    cells = np.empty((n_steps, h))
-    hiddens = np.zeros((n_steps + 1, h))
-    c_prev = np.zeros(h)
+    cells = np.empty((n_steps, n_batch, h))
+    hiddens = np.zeros((n_steps + 1, n_batch, h))
+    c_prev = np.zeros((n_batch, h))
     for t in range(n_steps):
         z = gates[t]
-        z += p.U @ hiddens[t]
-        g = np.tanh(z[2 * h : 3 * h])
+        z += hiddens[t] @ p.U.T
+        g = np.tanh(z[:, 2 * h : 3 * h])
         _sigmoid(z)
-        z[2 * h : 3 * h] = g
-        i, f, o = z[:h], z[h : 2 * h], z[3 * h :]
+        z[:, 2 * h : 3 * h] = g
+        i, f, o = z[:, :h], z[:, h : 2 * h], z[:, 3 * h :]
         c = cells[t]
         np.multiply(f, c_prev, out=c)
         c += i * g
         np.multiply(o, np.tanh(c), out=hiddens[t + 1])
         c_prev = c
 
-    prediction = p.W_out @ hiddens[-1] + p.b_out
+    prediction = hiddens[-1] @ p.W_out.T
+    prediction += p.b_out
     if not np.all(np.isfinite(prediction)):
         raise NonFiniteError("non-finite activation in forward pass")
-    return prediction, Tape(window, gates, cells, hiddens, prediction)
+    return prediction, Tape(inputs, gates, cells, hiddens, prediction)
 
 
 def mse(prediction: np.ndarray, target: np.ndarray) -> float:
-    """(1/N) sum (p_i - y_i)^2."""
+    """Mean of (p - y)^2 over every entry: for (B, N) arrays, the batch mean of per-row MSE."""
     prediction = np.asarray(prediction, dtype=float)
     target = np.asarray(target, dtype=float)
     if prediction.shape != target.shape:
         raise ValueError(f"shape mismatch: prediction {prediction.shape}, target {target.shape}")
-    diff = prediction - target
+    diff = (prediction - target).ravel()
     with np.errstate(over="ignore"):  # inf is caught by the caller's finiteness check
-        return float(diff @ diff) / prediction.shape[0]
+        return float(diff @ diff) / diff.size
 
 
-def backward(model: SurrogateModel, tape: Tape, target: np.ndarray) -> Params:
-    """Exact gradients of mse(prediction, target), laid out like model.params."""
-    target = np.asarray(target, dtype=float)
+def backward(
+    model: SurrogateModel, tape: Tape, targets: np.ndarray, out: Params | None = None
+) -> Params:
+    """Exact gradients of mse(prediction, targets), the batch mean, laid out like model.params.
+
+    They are written into out when given, else into a new Params.  Reuse
+    pays: a fresh 650 kB vector (N = 200, H = 64) is mapped anew, and its
+    pages fault on first write, which costs about as much as the arithmetic.
+    """
+    targets = np.asarray(targets, dtype=float)
     n, h = model.input_dim, model.hidden_dim
-    n_steps = len(tape.inputs)
-    if n_steps == 0 or tape.hiddens.shape != (n_steps + 1, h):
+    n_steps, n_batch = tape.inputs.shape[:2]
+    if n_steps == 0 or tape.hiddens.shape != (n_steps + 1, n_batch, h):
         raise ValueError("tape does not come from a completed forward pass")
-    if tape.prediction.shape != (n,) or target.shape != (n,):
+    if tape.prediction.shape != (n_batch, n) or targets.shape != (n_batch, n):
         raise ValueError(
-            f"tape/target width mismatch: prediction {tape.prediction.shape}, "
-            f"target {target.shape}, input_dim {n}"
+            f"tape/target shape mismatch: prediction {tape.prediction.shape}, "
+            f"targets {targets.shape}, input_dim {n}"
         )
-    if tape.inputs.shape != (n_steps, n) or tape.gates.shape != (n_steps, 4 * h):
+    if tape.inputs.shape != (n_steps, n_batch, n) or tape.gates.shape != (n_steps, n_batch, 4 * h):
         raise ValueError("tape shapes do not match this model")
 
     p = model.params
-    grads = Params(np.empty_like(p.flat), n, h)
+    grads = Params(np.empty_like(p.flat), n, h) if out is None else out
 
-    d_pred = 2.0 * (tape.prediction - target) / n
-    np.outer(d_pred, tape.hiddens[-1], out=grads.W_out)
-    grads.b_out[:] = d_pred
+    d_pred = 2.0 * (tape.prediction - targets) / (n_batch * n)
+    np.matmul(d_pred.T, tape.hiddens[-1], out=grads.W_out)
+    np.sum(d_pred, axis=0, out=grads.b_out)
 
     # Each step's gate delta is (carried delta) * partner * (activation slope):
     #   d_i = dc * g * i(1-i),  d_f = dc * c_prev * f(1-f),
@@ -287,33 +311,38 @@ def backward(model: SurrogateModel, tape: Tape, target: np.ndarray) -> Params:
     # with dc = dh * o (1 - tanh(c)^2) + (carry from step t+1).  Partners and
     # slopes do not depend on the deltas, so they are formed for all steps first.
     a = tape.gates
-    i, f, g, o = (a[:, k * h : (k + 1) * h] for k in range(4))
+    i, f, g, o = (a[..., k * h : (k + 1) * h] for k in range(4))
     tanh_c = np.tanh(tape.cells)
     slope = a * (1.0 - a)
-    slope[:, 2 * h : 3 * h] = 1.0 - g**2
+    slope[..., 2 * h : 3 * h] = 1.0 - g**2
     partner = np.empty_like(a)
-    partner[:, :h] = g
-    partner[0, h : 2 * h] = 0.0  # c_0
-    partner[1:, h : 2 * h] = tape.cells[:-1]
-    partner[:, 2 * h : 3 * h] = i
-    partner[:, 3 * h :] = tanh_c
+    partner[..., :h] = g
+    partner[0, :, h : 2 * h] = 0.0  # c_0
+    partner[1:, :, h : 2 * h] = tape.cells[:-1]
+    partner[..., 2 * h : 3 * h] = i
+    partner[..., 3 * h :] = tanh_c
     dc_dh = o * (1.0 - tanh_c**2)
 
     deltas = np.empty_like(a)
-    dh = p.W_out.T @ d_pred
-    dc_carry = np.zeros(h)
+    # the same arrays with the gate index split out: (L, B, 4, H)
+    partner4 = partner.reshape(n_steps, n_batch, 4, h)
+    deltas4 = deltas.reshape(n_steps, n_batch, 4, h)
+    dh = d_pred @ p.W_out
+    dc_carry = np.zeros((n_batch, h))
     for t in range(n_steps - 1, -1, -1):
         dc = dh * dc_dh[t]
         dc += dc_carry
+        np.multiply(dc[:, None, :], partner4[t, :, :3], out=deltas4[t, :, :3])
+        np.multiply(dh, partner4[t, :, 3], out=deltas4[t, :, 3])
         d = deltas[t]
-        np.multiply(dc, partner[t, : 3 * h].reshape(3, h), out=d[: 3 * h].reshape(3, h))
-        np.multiply(dh, partner[t, 3 * h :], out=d[3 * h :])
         d *= slope[t]
-        dh = p.U.T @ d
+        dh = d @ p.U
         dc_carry = dc * f[t]
 
-    np.matmul(deltas.T, tape.inputs, out=grads.W)
-    np.matmul(deltas.T, tape.hiddens[:-1], out=grads.U)
+    rows = n_steps * n_batch
+    deltas = deltas.reshape(rows, 4 * h)
+    np.matmul(deltas.T, tape.inputs.reshape(rows, n), out=grads.W)
+    np.matmul(deltas.T, tape.hiddens[:-1].reshape(rows, h), out=grads.U)
     np.sum(deltas, axis=0, out=grads.b)
     return grads
 
@@ -344,7 +373,8 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     and v_hat = v / (1 - beta2^k), is taken in the equivalent form
     lr_k * m / (sqrt(v) + eps_k) with lr_k = lr sqrt(1 - beta2^k) / (1 - beta1^k)
     and eps_k = eps sqrt(1 - beta2^k), which folds both bias corrections
-    into two scalars (Kingma & Ba 2015, section 2).
+    into two scalars (Kingma & Ba 2015, section 2).  The passes run chunk
+    by chunk; every entry sees the same operations as in whole-vector form.
     """
     if grad.shape != theta.shape or theta.shape != state.m.shape:
         raise ValueError(
@@ -357,20 +387,22 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     state.step += 1
     root_bc2 = math.sqrt(1.0 - state.beta2**state.step)
     lr_k = state.lr * root_bc2 / (1.0 - state.beta1**state.step)
-    m, v, tmp = state.m, state.v, state._work
-    # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
-    m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=tmp)
-    m += tmp
-    v *= state.beta2
-    np.square(grad, out=tmp)
-    tmp *= 1.0 - state.beta2
-    v += tmp
-    np.sqrt(v, out=tmp)
-    tmp += state.eps * root_bc2
-    np.divide(m, tmp, out=tmp)
-    tmp *= lr_k
-    theta -= tmp
+    for lo in range(0, theta.size, _ADAM_CHUNK):
+        hi = min(lo + _ADAM_CHUNK, theta.size)
+        m, v, g, tmp = state.m[lo:hi], state.v[lo:hi], grad[lo:hi], state._work[: hi - lo]
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=tmp)
+        m += tmp
+        v *= state.beta2
+        np.square(g, out=tmp)
+        tmp *= 1.0 - state.beta2
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += state.eps * root_bc2
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr_k
+        theta[lo:hi] -= tmp
 
 
 def _clip_gradients(grad: np.ndarray, max_norm: float) -> bool:
@@ -386,49 +418,54 @@ def train(
     data: SplitDataset,
     cfg: TrainConfig,
 ) -> tuple[SurrogateModel, LossHistory]:
-    """Adam updates over epochs x train pairs, one pair per update.
+    """Adam updates over epochs x batches, one update per batch of train pairs.
 
     Each epoch visits every training pair exactly once, in a fresh
-    permutation drawn from np.random.default_rng(cfg.rng_seed); a fixed
-    chronological order ends every epoch pulled toward the last, nearly
-    identical frames.  Only the visiting order is shuffled: the split
-    itself stays chronological, so test windows still come after the
-    train windows.  The per-pair loss is recorded before its update, so
-    each history entry is the mean MSE the parameters of that epoch
-    actually saw.  Deterministic for a fixed seed; no dropout.
+    permutation drawn from np.random.default_rng(cfg.rng_seed) and cut
+    into batches of cfg.batch_size pairs (the last may be shorter); a
+    fixed chronological order ends every epoch pulled toward the last,
+    nearly identical frames.  Only the visiting order is shuffled: the
+    split itself stays chronological, so test windows still come after the
+    train windows.  Each batch takes one Adam step on the gradient of its
+    mean pair MSE, recorded before the update; an epoch's entry is the sum
+    of its pair losses over the pair count, the mean MSE the parameters of
+    that epoch actually saw.  Deterministic for a fixed seed; no dropout.
     """
-    if len(data.train) == 0:
+    n_pairs = len(data.train)
+    if n_pairs == 0:
         raise ValueError("training set is empty")
     work = SurrogateModel(model.input_dim, model.hidden_dim, model.seed)
     theta = work.params.flat
     theta[:] = model.params.flat
     state = init_adam(theta, lr=cfg.lr)
     history = LossHistory(test_mse=[] if cfg.eval_test else None)
+    grads = Params(np.empty_like(theta), model.input_dim, model.hidden_dim)
     clipped = 0
     rng = np.random.default_rng(cfg.rng_seed)
 
     for epoch in range(cfg.epochs):
-        losses = []
-        for pair in rng.permutation(len(data.train)):
-            window, target = data.train.inputs[pair], data.train.targets[pair]
-            pred, tape = forward(work, window)
-            loss = mse(pred, target)
+        total = 0.0
+        order = rng.permutation(n_pairs)
+        for start in range(0, n_pairs, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            targets = data.train.targets[batch]
+            pred, tape = forward(work, data.train.inputs[batch])
+            loss = mse(pred, targets)
             if not np.isfinite(loss):
-                raise NonFiniteError(f"loss diverged at epoch {epoch + 1}, pair {pair}")
-            losses.append(loss)
-            grads = backward(work, tape, target)
+                raise NonFiniteError(f"loss diverged at epoch {epoch + 1}, pairs {batch.tolist()}")
+            total += loss * len(batch)
+            grads = backward(work, tape, targets, out=grads)
             # checked before clipping, which would spread one NaN over every parameter
             bad = _first_nonfinite(grads.flat)
             if bad is not None:
                 raise NonFiniteError(
                     f"non-finite gradient for parameter {grads.key_at(bad)} "
-                    f"at epoch {epoch + 1}, pair {pair}"
+                    f"at epoch {epoch + 1}, pairs {batch.tolist()}"
                 )
             if cfg.clip_norm is not None and _clip_gradients(grads.flat, cfg.clip_norm):
                 clipped += 1
             adam_step(state, theta, grads.flat)
-            del grads  # so the next backward can reuse its memory
-        history.train_mse.append(float(np.mean(losses)))
+        history.train_mse.append(total / n_pairs)
         if cfg.eval_test:
             history.test_mse.append(evaluate(work, data.test))
 
@@ -438,32 +475,32 @@ def train(
 
 
 def evaluate(model: SurrogateModel, ds) -> float:
-    """Mean one-step MSE over a windowed dataset (scaled units)."""
+    """Mean one-step MSE over a windowed dataset (scaled units), in one batched pass."""
     if len(ds) == 0:
         return float("nan")
-    return float(
-        np.mean([mse(forward(model, w)[0], y) for w, y in zip(ds.inputs, ds.targets)])
-    )
+    return mse(predict_one_step(model, ds.inputs), ds.targets)
 
 
 def predict_one_step(model: SurrogateModel, windows: np.ndarray) -> np.ndarray:
     """One prediction per ground-truth window; (M, L, N) -> (M, N), scaled units."""
-    return np.stack([forward(model, w)[0] for w in np.asarray(windows, dtype=float)])
+    return forward(model, windows)[0]
 
 
 def predict_rollout(model: SurrogateModel, seed_window: np.ndarray, n_steps: int) -> np.ndarray:
     """Autoregressive rollout: each prediction is fed back as the newest frame.
 
-    Output is (n_steps, N) in scaled units; the caller inverse-transforms.
+    seed_window is (L, N); output is (n_steps, N) in scaled units; the
+    caller inverse-transforms.  Each step is one forward call on a batch
+    of one window.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    window = np.array(seed_window, dtype=float)
+    window = np.array(seed_window, dtype=float)[None]
     out = []
     for _ in range(n_steps):
         pred, _ = forward(model, window)
-        out.append(pred)
-        window = np.vstack([window[1:], pred])
+        out.append(pred[0])
+        window = np.concatenate([window[:, 1:], pred[:, None]], axis=1)
     return np.stack(out)
 
 

@@ -78,7 +78,7 @@ def default_split(default_config, default_record):
 
 @pytest.fixture(scope="session")
 def trained_default(default_config, default_split):
-    """(model, history) from full default training; ~15 s, shared."""
+    """(model, history) from full default training; ~3 s, shared."""
     _, split = default_split
     model = sg.init_model(
         default_config.grid_n_points,
@@ -89,6 +89,7 @@ def trained_default(default_config, default_split):
         epochs=default_config.training_epochs,
         rng_seed=default_config.training_rng_seed,
         lr=default_config.training_lr,
+        batch_size=default_config.training_batch_size,
     )
     return sg.train(model, split, cfg)
 

@@ -136,8 +136,8 @@ def test_07_gradient_gate():
         model = sg.init_model(3, 4, seed)
         for k in model.params:  # nudge off the symmetric init
             model.params[k] = model.params[k] + rng.normal(0.0, 0.1, model.params[k].shape)
-        window = rng.uniform(size=(3, 3))
-        target = rng.uniform(size=3)
+        window = rng.uniform(size=(3, 3, 3))  # a batch of 3 windows
+        target = rng.uniform(size=(3, 3))
         _, tape = sg.forward(model, window)
         grads = sg.backward(model, tape, target)
         step = 1e-5
@@ -160,7 +160,8 @@ def test_07_gradient_gate():
     ok = worst <= 1e-4
     _verdict(
         "criterion 7", ok,
-        f"worst relative gradient error {worst:.3e} over 3 seeds (tol 1e-4, {elapsed:.2f}s)",
+        f"worst relative gradient error {worst:.3e} over 3 seeds, batches of 3 "
+        f"(tol 1e-4, {elapsed:.2f}s)",
     )
     assert worst <= 1e-4
 
@@ -183,6 +184,7 @@ def test_08_training_property(default_config, default_split, trained_default):
             epochs=default_config.training_epochs,
             rng_seed=default_config.training_rng_seed,
             lr=default_config.training_lr,
+            batch_size=default_config.training_batch_size,
         ),
     )
     deterministic = rehistory.train_mse == history.train_mse and all(

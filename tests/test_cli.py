@@ -5,6 +5,7 @@ import pytest
 
 from qwave import cli
 from qwave import compare as cp
+from qwave import dataset as dsm
 from qwave import evolve as ev
 from qwave import spectral as sp
 from qwave.config import (
@@ -58,6 +59,12 @@ class TestConfigFile:
         cfg = parse_config("# comment\n\ngrid.a=-2.5\n")
         assert cfg.grid_a == -2.5
 
+    def test_batch_size_key(self):
+        assert parse_config("training.batch_size=3\n").training_batch_size == 3
+        assert RunConfig().training_batch_size == 8
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_config("training.batch_size=2.5\n")
+
     def test_clip_none_sentinel(self):
         assert parse_config("training.clip=none\n").training_clip is None
         assert parse_config("training.clip=0.5\n").training_clip == 0.5
@@ -81,6 +88,7 @@ class TestConfigFile:
             {"dataset.lookback": 0},
             {"dataset.split_fraction": 1.0},
             {"training.epochs": 0},
+            {"training.batch_size": 0},
             {"training.lr": -1.0},
             {"training.hidden_dim": 0},
             {"training.clip": -1.0},
@@ -129,7 +137,7 @@ class TestPipeline:
         cfg = RunConfig(grid_n_points=40, evolution_n_steps=30, io_output_dir=str(out))
         scaler, _ = cli._load_split(cfg)
         record = cli._record_from_csv(cfg, str(out / "frames.csv"))
-        times, preds = cli._read_pred_csv(out / "pred_rollout.csv", 40)
+        times, preds = ev.read_frames_csv(out / "pred_rollout.csv")
         expected = tmp_path / "expected.csv"
         cp.write_report_csv(cp.build_report(record, preds, times, scaler), expected)
         assert reports["--mode rollout"] == expected.read_bytes()
@@ -206,7 +214,44 @@ class TestPipeline:
         monkeypatch.setattr(ev, "read_frames_csv", counting)
         assert _cli(out, "compare") == 0
         assert _cli(out, "snapshot", "--times", "1.4") == 0
-        assert reads == ["frames.csv", "frames.csv"]
+        assert reads == ["frames.csv", "pred_onestep.csv"] * 2
+
+    def test_window_views_keep_outputs_byte_identical(self, tmp_path, monkeypatch):
+        # windows are views of the scaled frames; stacked copies, as windowize
+        # once made, must give the same prediction, report and snapshot bytes
+        out = tmp_path / "out"
+        for argv in (["simulate"], ["export-dataset"], ["train"]):
+            assert _cli(out, *argv) == 0
+        stages = (["predict"], ["compare"], ["snapshot", "--times", "1.3,1.5"])
+        names = ("pred_onestep.csv", "report.csv", "snapshot_1.30.csv", "snapshot_1.50.csv")
+        outputs = []
+        for copy_windows in (False, True):
+            if copy_windows:
+                windowize = dsm.windowize
+
+                def stacked(frames, lookback, times=None):
+                    ds = windowize(frames, lookback, times)
+                    return dsm.WindowedDataset(
+                        lookback, np.stack(list(ds.inputs)), ds.targets, ds.target_times
+                    )
+
+                monkeypatch.setattr(dsm, "windowize", stacked)
+            for argv in stages:
+                assert _cli(out, *argv) == 0
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1]
+
+    def test_training_batch_size_flag(self, tmp_path, capsys):
+        checkpoints = {}
+        for batch_size in ("1", "8"):
+            out = tmp_path / batch_size
+            for argv in (["simulate"], ["export-dataset"], ["train", "--training.batch_size", batch_size]):
+                assert _cli(out, *argv) == 0
+            checkpoints[batch_size] = (out / "model.ckpt").read_bytes()
+        assert checkpoints["1"] != checkpoints["8"]
+        assert "in batches of 8" in capsys.readouterr().out
+        assert _cli(tmp_path / "1", "train", "--training.batch_size", "0") == 1
+        assert "training.batch_size" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -274,17 +319,26 @@ class TestDeterminism:
 
 
 class TestPredCsv:
+    """Prediction files go through the frame-table codec of frames.csv."""
+
     def test_round_trip(self, tmp_path):
         preds = np.random.default_rng(20).uniform(size=(4, 6))
         times = np.array([1.0, 1.5, 2.0, 2.5])
         path = tmp_path / "pred.csv"
-        cli._write_pred_csv(preds, times, path)
-        t_back, p_back = cli._read_pred_csv(path, 6)
+        ev.write_frames_csv(times, preds, path)
+        t_back, p_back = ev.read_frames_csv(path)
         assert np.array_equal(t_back, times)
         assert np.array_equal(p_back, preds)
 
-    def test_width_check(self, tmp_path):
-        path = tmp_path / "pred.csv"
-        cli._write_pred_csv(np.zeros((2, 3)), np.zeros(2), path)
-        with pytest.raises(ConfigError):
-            cli._read_pred_csv(path, 5)
+    def test_width_check(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (["simulate"], ["export-dataset"], ["train"], ["predict"]):
+            assert _cli(out, *argv) == 0
+        path = out / "pred_onestep.csv"
+        times, preds = ev.read_frames_csv(path)
+        ev.write_frames_csv(times, preds[:, :3], path)
+        capsys.readouterr()
+        for argv in (["compare"], ["snapshot", "--times", "1.5"]):
+            assert _cli(out, *argv) == 1
+            err = capsys.readouterr().err
+            assert str(path) in err and "3 columns, expected 40" in err

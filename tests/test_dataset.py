@@ -79,6 +79,17 @@ class TestWindowize:
             assert np.array_equal(ds.inputs[k], frames[k : k + 3])
             assert np.array_equal(ds.targets[k], frames[k + 3])
 
+    def test_inputs_are_a_read_only_view_of_the_frames(self):
+        frames = np.random.default_rng(21).uniform(size=(2001, 200))
+        scaled = dsm.transform(dsm.Scaler(0.0, 2.0), frames)
+        ds = dsm.windowize(scaled, 4)
+        assert np.shares_memory(ds.inputs, scaled)
+        assert not ds.inputs.flags.writeable
+        with pytest.raises(ValueError):
+            ds.inputs[0, 0, 0] = 1.0
+        for k in (0, 1, 998, len(ds) - 1):
+            assert np.array_equal(ds.inputs[k], scaled[k : k + 4])
+
     def test_target_times(self):
         frames = np.zeros((6, 2))
         times = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])

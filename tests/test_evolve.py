@@ -128,10 +128,14 @@ class TestFrameCsv:
         grid, h = _small_setup()
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=10), h)
         path = tmp_path / "frames.csv"
-        ev.write_frames_csv(record, path)
+        ev.write_frames_csv(record.times, record.density_matrix(), path)
         times, frames = ev.read_frames_csv(path)
         assert np.array_equal(times, record.times)
         assert np.array_equal(frames, record.density_matrix())
+
+    def test_times_must_match_rows(self, tmp_path):
+        with pytest.raises(ValueError):
+            ev.write_frames_csv(np.zeros(3), np.zeros((2, 4)), tmp_path / "frames.csv")
 
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -152,7 +156,7 @@ class TestFrameCsv:
         grid, h = _small_setup()
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=6), h)
         path = tmp_path / "frames.csv"
-        ev.write_frames_csv(record, path)
+        ev.write_frames_csv(record.times, record.density_matrix(), path)
         back = ev.record_from_frames_csv(grid, 0.05, "ell2", path)
         assert len(back.frames) == 7
         assert np.array_equal(back.density_matrix(), record.density_matrix())
@@ -162,7 +166,7 @@ class TestFrameCsv:
         grid, h = _small_setup()
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=2), h)
         path = tmp_path / "frames.csv"
-        ev.write_frames_csv(record, path)
+        ev.write_frames_csv(record.times, record.density_matrix(), path)
         other = make_grid(-4.0, 4.0, 50)
         with pytest.raises(ValueError):
             ev.record_from_frames_csv(other, 0.05, "ell2", path)

@@ -76,6 +76,22 @@ class TestEigendecompose:
         anchors = np.argmax(np.abs(d.eigenvectors), axis=0)
         assert np.all(d.eigenvectors[anchors, np.arange(12)] > 0.0)
 
+    def test_sign_anchor_matches_eigh(self, default_hamiltonian, default_decomposition):
+        # every odd eigenvector of the mirror-symmetric default H has two largest
+        # entries of equal magnitude; the anchor is the first of them, so LAPACK's
+        # Q under the same rule agrees column by column, save for the top doublets,
+        # where any rotation within the pair is an eigenbasis
+        lam = default_decomposition.eigenvalues
+        q = default_decomposition.eigenvectors
+        _, q_ref = np.linalg.eigh(default_hamiltonian.matrix)
+        mags = np.abs(q_ref)
+        first = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=0), axis=0)
+        q_ref = q_ref * np.where(q_ref[first, np.arange(lam.size)] < 0.0, -1.0, 1.0)
+        gap = np.minimum(np.r_[np.inf, np.diff(lam)], np.r_[np.diff(lam), np.inf])
+        separated = gap > 1e-6 * np.abs(lam).max()
+        assert np.count_nonzero(~separated) == 4
+        assert np.max(np.abs(q - q_ref)[:, separated]) <= 1e-9
+
     def test_degenerate_spectrum(self):
         # identity block plus distinct entries: repeated eigenvalue 1
         h = Hamiltonian(np.array([1.0, 1.0, 1.0, 2.0, 5.0]), np.zeros(4))

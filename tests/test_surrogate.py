@@ -60,8 +60,8 @@ class TestInitModel:
 class TestForward:
     def test_zero_network_outputs_zero(self):
         model = _zero_model()
-        pred, tape = sg.forward(model, np.ones((4, 3)))
-        assert np.array_equal(pred, np.zeros(3))
+        pred, tape = sg.forward(model, np.ones((2, 4, 3)))
+        assert np.array_equal(pred, np.zeros((2, 3)))
         assert len(tape.inputs) == 4
 
     def test_single_unit_hand_computation(self):
@@ -89,29 +89,38 @@ class TestForward:
         h1 = o * math.tanh(c1)
         expected = 1.5 * h1 - 0.25
 
-        pred, _ = sg.forward(model, np.array([[x]]))
-        assert pred[0] == pytest.approx(expected, abs=1e-15)
+        pred, _ = sg.forward(model, np.array([[[x]]]))
+        assert pred[0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_deterministic(self):
         model = sg.init_model(6, 5, 9)
-        window = np.random.default_rng(14).uniform(size=(3, 6))
+        window = np.random.default_rng(14).uniform(size=(2, 3, 6))
         p1, _ = sg.forward(model, window)
         p2, _ = sg.forward(model, window)
         assert np.array_equal(p1, p2)
 
     def test_shape_errors(self):
         model = sg.init_model(4, 3, 0)
-        with pytest.raises(ValueError):
-            sg.forward(model, np.ones((2, 5)))
-        with pytest.raises(ValueError):
-            sg.forward(model, np.ones((0, 4)))
+        for shape in ((1, 2, 5), (1, 0, 4), (0, 2, 4), (2, 4)):
+            with pytest.raises(ValueError):
+                sg.forward(model, np.ones(shape))
 
     def test_tape_records_every_step(self):
         model = sg.init_model(3, 2, 1)
-        _, tape = sg.forward(model, np.random.default_rng(15).uniform(size=(5, 3)))
-        assert len(tape.hiddens) == 6  # h_0 .. h_5
-        assert len(tape.cells) == 5
-        assert tape.gates.shape == (5, 4 * 2)  # the four gates stacked per step
+        _, tape = sg.forward(model, np.random.default_rng(15).uniform(size=(7, 5, 3)))
+        assert tape.hiddens.shape == (6, 7, 2)  # h_0 .. h_5, time-major
+        assert tape.cells.shape == (5, 7, 2)
+        assert tape.gates.shape == (5, 7, 4 * 2)  # the four gates stacked per step
+
+    def test_batch_rows_match_single_windows(self):
+        # B = 1 runs the same code; a window's prediction does not depend on
+        # the other windows of its batch beyond rounding
+        model = sg.init_model(200, 64, 8)
+        windows = np.random.default_rng(22).uniform(size=(20, 4, 200))
+        batched, _ = sg.forward(model, windows)
+        for k, window in enumerate(windows):
+            single, _ = sg.forward(model, window[None])
+            assert np.max(np.abs(batched[k] - single[0])) <= 1e-15 * np.max(np.abs(single))
 
 
 class TestMse:
@@ -119,6 +128,8 @@ class TestMse:
         assert sg.mse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
         assert sg.mse(np.array([1.0, 1.0]), np.array([0.0, 0.0])) == 1.0
         assert sg.mse(np.array([2.0, 0.0]), np.array([0.0, 0.0])) == 2.0
+        # a batch: the mean of the per-row MSEs
+        assert sg.mse(np.array([[1.0, 1.0], [2.0, 0.0]]), np.zeros((2, 2))) == 1.5
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -128,7 +139,7 @@ class TestMse:
 class TestBackward:
     def test_zero_loss_gives_zero_gradients(self):
         model = sg.init_model(4, 3, 2)
-        window = np.random.default_rng(16).uniform(size=(3, 4))
+        window = np.random.default_rng(16).uniform(size=(2, 3, 4))
         pred, tape = sg.forward(model, window)
         grads = sg.backward(model, tape, pred)  # target == prediction
         for k in sg.PARAM_KEYS:
@@ -136,17 +147,18 @@ class TestBackward:
 
     def test_head_bias_gradient_closed_form(self):
         model = sg.init_model(4, 3, 3)
-        window = np.random.default_rng(17).uniform(size=(2, 4))
-        target = np.random.default_rng(18).uniform(size=4)
+        window = np.random.default_rng(17).uniform(size=(3, 2, 4))
+        target = np.random.default_rng(18).uniform(size=(3, 4))
         pred, tape = sg.forward(model, window)
         grads = sg.backward(model, tape, target)
-        assert np.allclose(grads["b_out"], 2.0 * (pred - target) / 4.0, atol=1e-16)
+        # d(batch mean MSE)/d b_out = sum over the batch of 2 (p - y) / (B N)
+        assert np.allclose(grads["b_out"], np.sum(2.0 * (pred - target) / 12.0, axis=0), atol=1e-16)
 
     def test_matches_finite_differences(self):
         model = sg.init_model(3, 4, 5)
         rng = np.random.default_rng(19)
-        window = rng.uniform(size=(3, 3))
-        target = rng.uniform(size=3)
+        window = rng.uniform(size=(2, 3, 3))
+        target = rng.uniform(size=(2, 3))
         _, tape = sg.forward(model, window)
         grads = sg.backward(model, tape, target)
         step = 1e-5
@@ -169,9 +181,12 @@ class TestBackward:
     def test_mismatched_tape_rejected(self):
         model = sg.init_model(4, 3, 6)
         other = sg.init_model(5, 3, 6)
-        _, tape = sg.forward(other, np.ones((2, 5)))
+        _, tape = sg.forward(other, np.ones((1, 2, 5)))
         with pytest.raises(ValueError):
-            sg.backward(model, tape, np.zeros(4))
+            sg.backward(model, tape, np.zeros((1, 4)))
+        _, tape = sg.forward(model, np.ones((2, 2, 4)))
+        with pytest.raises(ValueError):
+            sg.backward(model, tape, np.zeros((3, 4)))  # one target too many
 
 
 # ------------------------------------------------------------------ reference
@@ -271,20 +286,34 @@ class TestFusedAgainstReference:
         model = _random_model(rng, input_dim, hidden_dim, seed)
         window = rng.uniform(size=(n_steps, input_dim))
         target = rng.uniform(size=input_dim)
-        pred, tape = sg.forward(model, window)
-        grads = sg.backward(model, tape, target)
+        pred, tape = sg.forward(model, window[None])
+        grads = sg.backward(model, tape, target[None])
         ref_pred, ref_grads = _ref_backward(dict(model.params), window, target)
-        _assert_close(pred, ref_pred)
+        _assert_close(pred[0], ref_pred)
         for k in sg.PARAM_KEYS:
             _assert_close(grads[k], ref_grads[k])
+
+    @given(_dims, st.integers(1, 6))
+    def test_batch_gradient_is_the_mean_of_pair_gradients(self, dims, n_batch):
+        input_dim, hidden_dim, n_steps, seed = dims
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, input_dim, hidden_dim, seed)
+        windows = rng.uniform(size=(n_batch, n_steps, input_dim))
+        targets = rng.uniform(size=(n_batch, input_dim))
+        preds, tape = sg.forward(model, windows)
+        grads = sg.backward(model, tape, targets)
+        refs = [_ref_backward(dict(model.params), w, y) for w, y in zip(windows, targets)]
+        _assert_close(preds, np.stack([pred for pred, _ in refs]))
+        for k in sg.PARAM_KEYS:
+            _assert_close(grads[k], np.mean([ref[k] for _, ref in refs], axis=0))
 
     @given(_dims)
     def test_every_key_is_a_view_of_the_flat_vector(self, dims):
         input_dim, hidden_dim, n_steps, seed = dims
         rng = np.random.default_rng(seed)
         model = _random_model(rng, input_dim, hidden_dim, seed)
-        _, tape = sg.forward(model, rng.uniform(size=(n_steps, input_dim)))
-        grads = sg.backward(model, tape, rng.uniform(size=input_dim))
+        _, tape = sg.forward(model, rng.uniform(size=(2, n_steps, input_dim)))
+        grads = sg.backward(model, tape, rng.uniform(size=(2, input_dim)))
         for params in (model.params, grads):
             covered = np.zeros(params.flat.size, dtype=int)
             for k in sg.PARAM_KEYS:
@@ -400,7 +429,7 @@ class TestTrain:
         trained, history = sg.train(model, split, sg.TrainConfig(epochs=1, lr=0.0))
         for k in sg.PARAM_KEYS:
             assert np.array_equal(trained.params[k], model.params[k])
-        initial_loss = sg.mse(sg.forward(model, split.train.inputs[0])[0], split.train.targets[0])
+        initial_loss = sg.mse(sg.forward(model, split.train.inputs[:1])[0], split.train.targets[:1])
         assert history.train_mse == [initial_loss]
 
     def test_each_epoch_visits_every_pair_once(self, tiny_split):
@@ -412,6 +441,34 @@ class TestTrain:
         _, history = sg.train(model, split, sg.TrainConfig(epochs=4, rng_seed=3, lr=0.0))
         mean_loss = sg.evaluate(model, split.train)
         assert history.train_mse == pytest.approx([mean_loss] * 4, rel=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [1, 8, 10, 76, 77, 80])
+    def test_epoch_loss_is_the_all_pairs_mean(self, default_split, batch_size):
+        # 77 default pairs: a short last batch must weigh its pairs, not count
+        # as a whole batch mean beside the full ones
+        _, split = default_split
+        assert len(split.train) == 77
+        model = sg.init_model(200, 64, 5)
+        cfg = sg.TrainConfig(epochs=2, rng_seed=1, lr=0.0, batch_size=batch_size)
+        _, history = sg.train(model, split, cfg)
+        mean_loss = sg.evaluate(model, split.train)
+        assert history.train_mse == pytest.approx([mean_loss] * 2, rel=1e-12)
+
+    def test_one_update_per_batch(self, tiny_split, monkeypatch):
+        _, split = tiny_split
+        steps = []
+        adam_step = sg.adam_step
+
+        def counting(state, theta, grad):
+            steps.append(state.step)
+            adam_step(state, theta, grad)
+
+        monkeypatch.setattr(sg, "adam_step", counting)
+        for batch_size, per_epoch in ((1, 28), (8, 4), (28, 1), (30, 1)):
+            steps.clear()
+            cfg = sg.TrainConfig(epochs=2, lr=1e-3, batch_size=batch_size)
+            sg.train(sg.init_model(12, 6, 0), split, cfg)
+            assert len(steps) == 2 * per_epoch, batch_size
 
     def test_deterministic(self, tiny_split):
         _, split = tiny_split
@@ -448,8 +505,8 @@ class TestTrain:
         _, split = tiny_split
         backward = sg.backward
 
-        def poisoned(model, tape, target):
-            grads = backward(model, tape, target)
+        def poisoned(model, tape, target, out=None):
+            grads = backward(model, tape, target, out)
             grads["U_o"][1, 2] = float("nan")
             return grads
 
@@ -479,6 +536,8 @@ class TestTrain:
             sg.TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             sg.TrainConfig(clip_norm=0.0)
+        with pytest.raises(ValueError):
+            sg.TrainConfig(batch_size=0)
 
     def test_empty_train_set_rejected(self):
         frames = small_frames(14, 4)
@@ -494,17 +553,17 @@ class TestPredict:
         model = sg.init_model(12, 6, 2)
         window = split.test.inputs[0]
         roll = sg.predict_rollout(model, window, 1)
-        direct, _ = sg.forward(model, window)
-        assert np.array_equal(roll[0], direct)
+        direct, _ = sg.forward(model, window[None])
+        assert np.array_equal(roll[0], direct[0])
 
     def test_rollout_feeds_back_predictions(self, tiny_split):
         _, split = tiny_split
         model = sg.init_model(12, 6, 2)
         window = split.test.inputs[0]
         roll = sg.predict_rollout(model, window, 2)
-        p1, _ = sg.forward(model, window)
-        p2, _ = sg.forward(model, np.vstack([window[1:], p1]))
-        assert np.array_equal(roll[1], p2)
+        p1, _ = sg.forward(model, window[None])
+        p2, _ = sg.forward(model, np.vstack([window[1:], p1])[None])
+        assert np.array_equal(roll[1], p2[0])
 
     def test_rollout_requires_positive_steps(self, tiny_split):
         _, split = tiny_split
