@@ -259,15 +259,13 @@ def cmd_train(cfg: RunConfig) -> int:
         epochs=cfg.training_epochs,
         rng_seed=cfg.training_rng_seed,
         lr=cfg.training_lr,
-        batch_size=cfg.training_batch_size,
         clip_norm=cfg.training_clip,
     )
     trained, history = sg.train(model, split, train_cfg)
     sg.save_checkpoint(trained, _out_path(cfg, CHECKPOINT_FILE))
     sg.write_loss_csv(history, _out_path(cfg, LOSS_FILE))
     print(
-        f"train: {cfg.training_epochs} epochs on {len(split.train)} pairs "
-        f"in batches of {cfg.training_batch_size}; "
+        f"train: {cfg.training_epochs} epochs on {len(split.train)} pairs; "
         f"epoch MSE {history.train_mse[0]:.6e} -> {history.train_mse[-1]:.6e}"
     )
     return 0

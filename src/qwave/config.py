@@ -23,7 +23,6 @@ _SCHEMA: dict[str, tuple[str, type]] = {
     "dataset.split_fraction": ("dataset_split_fraction", float),
     "training.epochs": ("training_epochs", int),
     "training.lr": ("training_lr", float),
-    "training.batch_size": ("training_batch_size", int),
     "training.hidden_dim": ("training_hidden_dim", int),
     "training.rng_seed": ("training_rng_seed", int),
     "training.clip": ("training_clip", float),
@@ -46,7 +45,6 @@ class RunConfig:
     dataset_split_fraction: float = 0.8
     training_epochs: int = 100
     training_lr: float = 2e-3
-    training_batch_size: int = 8  # train pairs per Adam update
     training_hidden_dim: int = 64
     training_rng_seed: int = 42
     training_clip: float | None = None  # max gradient norm; None disables clipping
@@ -146,8 +144,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"training.epochs must be >= 1, got {cfg.training_epochs}")
     if not cfg.training_lr >= 0:
         raise ConfigError(f"training.lr must be >= 0, got {cfg.training_lr}")
-    if cfg.training_batch_size < 1:
-        raise ConfigError(f"training.batch_size must be >= 1, got {cfg.training_batch_size}")
     if cfg.training_hidden_dim < 1:
         raise ConfigError(f"training.hidden_dim must be >= 1, got {cfg.training_hidden_dim}")
     if cfg.training_clip is not None and not cfg.training_clip > 0:

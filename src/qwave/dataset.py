@@ -32,12 +32,16 @@ class Scaler:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Sliding-window pairs: inputs[k] = frames[k..k+L), targets[k] = frames[k+L]."""
+    """Sliding-window pairs: inputs[k] = frames[k..k+L), targets[k] = frames[k+L].
+
+    inputs aliases the frames array it was cut from (see windowize);
+    targets and target_times are copies.
+    """
 
     lookback: int
     inputs: np.ndarray  # (M, L, N), a read-only view of the frames
-    targets: np.ndarray  # (M, N)
-    target_times: np.ndarray  # (M,)
+    targets: np.ndarray  # (M, N), a copy
+    target_times: np.ndarray  # (M,), a copy
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -85,7 +89,10 @@ def windowize(frames: np.ndarray, lookback: int, times: np.ndarray | None = None
 
     The inputs are a read-only sliding-window view of frames, not a copy:
     overlapping windows share the frame rows, so M windows cost no more
-    memory than the frames themselves.
+    memory than the frames themselves.  They alias the float64 array
+    passed in: writing to it later changes the inputs but not the copied
+    targets, so a caller that goes on changing its frames should pass a
+    copy.  prepare_split passes the scaled array it owns.
     """
     frames = np.asarray(frames, dtype=float)
     if lookback < 1:
@@ -144,7 +151,8 @@ def prepare_split(
     """Scale raw frames, window them, and split chronologically.
 
     Shared by the train, predict, and compare commands so all three see
-    byte-identical window construction.
+    byte-identical window construction.  The windows view the scaled
+    array made here, which no caller holds.
     """
     scaled = transform(scaler, frames)
     return split(windowize(scaled, lookback, times), fraction)

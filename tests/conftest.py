@@ -89,7 +89,6 @@ def trained_default(default_config, default_split):
         epochs=default_config.training_epochs,
         rng_seed=default_config.training_rng_seed,
         lr=default_config.training_lr,
-        batch_size=default_config.training_batch_size,
     )
     return sg.train(model, split, cfg)
 

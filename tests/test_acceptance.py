@@ -184,7 +184,6 @@ def test_08_training_property(default_config, default_split, trained_default):
             epochs=default_config.training_epochs,
             rng_seed=default_config.training_rng_seed,
             lr=default_config.training_lr,
-            batch_size=default_config.training_batch_size,
         ),
     )
     deterministic = rehistory.train_mse == history.train_mse and all(

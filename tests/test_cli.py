@@ -59,12 +59,6 @@ class TestConfigFile:
         cfg = parse_config("# comment\n\ngrid.a=-2.5\n")
         assert cfg.grid_a == -2.5
 
-    def test_batch_size_key(self):
-        assert parse_config("training.batch_size=3\n").training_batch_size == 3
-        assert RunConfig().training_batch_size == 8
-        with pytest.raises(ConfigError, match="cannot parse"):
-            parse_config("training.batch_size=2.5\n")
-
     def test_clip_none_sentinel(self):
         assert parse_config("training.clip=none\n").training_clip is None
         assert parse_config("training.clip=0.5\n").training_clip == 0.5
@@ -88,7 +82,6 @@ class TestConfigFile:
             {"dataset.lookback": 0},
             {"dataset.split_fraction": 1.0},
             {"training.epochs": 0},
-            {"training.batch_size": 0},
             {"training.lr": -1.0},
             {"training.hidden_dim": 0},
             {"training.clip": -1.0},
@@ -240,18 +233,6 @@ class TestPipeline:
                 assert _cli(out, *argv) == 0
             outputs.append({name: (out / name).read_bytes() for name in names})
         assert outputs[0] == outputs[1]
-
-    def test_training_batch_size_flag(self, tmp_path, capsys):
-        checkpoints = {}
-        for batch_size in ("1", "8"):
-            out = tmp_path / batch_size
-            for argv in (["simulate"], ["export-dataset"], ["train", "--training.batch_size", batch_size]):
-                assert _cli(out, *argv) == 0
-            checkpoints[batch_size] = (out / "model.ckpt").read_bytes()
-        assert checkpoints["1"] != checkpoints["8"]
-        assert "in batches of 8" in capsys.readouterr().out
-        assert _cli(tmp_path / "1", "train", "--training.batch_size", "0") == 1
-        assert "training.batch_size" in capsys.readouterr().err
 
 
 class TestExitCodes:
