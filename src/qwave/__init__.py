@@ -68,7 +68,7 @@ from .spectral import (
     eigendecompose,
     propagate_direct,
 )
-from .state import DensityFrame, WaveState, density
+from .state import WaveState, density
 from .surrogate import (
     AdamState,
     LossHistory,

@@ -21,6 +21,7 @@ from . import discretize as dz
 from . import evolve as ev
 from . import spectral as sp
 from . import surrogate as sg
+from .artifacts import atomic_text
 from .config import (
     RunConfig,
     apply_overrides,
@@ -201,9 +202,9 @@ def cmd_simulate(cfg: RunConfig, dump_eigen: bool = False) -> int:
     ev.write_conservation_csv(record, _out_path(cfg, CONSERVATION_FILE))
     if dump_eigen:
         sp.write_eigen_csv(record.decomposition, _out_path(cfg, EIGEN_FILE))
-    drift = float(np.max(record.conservation_log)) if len(record.conservation_log) else 0.0
+    drift = float(np.max(record.conservation_log))
     print(
-        f"simulate: wrote {len(record.frames)} frames to "
+        f"simulate: wrote {len(record.times)} frames to "
         f"{_out_path(cfg, FRAMES_FILE)} (max norm drift {drift:.3e})"
     )
     return 0
@@ -231,7 +232,7 @@ def cmd_table(cfg: RunConfig, times: list[float], indices: list[int]) -> int:
         record = _simulate(cfg)  # compute on the fly; nothing is written
     text = cp.render_table(record, times, indices)
     sys.stdout.write(text)
-    with open(_out_path(cfg, "table.txt"), "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(_out_path(cfg, "table.txt")) as fh:
         fh.write(text)
     return 0
 
@@ -323,7 +324,7 @@ def cmd_snapshot(cfg: RunConfig, times: list[float], mode: str) -> int:
                 f"[{pred_times[0]:.6g}, {pred_times[-1]:.6g}]"
             )
         path = _out_path(cfg, f"snapshot_{recorded[k]:.2f}.csv")
-        cp.write_snapshot_csv(record.config.grid, record.frames[k].density, physical[j], path)
+        cp.write_snapshot_csv(record.config.grid, record.densities[k], physical[j], path)
         print(f"snapshot: wrote {path}")
     return 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_text
 from .dataset import Scaler, inverse_transform
 from .discretize import Grid
 from .errors import ConfigError
@@ -90,8 +91,7 @@ def build_report(
     frames = []
     for pred, t in zip(physical, target_times):
         k = _nearest_frame(times, t, dt)
-        truth = record.frames[k].density
-        frames.append(frame_metrics(pred, truth, times[k]))
+        frames.append(frame_metrics(pred, record.densities[k], times[k]))
 
     return ComparisonReport(
         frames=frames,
@@ -127,7 +127,7 @@ def table_slice(record: EvolutionRecord, times: list[float], indices: list[int])
     rows = []
     for i in indices:
         row = [str(i), f"{grid.nodes[i]:.3f}"]
-        row += [f"{record.frames[k].density[i]:.2e}" for k in cols]
+        row += [f"{record.densities[k, i]:.2e}" for k in cols]
         rows.append(row)
     return rows
 
@@ -147,7 +147,7 @@ def render_table(record: EvolutionRecord, times: list[float], indices: list[int]
 
 def write_report_csv(report: ComparisonReport, path) -> None:
     """Per-frame metric rows plus a `mean` footer; no paths or metadata inside."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(path) as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
         for f in report.frames:
             fh.write(
@@ -174,7 +174,7 @@ def write_snapshot_csv(
             f"density widths {ctqw_density.shape}/{ml_density.shape} "
             f"do not match grid size {grid.n_points}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(path) as fh:
         fh.write("x,ctqw_density,ml_density\n")
         for x, a, b in zip(grid.nodes, ctqw_density, ml_density):
             fh.write(f"{x:.17g},{a:.17g},{b:.17g}\n")

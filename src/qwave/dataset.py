@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_text
+
 
 @dataclass(frozen=True)
 class Scaler:
@@ -160,7 +162,7 @@ def prepare_split(
 
 def save_scaler(scaler: Scaler, path) -> None:
     """Two-line sidecar (min=..., max=...) in full precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(path) as fh:
         fh.write(f"min={scaler.min:.17g}\n")
         fh.write(f"max={scaler.max:.17g}\n")
 

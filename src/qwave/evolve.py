@@ -2,9 +2,11 @@
 
 The initial packet exp(-x^2) is narrower than the oscillator ground
 state, so it breathes: the density is periodic with period pi in natural
-units.  Each step applies the same exact propagator, so probability is
-conserved to rounding and the loop reproduces the direct evaluation
-psi(t) = Q exp(-i lam t) Q^T psi(0) at every recorded time.
+units.  The loop steps in the eigenbasis of H: c = Q^T psi(0), and each
+step multiplies c by the propagator's phases exp(-i lam dt), which is
+exact and O(N).  So probability is conserved to rounding and the loop
+reproduces the direct evaluation psi(t) = Q exp(-i lam t) Q^T psi(0) at
+every recorded time.
 """
 
 from __future__ import annotations
@@ -13,15 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_text
 from .discretize import Grid, Hamiltonian
 from .errors import ConservationError
-from .spectral import SpectralDecomposition, apply_propagator, build_propagator, eigendecompose
-from .state import DensityFrame, WaveState, density
+from .spectral import SpectralDecomposition, build_propagator, eigendecompose
+from .state import WaveState, density
 
 NORMALIZATION_MODES = ("ell2", "dx_weighted")
 
 # hard-abort threshold; tests assert the tighter 1e-10 bound
 _DRIFT_ABORT = 1e-8
+# entries of one block of steps: the loop forms the states of
+# max(1, this // N) steps at a time
+_STEP_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -47,25 +53,22 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class EvolutionRecord:
-    """Density frames at t = 0, dt, ..., T*dt plus the conservation log."""
+    """Density table at t = 0, dt, ..., T*dt plus the conservation log.
+
+    times is (T,) and densities is (T, N), one row per recorded frame.
+    conservation_log is None for a record rebuilt from a frame table, which
+    does not store it.
+    """
 
     config: EvolutionConfig
-    frames: list[DensityFrame]
-    conservation_log: np.ndarray
+    times: np.ndarray
+    densities: np.ndarray
+    conservation_log: np.ndarray | None
     decomposition: SpectralDecomposition | None = None  # the run's; None when read from CSV
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([f.time for f in self.frames])
-
     def density_matrix(self) -> np.ndarray:
-        """Frames stacked as a (n_frames, N) array."""
-        return np.stack([f.density for f in self.frames])
-
-
-def _norm_sq(amplitudes: np.ndarray, mode: str, dx: float) -> float:
-    total = float(np.sum(np.abs(amplitudes) ** 2))
-    return total * dx if mode == "dx_weighted" else total
+        """The (n_frames, N) density table itself, not a copy."""
+        return self.densities
 
 
 def gaussian_initial(grid: Grid, mode: str = "ell2") -> WaveState:
@@ -95,10 +98,14 @@ def run_evolution(
     """Step the state n_steps times, recording a density frame per step.
 
     The initial state defaults to the Gaussian packet in the configured
-    normalization.  record_stride > 1 thins the recorded frames; each
-    logged drift is the worst since the previous recorded frame.  Aborts
-    with ConservationError if the norm drifts by more than 1e-8 or is not
-    finite, which signals a broken decomposition, not rounding.
+    normalization.  The coefficients c = Q^T psi step as c <- exp(-i lam dt) c;
+    every step's psi = Q c is formed, in blocks of steps by two real GEMMs,
+    and its norm checked.  record_stride > 1 thins the recorded frames;
+    each logged drift is the worst over the steps since the previous
+    recorded frame, every one of which was formed.  Aborts with
+    ConservationError at the first step whose norm drifts by more than
+    1e-8 or is not finite, which signals a broken decomposition, not
+    rounding.
     """
     if h.n != config.grid.n_points:
         raise ValueError(f"Hamiltonian order {h.n} does not match grid size {config.grid.n_points}")
@@ -106,69 +113,108 @@ def run_evolution(
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
 
     psi = gaussian_initial(config.grid, config.normalization_mode) if initial is None else initial
-    if psi.amplitudes.shape != (config.grid.n_points,):
+    n = config.grid.n_points
+    if psi.amplitudes.shape != (n,):
         raise ValueError(
             f"initial state has {psi.amplitudes.shape[0]} amplitudes, "
-            f"grid has {config.grid.n_points} nodes"
+            f"grid has {n} nodes"
         )
 
     decomp = eigendecompose(h)
     u = build_propagator(decomp, config.dt)
+    q, phases = u.eigenvectors, u.phases
+    weight = config.grid.dx if config.normalization_mode == "dx_weighted" else 1.0
 
-    def drift_of(state: WaveState) -> float:
-        return abs(_norm_sq(state.amplitudes, config.normalization_mode, config.grid.dx) - 1.0)
+    times = psi.time + config.dt * np.arange(0, config.n_steps + 1, record_stride)
+    table = np.empty((times.size, n))
+    log = np.empty(times.size)
+    table[0] = density(psi)
+    log[0] = abs(float(np.sum(table[0])) * weight - 1.0)
 
-    frames = [density(psi)]
-    log = [drift_of(psi)]
+    c = np.empty(n, dtype=complex)
+    c.real, c.imag = q.T @ psi.amplitudes.real, q.T @ psi.amplitudes.imag
+    steps = max(1, _STEP_BLOCK_ENTRIES // n)
+    coeffs = np.empty((min(steps, config.n_steps), n), dtype=complex)
+    # the block's densities: rows of the table itself when every step is kept
+    scratch = None if record_stride == 1 else np.empty(coeffs.shape)
     worst = 0.0
-    for k in range(1, config.n_steps + 1):
-        psi = apply_propagator(u, psi)
-        drift = drift_of(psi)
-        if not drift <= _DRIFT_ABORT:
+    for k0 in range(1, config.n_steps + 1, steps):
+        m = min(steps, config.n_steps + 1 - k0)
+        block = coeffs[:m]
+        for row in block:  # c is the step before: the row above, or the last block's last row
+            np.multiply(c, phases, out=row)
+            c = row
+        dens = table[k0 : k0 + m] if scratch is None else scratch[:m]
+        im = block.imag @ q.T
+        np.square(block.real @ q.T, out=dens)
+        dens += np.square(im, out=im)
+        drifts = np.abs(np.sum(dens, axis=1) * weight - 1.0)
+        bad = np.flatnonzero(~(drifts <= _DRIFT_ABORT))
+        if bad.size:
+            k = k0 + int(bad[0])
             raise ConservationError(
-                f"norm drifted by {drift:.3e} at step {k} (t={k * config.dt:.4g}), "
+                f"norm drifted by {drifts[bad[0]]:.3e} at step {k} (t={k * config.dt:.4g}), "
                 f"beyond the {_DRIFT_ABORT:.0e} abort threshold"
             )
-        worst = max(worst, drift)
-        if k % record_stride == 0:
-            frames.append(density(psi))
-            log.append(worst)
-            worst = 0.0
-
-    return EvolutionRecord(config, frames, np.array(log), decomp)
+        for j, drift in enumerate(drifts.tolist()):
+            worst = max(worst, drift)
+            k = k0 + j
+            if k % record_stride == 0:
+                log[k // record_stride] = worst
+                worst = 0.0
+                if scratch is not None:
+                    table[k // record_stride] = dens[j]
+    table.setflags(write=False)
+    times.setflags(write=False)
+    return EvolutionRecord(config, times, table, log, decomp)
 
 
 def write_frames_csv(times: np.ndarray, rows: np.ndarray, path) -> None:
     """Frame table: header t,x_0,...,x_{N-1}, then one row per time, 17 digits.
 
     The one codec for every frame table: simulated densities and the
-    surrogate's predictions alike.
+    surrogate's predictions alike.  Each row is one %-format of all its
+    values, byte for byte the per-value f"{v:.17g}" join.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or len(times) != rows.shape[0]:
         raise ValueError(f"{len(times)} times for rows of shape {rows.shape}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(f"x_{i}" for i in range(rows.shape[1])) + "\n")
-        for t, row in zip(times, rows):
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    width = rows.shape[1]
+    fmt = ",".join(["%.17g"] * (width + 1)) + "\n"
+    with atomic_text(path) as fh:
+        fh.write("t," + ",".join(f"x_{i}" for i in range(width)) + "\n")
+        for t, row in zip(np.asarray(times, dtype=float).tolist(), rows):
+            fh.write(fmt % (t, *row.tolist()))
 
 
 def read_frames_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a frame table back as (times, rows) arrays."""
+    """Read a frame table back as (times, rows) arrays.
+
+    Raises ValueError naming path if the file is not a whole frame table.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("t,x_0"):
             raise ValueError(f"{path} is not a frame CSV (header {header[:40]!r})")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not a whole frame CSV: {exc}") from exc
     return data[:, 0], data[:, 1:]
 
 
 def write_conservation_csv(record: EvolutionRecord, path) -> None:
-    """Conservation CSV: header t,norm_drift, one row per recorded frame."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Conservation CSV: header t,norm_drift, one row per recorded frame.
+
+    Raises ValueError for a record without a conservation log (one rebuilt
+    from a frame table).
+    """
+    if record.conservation_log is None:
+        raise ValueError("the record has no conservation log; it was rebuilt from a frame table")
+    with atomic_text(path) as fh:
         fh.write("t,norm_drift\n")
-        for frame, drift in zip(record.frames, record.conservation_log):
-            fh.write(f"{frame.time:.17g},{drift:.17g}\n")
+        for t, drift in zip(record.times.tolist(), record.conservation_log.tolist()):
+            fh.write(f"{t:.17g},{drift:.17g}\n")
 
 
 def record_from_frames(
@@ -178,8 +224,8 @@ def record_from_frames(
     """Rebuild a record from frame-table arrays read from source, for
     table/comparison use.
 
-    The conservation log is not stored in the frame table, so the rebuilt
-    record carries zeros there; the real log lives in its own CSV.
+    The frame table does not store the conservation log, so the rebuilt
+    record has none (None); the real log lives in its own CSV.
     """
     if frames.shape[1] != grid.n_points:
         raise ValueError(
@@ -188,8 +234,7 @@ def record_from_frames(
     config = EvolutionConfig(
         grid=grid, dt=dt, n_steps=max(len(times) - 1, 0), normalization_mode=normalization_mode
     )
-    density_frames = [DensityFrame(float(t), row) for t, row in zip(times, frames)]
-    return EvolutionRecord(config, density_frames, np.zeros(len(density_frames)))
+    return EvolutionRecord(config, times, frames, None)
 
 
 def record_from_frames_csv(

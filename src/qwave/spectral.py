@@ -12,24 +12,36 @@ orthogonalized together, so inside a near-degenerate cluster Q holds some
 orthonormal basis of the cluster's invariant subspace.  Every pair must
 meet |H q - lam q| <= 1e-10 max|H|, or ConvergenceError names the column.
 
+A Sturm count is the number of negative pivots of the LDL^T factor of
+H - x I, read from their sign bits with no pivmin guard (Demmel, Dhillon
+& Ren, 1995).  IEEE arithmetic makes the guard unnecessary: a zero pivot
+divides e^2 into an infinity of the zero's sign, the next pivot becomes
+an infinity of the other sign, and the one after it sees e^2 / inf = 0,
+so the count is that of H - x I with the zero pivot nudged to a signed
+tiny value, a backward-stable answer.  The one case IEEE cannot carry,
+0 / 0, needs a zero off-diagonal; there the band splits, and the division
+is skipped.
+
 The propagator is then exactly U(dt) = Q diag(exp(-i lam dt)) Q^T, so
 repeated stepping carries no splitting error and stays unitary to
-rounding.
+rounding.  It is kept as its factors, Q and the phases; the dense N x N
+complex U is built only when `Propagator.matrix` is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .artifacts import atomic_text
 from .discretize import Hamiltonian
 from .errors import ConvergenceError
 from .state import WaveState
 
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 # interior test points per interval and sweep: a sweep cuts each interval
 # to a quarter, so half the sweeps of plain bisection
 _PROBES = 3
@@ -64,38 +76,57 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class Propagator:
-    """One-timestep unitary U(dt) = Q exp(-i lam dt) Q^T."""
+    """One-timestep unitary U(dt) = Q exp(-i lam dt) Q^T, kept as its factors:
+    the eigenvector columns Q and the phases exp(-i lam dt)."""
 
     dt: float
-    matrix: np.ndarray
+    eigenvectors: np.ndarray
+    phases: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.phases.shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense U, built on first use.
+
+        Re U = Q diag(cos lam dt) Q^T and Im U = -Q diag(sin lam dt) Q^T are
+        two real GEMMs per block of rows, written straight into U: no complex
+        copy of Q and no N x N temporary is made.
+        """
+        q, n = self.eigenvectors, self.n
+        u = np.empty((n, n), dtype=complex)
+        rows = max(1, _BLOCK_ENTRIES // n)
+        for r0 in range(0, n, rows):
+            block = q[r0 : r0 + rows]
+            u.real[r0 : r0 + rows] = (block * self.phases.real) @ q.T
+            u.imag[r0 : r0 + rows] = (block * self.phases.imag) @ q.T
+        u.setflags(write=False)
+        return u
 
 
-def _sturm_counts(d: list, e2: list, x: np.ndarray, pivmin: float) -> np.ndarray:
+def _sturm_counts(d: list, e2: list, x: np.ndarray) -> np.ndarray:
     """The number of eigenvalues below each shift in x, all shifts at once.
 
     The LDL^T pivots q_i = d_i - x - e_{i-1}^2 / q_{i-1} run as one loop
-    over the rows.  A pivot smaller than pivmin in magnitude becomes
-    -pivmin, as in LAPACK's dlaebz, so no division overflows.
+    over the rows, and each row's negative pivots are read from the sign
+    bit, so -0 counts as negative and +0 does not.  Where e_{i-1}^2 is zero
+    the band splits and q_i = d_i - x.  Four ufunc calls per row.
     """
-    q, t, a = np.empty((3, x.size))
-    tiny = np.empty(x.size, dtype=bool)
+    q, t = np.empty((2, x.size))
     negative = np.empty((len(d), x.size), dtype=bool)
-    # ufuncs bound once, outputs passed by position: the loop makes 7N calls
-    subtract, divide, absolute, less, copyto = np.subtract, np.divide, np.absolute, np.less, np.copyto
-    subtract(d[0], x, q)
-    for i, row in enumerate(negative):
-        if i:
-            divide(e2[i - 1], q, t)
-            subtract(d[i], x, q)
-            subtract(q, t, q)
-        absolute(q, a)
-        less(a, pivmin, tiny)
-        copyto(q, -pivmin, where=tiny)
-        less(q, 0.0, row)
+    # ufuncs bound once, outputs passed by position
+    subtract, divide, signbit = np.subtract, np.divide, np.signbit
+    with np.errstate(divide="ignore", over="ignore"):  # a zero or tiny pivot gives +-inf
+        for i, row in enumerate(negative):
+            if i and e2[i - 1]:
+                subtract(d[i], x, t)
+                divide(e2[i - 1], q, q)
+                subtract(t, q, q)
+            else:
+                subtract(d[i], x, q)
+            signbit(q, row)
     return np.count_nonzero(negative, axis=0)
 
 
@@ -111,10 +142,9 @@ def _bisect(d: np.ndarray, e: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """
     n = d.size
     e2 = (e * e).tolist()
-    pivmin = _TINY * max([1.0, *e2])
     lower, upper = float(np.min(d - radius)), float(np.max(d + radius))
     tnorm = max(abs(lower), abs(upper))
-    slack = 2.0 * _EPS * n * tnorm + 4.0 * pivmin
+    slack = 2.0 * _EPS * n * tnorm
     lower, upper = lower - slack, upper + slack
     sweeps = math.ceil(math.log((upper - lower) / (_EPS * tnorm), _PROBES + 1))
 
@@ -125,7 +155,7 @@ def _bisect(d: np.ndarray, e: np.ndarray, radius: np.ndarray) -> np.ndarray:
     for _ in range(sweeps):
         lo, hi = ends
         probes = np.minimum(lo + fractions * (hi - lo), hi)
-        below = _sturm_counts(d, e2, probes.ravel(), pivmin).reshape(probes.shape)
+        below = _sturm_counts(d, e2, probes.ravel()).reshape(probes.shape)
         # monotone inside each interval, as dlaebz enforces
         below = np.maximum.accumulate(np.clip(below, counts[0], counts[1]), axis=0)
         points = np.concatenate((ends[:1], probes, ends[1:])).T
@@ -321,26 +351,15 @@ def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
 
 
 def build_propagator(decomp: SpectralDecomposition, dt: float) -> Propagator:
-    """U(dt) = Q diag(exp(-i lam dt)) Q^T; dt may be zero or negative.
-
-    Re U = Q diag(cos lam dt) Q^T and Im U = -Q diag(sin lam dt) Q^T are
-    two real GEMMs per block of rows, written straight into U: no complex
-    copy of Q and no N x N temporary is made.
-    """
+    """U(dt) = Q diag(exp(-i lam dt)) Q^T as its factors; dt may be zero or
+    negative.  O(N): the phases are the only new array."""
     if not math.isfinite(dt):
         raise ValueError(f"time step must be finite, got {dt}")
-    q = decomp.eigenvectors
-    n = decomp.n
     angle = decomp.eigenvalues * dt
-    cos, minus_sin = np.cos(angle), -np.sin(angle)
-    u = np.empty((n, n), dtype=complex)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for r0 in range(0, n, rows):
-        block = q[r0 : r0 + rows]
-        u.real[r0 : r0 + rows] = (block * cos) @ q.T
-        u.imag[r0 : r0 + rows] = (block * minus_sin) @ q.T
-    u.setflags(write=False)
-    return Propagator(float(dt), u)
+    phases = np.empty(decomp.n, dtype=complex)
+    phases.real, phases.imag = np.cos(angle), -np.sin(angle)
+    phases.setflags(write=False)
+    return Propagator(float(dt), decomp.eigenvectors, phases)
 
 
 def apply_propagator(u: Propagator, psi: WaveState) -> WaveState:
@@ -375,7 +394,7 @@ def propagate_direct(decomp: SpectralDecomposition, psi0: WaveState, t: float) -
 def write_eigen_csv(decomp: SpectralDecomposition, path) -> None:
     """Debug dump of (lam, Q): header, one eigenvalue row, then Q row by row."""
     n = decomp.n
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         fh.write(",".join(f"eig_{k}" for k in range(n)) + "\n")
         fh.write(",".join(f"{v:.17g}" for v in decomp.eigenvalues) + "\n")
         for row in decomp.eigenvectors:

@@ -1,4 +1,4 @@
-"""Wavefunction state and probability-density containers."""
+"""Wavefunction state and its probability density."""
 
 from __future__ import annotations
 
@@ -15,16 +15,8 @@ class WaveState:
     time: float
 
 
-@dataclass(frozen=True)
-class DensityFrame:
-    """Probability density |psi_i|^2 at one time instant."""
-
-    time: float
-    density: np.ndarray
-
-
-def density(psi: WaveState) -> DensityFrame:
+def density(psi: WaveState) -> np.ndarray:
     """|psi|^2 = Re(psi)^2 + Im(psi)^2; invariant under a global phase."""
     dens = np.abs(psi.amplitudes) ** 2
     dens.setflags(write=False)
-    return DensityFrame(psi.time, dens)
+    return dens

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import atomic_text
 from .dataset import SplitDataset
 from .errors import NonFiniteError
 
@@ -506,16 +507,21 @@ def predict_rollout(model: SurrogateModel, seed_window: np.ndarray, n_steps: int
 
 
 def save_checkpoint(model: SurrogateModel, path) -> None:
-    """Self-describing text checkpoint; round-trips bitwise via 17-digit floats."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Self-describing text checkpoint; round-trips bitwise via 17-digit floats.
+
+    Each row is one %-format of all its values, byte for byte the
+    per-value f"{v:.17g}" join.
+    """
+    with atomic_text(path) as fh:
         fh.write(f"input_dim={model.input_dim}\n")
         fh.write(f"hidden_dim={model.hidden_dim}\n")
         fh.write(f"seed={model.seed}\n")
         for key in PARAM_KEYS:
             tensor = np.atleast_2d(model.params[key])
             fh.write(f"[{key}]\n")
+            fmt = " ".join(["%.17g"] * tensor.shape[1]) + "\n"
             for row in tensor:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(fmt % tuple(row.tolist()))
 
 
 def load_checkpoint(path) -> SurrogateModel:
@@ -554,7 +560,7 @@ def load_checkpoint(path) -> SurrogateModel:
 def write_loss_csv(history: LossHistory, path) -> None:
     """Loss CSV: epoch,train_mse[,test_mse]."""
     with_test = history.test_mse is not None
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(path) as fh:
         fh.write("epoch,train_mse,test_mse\n" if with_test else "epoch,train_mse\n")
         for epoch, loss in enumerate(history.train_mse, start=1):
             if with_test:

@@ -276,6 +276,18 @@ class TestExitCodes:
         _cli(out, "predict")
         assert _cli(out, "snapshot", "--times", "99") == 1
 
+    def test_truncated_frames_csv_names_the_file(self, tmp_path, capsys):
+        # a frames.csv cut mid-row, as a killed writer without atomic replace left it
+        out = tmp_path / "out"
+        for argv in (["simulate"], ["export-dataset"], ["train"], ["predict"]):
+            assert _cli(out, *argv) == 0
+        path = out / "frames.csv"
+        text = path.read_text()
+        path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2])
+        capsys.readouterr()
+        assert _cli(out, "compare") == 1
+        assert f"{path} is not a whole frame CSV" in capsys.readouterr().err
+
     def test_bad_times_syntax(self, tmp_path):
         out = tmp_path / "out"
         _cli(out, "simulate")

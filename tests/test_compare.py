@@ -154,7 +154,7 @@ class TestReportCsv:
 class TestSnapshotCsv:
     def test_layout_and_clamping(self, small_record, tmp_path):
         grid = small_record.config.grid
-        truth = small_record.frames[3].density
+        truth = small_record.densities[3]
         pred = truth.copy()
         pred[0] = -0.5  # must be clamped in the output
         path = tmp_path / "snapshot_0.15.csv"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qwave import evolve as ev
+from qwave import spectral as sp
 from qwave.discretize import assemble_hamiltonian, harmonic_potential, laplacian, make_grid
 from qwave.errors import ConservationError
 from qwave.state import WaveState
@@ -48,15 +51,15 @@ class TestEvolutionConfig:
     def test_zero_steps_allowed(self):
         grid, h = _small_setup()
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=0), h)
-        assert len(record.frames) == 1
-        assert record.frames[0].time == 0.0
+        assert record.densities.shape == (1, grid.n_points)
+        assert record.times.tolist() == [0.0]
 
 
 class TestRunEvolution:
     def test_frame_count_and_times(self):
         grid, h = _small_setup()
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.1, n_steps=25), h)
-        assert len(record.frames) == 26
+        assert record.densities.shape == (26, grid.n_points)
         assert np.allclose(record.times, 0.1 * np.arange(26), atol=1e-12)
 
     def test_conservation_default_run(self, default_record):
@@ -72,9 +75,9 @@ class TestRunEvolution:
         grid, h = _small_setup()
         full = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=20), h)
         thin = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=20), h, record_stride=5)
-        assert len(thin.frames) == 5  # t = 0, 0.25, 0.5, 0.75, 1.0
+        assert len(thin.densities) == 5  # t = 0, 0.25, 0.5, 0.75, 1.0
         assert np.allclose(thin.times, full.times[::5])
-        assert np.allclose(thin.frames[-1].density, full.frames[-1].density)
+        assert np.allclose(thin.densities[-1], full.densities[-1])
 
     def test_record_stride_logs_worst_drift(self):
         # each thinned entry is the worst drift since the previous recorded frame;
@@ -84,7 +87,7 @@ class TestRunEvolution:
         full = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=20), h)
         thin = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=20), h, record_stride=s)
         assert thin.conservation_log[0] == full.conservation_log[0]
-        for j in range(1, len(thin.frames)):
+        for j in range(1, len(thin.densities)):
             window = full.conservation_log[(j - 1) * s + 1 : j * s + 1]
             assert thin.conservation_log[j] == np.max(window)
 
@@ -106,21 +109,64 @@ class TestRunEvolution:
     def test_unnormalized_initial_aborts(self):
         grid, h = _small_setup()
         bad = WaveState(np.full(grid.n_points, 0.5, dtype=complex), 0.0)
-        with pytest.raises(ConservationError):
+        with pytest.raises(ConservationError, match="at step 1 "):
             ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=3), h, initial=bad)
+
+    def test_abort_names_the_step_inside_a_block(self, monkeypatch):
+        # phases that lose 3e-9 of the norm per step cross the 1e-8 abort at
+        # step 4, mid-block, on a state that starts normalized
+        grid, h = _small_setup()
+        build = sp.build_propagator
+
+        def leaky(decomp, dt):
+            u = build(decomp, dt)
+            return sp.Propagator(u.dt, u.eigenvectors, u.phases * np.sqrt(1.0 - 3e-9))
+
+        monkeypatch.setattr(ev, "build_propagator", leaky)
+        with pytest.raises(ConservationError, match="at step 4 "):
+            ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=30), h)
+
+    def test_frames_match_direct_evaluation(self):
+        # every recorded frame of a 2000-step run against psi(t) in one shot
+        grid, h = _small_setup(n=200, a=-5.0, b=5.0)
+        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=2000), h)
+        psi0 = ev.gaussian_initial(grid)
+        worst = max(
+            float(np.max(np.abs(
+                row - np.abs(sp.propagate_direct(record.decomposition, psi0, t).amplitudes) ** 2
+            )))
+            for t, row in zip(record.times.tolist(), record.densities)
+        )
+        assert worst <= 1e-13
+        assert np.max(record.conservation_log) <= 1e-10
+
+    def test_never_builds_the_propagator_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("run_evolution read Propagator.matrix")
+
+        monkeypatch.setattr(sp.Propagator, "matrix", property(refuse))
+        grid, h = _small_setup()
+        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=40), h, record_stride=3)
+        assert record.densities.shape == (14, grid.n_points)
+
+    def test_density_matrix_is_the_table(self):
+        grid, h = _small_setup()
+        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=4), h)
+        assert record.density_matrix() is record.densities
+        assert not record.densities.flags.writeable
 
     def test_custom_initial_state(self):
         grid, h = _small_setup()
         psi = ev.gaussian_initial(grid)
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=2), h, initial=psi)
-        assert np.allclose(record.frames[0].density, np.abs(psi.amplitudes) ** 2)
+        assert np.allclose(record.densities[0], np.abs(psi.amplitudes) ** 2)
 
     def test_density_periodicity_small_grid(self):
         # breathing mode: |psi|^2 at t = pi matches t = 0 on a well-resolved grid
         grid, h = _small_setup(n=120)
         dt = np.pi / 100.0
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=dt, n_steps=100), h)
-        assert np.max(np.abs(record.frames[-1].density - record.frames[0].density)) < 1e-3
+        assert np.max(np.abs(record.densities[-1] - record.densities[0])) < 1e-3
 
 
 class TestFrameCsv:
@@ -158,9 +204,30 @@ class TestFrameCsv:
         path = tmp_path / "frames.csv"
         ev.write_frames_csv(record.times, record.density_matrix(), path)
         back = ev.record_from_frames_csv(grid, 0.05, "ell2", path)
-        assert len(back.frames) == 7
+        assert len(back.densities) == 7
         assert np.array_equal(back.density_matrix(), record.density_matrix())
         assert back.config.n_steps == 6
+
+    def test_rebuilt_record_has_no_conservation_log(self, tmp_path):
+        grid, h = _small_setup()
+        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=3), h)
+        path = tmp_path / "frames.csv"
+        ev.write_frames_csv(record.times, record.density_matrix(), path)
+        back = ev.record_from_frames_csv(grid, 0.05, "ell2", path)
+        assert back.conservation_log is None
+        with pytest.raises(ValueError, match="no conservation log"):
+            ev.write_conservation_csv(back, tmp_path / "conservation.csv")
+        assert not (tmp_path / "conservation.csv").exists()
+
+    def test_truncated_frames_csv_names_the_file(self, tmp_path):
+        grid, h = _small_setup()
+        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=3), h)
+        path = tmp_path / "frames.csv"
+        ev.write_frames_csv(record.times, record.density_matrix(), path)
+        text = path.read_text()
+        path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2])  # cut mid-row
+        with pytest.raises(ValueError, match="frames.csv is not a whole frame CSV"):
+            ev.read_frames_csv(path)
 
     def test_record_from_frames_csv_width_mismatch(self, tmp_path):
         grid, h = _small_setup()
@@ -170,3 +237,24 @@ class TestFrameCsv:
         other = make_grid(-4.0, 4.0, 50)
         with pytest.raises(ValueError):
             ev.record_from_frames_csv(other, 0.05, "ell2", path)
+
+
+# finite doubles, with the edge cases of 17-digit formatting spelled out
+_finite = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestBulkFormatting:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 6).flatmap(
+        lambda w: st.lists(st.lists(_finite, min_size=w + 1, max_size=w + 1), min_size=1, max_size=5)
+    ))
+    def test_rows_equal_the_per_value_join(self, tmp_path, table):
+        table = np.array(table)
+        path = tmp_path / "frames.csv"
+        ev.write_frames_csv(table[:, 0], table[:, 1:], path)
+        lines = path.read_text().splitlines()[1:]
+        assert lines == [",".join(f"{v:.17g}" for v in row) for row in table.tolist()]

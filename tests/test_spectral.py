@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qwave
@@ -206,6 +206,60 @@ class TestSolverProperties:
         _assert_solves(h, out.eigenvalues, out.eigenvectors, 1e-13)
 
 
+    def test_split_wilkinson_pairs(self):
+        # two W21+ split by a zero coupling: every eigenvalue is exactly double,
+        # beside the near-degenerate top pairs of each copy
+        w = np.abs(np.arange(21.0) - 10.0)
+        h = Hamiltonian(np.r_[w, w], np.r_[np.ones(20), 0.0, np.ones(20)])
+        out = sp.eigendecompose(h)
+        assert np.max(np.abs(out.eigenvalues[0::2] - out.eigenvalues[1::2])) < 1e-12
+        _assert_solves(h, out.eigenvalues, out.eigenvectors, 1e-13)
+
+
+# integers make exact zero pivots and zero couplings likely
+_band_entries = st.one_of(st.integers(-3, 3).map(float), _entries)
+
+
+@st.composite
+def _bands_and_probes(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.lists(_band_entries, min_size=n, max_size=n))
+    e = draw(st.lists(st.one_of(st.just(0.0), _band_entries), min_size=n - 1, max_size=n - 1))
+    probes = draw(st.lists(st.one_of(st.integers(-4, 4).map(float), _entries), min_size=1, max_size=20))
+    return Hamiltonian(np.array(d), np.array(e)), np.array(probes)
+
+
+class TestSturmCounts:
+    @given(_bands_and_probes())
+    def test_counts_match_dense_eigenvalues(self, case):
+        h, x = case
+        lam = np.linalg.eigvalsh(h.matrix)
+        scale = max(float(np.max(np.abs(h.matrix))), np.finfo(float).tiny)
+        x = np.sort(x[np.min(np.abs(x[:, None] - lam[None, :]), axis=1) >= 1e-8 * scale])
+        assume(x.size)
+        e = h.off_diagonal
+        counts = sp._sturm_counts(h.diagonal.tolist(), (e * e).tolist(), x)
+        assert counts.tolist() == np.searchsorted(lam, x).tolist()
+        assert np.all(np.diff(counts) >= 0)
+
+    def test_zero_pivots_count_by_sign_bit(self):
+        # at x = 0 the first pivot is +0 or -0; either way the next one is an
+        # infinity of the other sign and the count stays exact
+        e2 = [1.0, 1.0]
+        for first in (0.0, -0.0):
+            counts = sp._sturm_counts([first, 0.0, 5.0], e2, np.array([0.0]))
+            lam = np.linalg.eigvalsh(Hamiltonian(np.array([0.0, 0.0, 5.0]), np.ones(2)).matrix)
+            assert counts.tolist() == [int(np.count_nonzero(lam < 0.0))]
+
+    def test_probe_on_an_eigenvalue_of_a_split_band(self):
+        # x = 1 zeroes the pivot that ends the first block; dividing the zero
+        # coupling by it would give 0/0 and poison every later pivot
+        h = Hamiltonian(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0]))
+        lam = np.linalg.eigvalsh(h.matrix)
+        (count,) = sp._sturm_counts([1.0, 2.0, 3.0], [0.0, 1.0], np.array([1.0])).tolist()
+        assert np.count_nonzero(lam < 1.0) <= count <= np.count_nonzero(lam <= 1.0)
+
+
 class TestPropagator:
     def test_unitary(self, default_decomposition):
         u = sp.build_propagator(default_decomposition, 0.05)
@@ -225,6 +279,16 @@ class TestPropagator:
     def test_nonfinite_dt_rejected(self, default_decomposition):
         with pytest.raises(ValueError):
             sp.build_propagator(default_decomposition, float("nan"))
+
+    def test_factors_and_lazy_matrix(self):
+        d = sp.eigendecompose(_random_symmetric(10, 11))
+        u = sp.build_propagator(d, 0.3)
+        assert u.eigenvectors is d.eigenvectors
+        assert np.array_equal(u.phases, np.exp(-0.3j * d.eigenvalues))
+        assert "matrix" not in vars(u)  # not built until read
+        q = d.eigenvectors
+        assert np.max(np.abs(u.matrix - (q * u.phases) @ q.T)) < 1e-14
+        assert u.matrix is u.matrix
 
     def test_apply_advances_time(self):
         d = sp.eigendecompose(_random_symmetric(6, 8))

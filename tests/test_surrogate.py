@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qwave import dataset as dsm
@@ -588,6 +588,26 @@ class TestCheckpoint:
         assert back.seed == 11
         for k in sg.PARAM_KEYS:
             assert np.array_equal(back.params[k], model.params[k])
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                             -1.7976931348623157e308]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=sg._param_count(2, 1), max_size=sg._param_count(2, 1),
+    ))
+    def test_rows_equal_the_per_value_join(self, tmp_path, values):
+        model = sg.init_model(2, 1, 0)
+        model.params.flat[:] = values
+        path = tmp_path / "model.ckpt"
+        sg.save_checkpoint(model, path)
+        expected = ["input_dim=2", "hidden_dim=1", "seed=0"]
+        for key in sg.PARAM_KEYS:
+            expected.append(f"[{key}]")
+            expected += [" ".join(f"{v:.17g}" for v in row) for row in np.atleast_2d(model.params[key])]
+        assert path.read_text().splitlines() == expected
 
     def test_missing_section_rejected(self, tmp_path):
         model = sg.init_model(3, 2, 0)
