@@ -39,7 +39,6 @@ from .discretize import (
     harmonic_potential,
     laplacian,
     make_grid,
-    potential_on_grid,
 )
 from .errors import (
     ConfigError,
@@ -54,7 +53,6 @@ from .evolve import (
     EvolutionRecord,
     gaussian_initial,
     read_frames_csv,
-    record_from_frames,
     record_from_frames_csv,
     run_evolution,
     write_conservation_csv,

@@ -60,9 +60,8 @@ def _build_parser() -> _CleanArgumentParser:
         "--config", metavar="FILE", default=argparse.SUPPRESS, help="key=value config file"
     )
     for key in config_keys():
-        cast = _parse_clip if key == "training.clip" else key_type(key)
         common.add_argument(
-            f"--{key}", dest=_override_dest(key), metavar="V", type=cast,
+            f"--{key}", dest=_override_dest(key), metavar="V", type=key_type(key),
             default=argparse.SUPPRESS,
         )
 
@@ -109,27 +108,12 @@ def _override_dest(key: str) -> str:
     return "override_" + key.replace(".", "_")
 
 
-def _parse_clip(text: str) -> float | None:
-    if text.lower() == "none":
-        return None
-    return float(text)
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, cast: type) -> list:
+    """Comma-separated values of type cast; ConfigError naming flag otherwise."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [cast(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise ConfigError(f"{flag} must name at least one value")
-    return values
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+        raise ConfigError(f"{flag} expects comma-separated {cast.__name__}s, got {text!r}") from exc
     if not values:
         raise ConfigError(f"{flag} must name at least one value")
     return values
@@ -140,9 +124,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(config_path) if config_path else RunConfig()
     overrides = {}
     for key in config_keys():
-        value = getattr(args, _override_dest(key), None)
-        if value is not None:
-            overrides[key] = value
+        # an unset flag leaves no attribute; a set one may hold None (clip "none")
+        if hasattr(args, _override_dest(key)):
+            overrides[key] = getattr(args, _override_dest(key))
     return validate_config(apply_overrides(cfg, overrides))
 
 
@@ -175,16 +159,16 @@ def _load_frames(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return ev.read_frames_csv(path)
 
 
-def _load_split(
-    cfg: RunConfig, loaded: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[dsm.Scaler, dsm.SplitDataset]:
-    """Scaler and split from frames.csv, or from its (times, frames) when already read."""
-    times, frames = loaded or _load_frames(cfg)
-    scaler = dsm.load_scaler(_require(cfg, SCALER_FILE, "export-dataset"))
-    split = dsm.prepare_split(
-        frames, times, cfg.dataset_lookback, cfg.dataset_split_fraction, scaler
+def _load_scaler(cfg: RunConfig) -> dsm.Scaler:
+    return dsm.load_scaler(_require(cfg, SCALER_FILE, "export-dataset"))
+
+
+def _load_split(cfg: RunConfig) -> dsm.SplitDataset:
+    """The scaled, windowed and split frames.csv, as train and predict see it."""
+    times, frames = _load_frames(cfg)
+    return dsm.prepare_split(
+        frames, times, cfg.dataset_lookback, cfg.dataset_split_fraction, _load_scaler(cfg)
     )
-    return scaler, split
 
 
 def _load_predictions(cfg: RunConfig, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -210,24 +194,16 @@ def cmd_simulate(cfg: RunConfig, dump_eigen: bool = False) -> int:
     return 0
 
 
-def _record_from_csv(cfg: RunConfig, path: str) -> ev.EvolutionRecord:
+def _record(cfg: RunConfig) -> ev.EvolutionRecord:
+    """The simulated record, rebuilt from frames.csv."""
     grid = dz.make_grid(cfg.grid_a, cfg.grid_b, cfg.grid_n_points)
+    path = _require(cfg, FRAMES_FILE, "simulate")
     return ev.record_from_frames_csv(grid, cfg.evolution_dt, cfg.evolution_normalization_mode, path)
 
 
-def _record(cfg: RunConfig, loaded: tuple[np.ndarray, np.ndarray]) -> ev.EvolutionRecord:
-    """The simulated record from frames.csv's already-read (times, frames)."""
-    grid = dz.make_grid(cfg.grid_a, cfg.grid_b, cfg.grid_n_points)
-    path = os.path.join(cfg.io_output_dir, FRAMES_FILE)
-    return ev.record_from_frames(
-        grid, cfg.evolution_dt, cfg.evolution_normalization_mode, *loaded, source=path
-    )
-
-
 def cmd_table(cfg: RunConfig, times: list[float], indices: list[int]) -> int:
-    frames_path = os.path.join(cfg.io_output_dir, FRAMES_FILE)
-    if os.path.exists(frames_path):
-        record = _record_from_csv(cfg, frames_path)
+    if os.path.exists(os.path.join(cfg.io_output_dir, FRAMES_FILE)):
+        record = _record(cfg)
     else:
         record = _simulate(cfg)  # compute on the fly; nothing is written
     text = cp.render_table(record, times, indices)
@@ -238,23 +214,21 @@ def cmd_table(cfg: RunConfig, times: list[float], indices: list[int]) -> int:
 
 
 def cmd_export_dataset(cfg: RunConfig) -> int:
-    times, frames = _load_frames(cfg)
+    _, frames = _load_frames(cfg)
     n_fit = dsm.train_frame_count(len(frames), cfg.dataset_lookback, cfg.dataset_split_fraction)
     scaler = dsm.fit_scaler(frames[:n_fit])
     dsm.save_scaler(scaler, _out_path(cfg, SCALER_FILE))
-    split = dsm.prepare_split(
-        frames, times, cfg.dataset_lookback, cfg.dataset_split_fraction, scaler
-    )
+    # the train windows end at frame n_fit - 1; every later frame is a test target
     print(
         f"export-dataset: scaler fit on frames[0:{n_fit}] "
         f"(min {scaler.min:.6g}, max {scaler.max:.6g}); "
-        f"{len(split.train)} train / {len(split.test)} test pairs"
+        f"{n_fit - cfg.dataset_lookback} train / {len(frames) - n_fit} test pairs"
     )
     return 0
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    _, split = _load_split(cfg)
+    split = _load_split(cfg)
     model = sg.init_model(cfg.grid_n_points, cfg.training_hidden_dim, cfg.training_rng_seed)
     train_cfg = sg.TrainConfig(
         epochs=cfg.training_epochs,
@@ -273,7 +247,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig, mode: str) -> int:
-    _, split = _load_split(cfg)
+    split = _load_split(cfg)
     model = sg.load_checkpoint(_require(cfg, CHECKPOINT_FILE, "train"))
     if model.input_dim != cfg.grid_n_points:
         raise ConfigError(
@@ -291,9 +265,8 @@ def cmd_predict(cfg: RunConfig, mode: str) -> int:
 
 
 def cmd_compare(cfg: RunConfig, mode: str) -> int:
-    loaded = _load_frames(cfg)  # read once, for the split and the record
-    scaler, _ = _load_split(cfg, loaded)
-    record = _record(cfg, loaded)
+    record = _record(cfg)
+    scaler = _load_scaler(cfg)
     pred_times, preds = _load_predictions(cfg, mode)
     report = cp.build_report(record, preds, pred_times, scaler)
     cp.write_report_csv(report, _out_path(cfg, REPORT_FILE))
@@ -307,9 +280,8 @@ def cmd_compare(cfg: RunConfig, mode: str) -> int:
 
 
 def cmd_snapshot(cfg: RunConfig, times: list[float], mode: str) -> int:
-    loaded = _load_frames(cfg)  # read once, for the split and the record
-    scaler, _ = _load_split(cfg, loaded)
-    record = _record(cfg, loaded)
+    record = _record(cfg)
+    scaler = _load_scaler(cfg)
     pred_times, preds = _load_predictions(cfg, mode)
     physical = dsm.inverse_transform(scaler, preds)
     recorded = record.times
@@ -343,8 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table":
             return cmd_table(
                 cfg,
-                _parse_float_list(args.times, "--times"),
-                _parse_int_list(args.indices, "--indices"),
+                _parse_list(args.times, "--times", float),
+                _parse_list(args.indices, "--indices", int),
             )
         if args.command == "export-dataset":
             return cmd_export_dataset(cfg)
@@ -355,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(cfg, args.mode)
         if args.command == "snapshot":
-            return cmd_snapshot(cfg, _parse_float_list(args.times, "--times"), args.mode)
+            return cmd_snapshot(cfg, _parse_list(args.times, "--times", float), args.mode)
         raise ConfigError(f"unknown command {args.command!r}")
     except MissingArtifactError as exc:
         print(f"error: missing-artifact: {exc}", file=sys.stderr)

@@ -7,12 +7,19 @@ are rejected so typos fail fast instead of silently using a default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
-# key -> (field name, parser); the file format is untyped text
-_SCHEMA: dict[str, tuple[str, type]] = {
+
+def float_or_none(text: str) -> float | None:
+    """A float, or None for the sentinel `none` in any letter case."""
+    return None if text.strip().lower() == "none" else float(text)
+
+
+# key -> (field name, parser); the file format and the flags are untyped text
+_SCHEMA: dict[str, tuple[str, Callable[[str], object]]] = {
     "grid.a": ("grid_a", float),
     "grid.b": ("grid_b", float),
     "grid.n_points": ("grid_n_points", int),
@@ -25,10 +32,9 @@ _SCHEMA: dict[str, tuple[str, type]] = {
     "training.lr": ("training_lr", float),
     "training.hidden_dim": ("training_hidden_dim", int),
     "training.rng_seed": ("training_rng_seed", int),
-    "training.clip": ("training_clip", float),
+    "training.clip": ("training_clip", float_or_none),
     "io.output_dir": ("io_output_dir", str),
 }
-_FIELD_TO_KEY = {f: k for k, (f, _) in _SCHEMA.items()}
 
 
 @dataclass(frozen=True)
@@ -67,9 +73,6 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         field_name, cast = _SCHEMA[key]
         if field_name in values:
             raise ConfigError(f"{source}:{lineno}: duplicate config key {key!r}")
-        if key == "training.clip" and value.lower() == "none":
-            values[field_name] = None
-            continue
         try:
             values[field_name] = cast(value)
         except ValueError as exc:
@@ -157,5 +160,6 @@ def config_keys() -> tuple[str, ...]:
     return tuple(_SCHEMA)
 
 
-def key_type(key: str) -> type:
+def key_type(key: str) -> Callable[[str], object]:
+    """The parser of key's text, shared by the config file and its flag."""
     return _SCHEMA[key][1]

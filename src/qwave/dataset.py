@@ -40,7 +40,6 @@ class WindowedDataset:
     targets and target_times are copies.
     """
 
-    lookback: int
     inputs: np.ndarray  # (M, L, N), a read-only view of the frames
     targets: np.ndarray  # (M, N), a copy
     target_times: np.ndarray  # (M,), a copy
@@ -55,7 +54,6 @@ class SplitDataset:
 
     train: WindowedDataset
     test: WindowedDataset
-    split_fraction: float
 
 
 def fit_scaler(frames: np.ndarray) -> Scaler:
@@ -112,7 +110,7 @@ def windowize(frames: np.ndarray, lookback: int, times: np.ndarray | None = None
     inputs = np.lib.stride_tricks.sliding_window_view(frames, (lookback, frames.shape[1]))[:n_pairs, 0]
     targets = frames[lookback:].copy()
     target_times = times[lookback:].copy()
-    return WindowedDataset(lookback, inputs, targets, target_times)
+    return WindowedDataset(inputs, targets, target_times)
 
 
 def split(ds: WindowedDataset, fraction: float) -> SplitDataset:
@@ -120,13 +118,9 @@ def split(ds: WindowedDataset, fraction: float) -> SplitDataset:
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"split fraction must lie in (0, 1), got {fraction}")
     n_train = int(math.floor(fraction * len(ds)))
-    train = WindowedDataset(
-        ds.lookback, ds.inputs[:n_train], ds.targets[:n_train], ds.target_times[:n_train]
-    )
-    test = WindowedDataset(
-        ds.lookback, ds.inputs[n_train:], ds.targets[n_train:], ds.target_times[n_train:]
-    )
-    return SplitDataset(train, test, float(fraction))
+    train = WindowedDataset(ds.inputs[:n_train], ds.targets[:n_train], ds.target_times[:n_train])
+    test = WindowedDataset(ds.inputs[n_train:], ds.targets[n_train:], ds.target_times[n_train:])
+    return SplitDataset(train, test)
 
 
 def train_frame_count(n_frames: int, lookback: int, fraction: float) -> int:

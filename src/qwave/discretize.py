@@ -10,7 +10,6 @@ stored as their (diagonal, off_diagonal) bands, O(N) instead of O(N^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -99,17 +98,9 @@ def laplacian(grid: Grid) -> Laplacian:
     return Laplacian(np.full(grid.n_points, -2.0 * scale), np.full(grid.n_points - 1, scale))
 
 
-def potential_on_grid(grid: Grid, v: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Sample a potential function on the grid nodes."""
-    values = np.asarray(v(grid.nodes), dtype=float)
-    if values.shape != grid.nodes.shape:
-        raise ValueError(f"potential returned shape {values.shape}, expected {grid.nodes.shape}")
-    return values
-
-
 def harmonic_potential(grid: Grid) -> np.ndarray:
-    """V(x) = x^2 / 2, the shipped default potential."""
-    return potential_on_grid(grid, lambda x: 0.5 * x**2)
+    """V(x) = x^2 / 2 on the grid nodes, the shipped potential."""
+    return 0.5 * grid.nodes**2
 
 
 def assemble_hamiltonian(lap: Laplacian, potential: np.ndarray) -> Hamiltonian:

@@ -89,43 +89,27 @@ def gaussian_initial(grid: Grid, mode: str = "ell2") -> WaveState:
     return WaveState(amps, 0.0)
 
 
-def run_evolution(
-    config: EvolutionConfig,
-    h: Hamiltonian,
-    initial: WaveState | None = None,
-    record_stride: int = 1,
-) -> EvolutionRecord:
-    """Step the state n_steps times, recording a density frame per step.
+def run_evolution(config: EvolutionConfig, h: Hamiltonian) -> EvolutionRecord:
+    """Step the Gaussian packet n_steps times, recording a density frame per step.
 
-    The initial state defaults to the Gaussian packet in the configured
+    The initial state is the Gaussian packet in the configured
     normalization.  The coefficients c = Q^T psi step as c <- exp(-i lam dt) c;
     every step's psi = Q c is formed, in blocks of steps by two real GEMMs,
-    and its norm checked.  record_stride > 1 thins the recorded frames;
-    each logged drift is the worst over the steps since the previous
-    recorded frame, every one of which was formed.  Aborts with
-    ConservationError at the first step whose norm drifts by more than
-    1e-8 or is not finite, which signals a broken decomposition, not
-    rounding.
+    and its norm checked.  Aborts with ConservationError at the first step
+    whose norm drifts by more than 1e-8 or is not finite, which signals a
+    broken decomposition, not rounding.
     """
     if h.n != config.grid.n_points:
         raise ValueError(f"Hamiltonian order {h.n} does not match grid size {config.grid.n_points}")
-    if record_stride < 1:
-        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
 
-    psi = gaussian_initial(config.grid, config.normalization_mode) if initial is None else initial
+    psi = gaussian_initial(config.grid, config.normalization_mode)
     n = config.grid.n_points
-    if psi.amplitudes.shape != (n,):
-        raise ValueError(
-            f"initial state has {psi.amplitudes.shape[0]} amplitudes, "
-            f"grid has {n} nodes"
-        )
-
     decomp = eigendecompose(h)
     u = build_propagator(decomp, config.dt)
     q, phases = u.eigenvectors, u.phases
     weight = config.grid.dx if config.normalization_mode == "dx_weighted" else 1.0
 
-    times = psi.time + config.dt * np.arange(0, config.n_steps + 1, record_stride)
+    times = config.dt * np.arange(config.n_steps + 1)
     table = np.empty((times.size, n))
     log = np.empty(times.size)
     table[0] = density(psi)
@@ -135,20 +119,17 @@ def run_evolution(
     c.real, c.imag = q.T @ psi.amplitudes.real, q.T @ psi.amplitudes.imag
     steps = max(1, _STEP_BLOCK_ENTRIES // n)
     coeffs = np.empty((min(steps, config.n_steps), n), dtype=complex)
-    # the block's densities: rows of the table itself when every step is kept
-    scratch = None if record_stride == 1 else np.empty(coeffs.shape)
-    worst = 0.0
     for k0 in range(1, config.n_steps + 1, steps):
         m = min(steps, config.n_steps + 1 - k0)
         block = coeffs[:m]
         for row in block:  # c is the step before: the row above, or the last block's last row
             np.multiply(c, phases, out=row)
             c = row
-        dens = table[k0 : k0 + m] if scratch is None else scratch[:m]
+        dens, drifts = table[k0 : k0 + m], log[k0 : k0 + m]
         im = block.imag @ q.T
         np.square(block.real @ q.T, out=dens)
         dens += np.square(im, out=im)
-        drifts = np.abs(np.sum(dens, axis=1) * weight - 1.0)
+        np.abs(np.sum(dens, axis=1) * weight - 1.0, out=drifts)
         bad = np.flatnonzero(~(drifts <= _DRIFT_ABORT))
         if bad.size:
             k = k0 + int(bad[0])
@@ -156,14 +137,6 @@ def run_evolution(
                 f"norm drifted by {drifts[bad[0]]:.3e} at step {k} (t={k * config.dt:.4g}), "
                 f"beyond the {_DRIFT_ABORT:.0e} abort threshold"
             )
-        for j, drift in enumerate(drifts.tolist()):
-            worst = max(worst, drift)
-            k = k0 + j
-            if k % record_stride == 0:
-                log[k // record_stride] = worst
-                worst = 0.0
-                if scratch is not None:
-                    table[k // record_stride] = dens[j]
     table.setflags(write=False)
     times.setflags(write=False)
     return EvolutionRecord(config, times, table, log, decomp)
@@ -217,29 +190,18 @@ def write_conservation_csv(record: EvolutionRecord, path) -> None:
             fh.write(f"{t:.17g},{drift:.17g}\n")
 
 
-def record_from_frames(
-    grid: Grid, dt: float, normalization_mode: str, times: np.ndarray, frames: np.ndarray,
-    source: str,
+def record_from_frames_csv(
+    grid: Grid, dt: float, normalization_mode: str, path
 ) -> EvolutionRecord:
-    """Rebuild a record from frame-table arrays read from source, for
-    table/comparison use.
+    """Rebuild a record from the frame CSV at path, for table/comparison use.
 
     The frame table does not store the conservation log, so the rebuilt
     record has none (None); the real log lives in its own CSV.
     """
+    times, frames = read_frames_csv(path)
     if frames.shape[1] != grid.n_points:
-        raise ValueError(
-            f"{source} has {frames.shape[1]} columns, grid has {grid.n_points} nodes"
-        )
+        raise ValueError(f"{path} has {frames.shape[1]} columns, grid has {grid.n_points} nodes")
     config = EvolutionConfig(
         grid=grid, dt=dt, n_steps=max(len(times) - 1, 0), normalization_mode=normalization_mode
     )
     return EvolutionRecord(config, times, frames, None)
-
-
-def record_from_frames_csv(
-    grid: Grid, dt: float, normalization_mode: str, path
-) -> EvolutionRecord:
-    """record_from_frames on a frame CSV read from path."""
-    times, frames = read_frames_csv(path)
-    return record_from_frames(grid, dt, normalization_mode, times, frames, source=str(path))

@@ -59,6 +59,8 @@ _BLOCKS = ("W", "U", "b", "W_out", "b_out")
 # plus the scratch (5 x 128 kB) stay in a 2 MB L2 across its twelve passes,
 # and the scratch is one chunk instead of a whole parameter vector
 _ADAM_CHUNK = 16384
+# Adam's moment decay rates and denominator guard, Kingma & Ba's defaults
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 # training pairs per Adam update; lr's default (TrainConfig, RunConfig) was
 # chosen with it in a six-seed convergence sweep, so the two move together
@@ -153,9 +155,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     # scratch for one chunk, so a step allocates nothing
     _work: np.ndarray = field(init=False, repr=False)
@@ -170,7 +169,6 @@ class TrainConfig:
     rng_seed: int = 42  # seeds the per-epoch permutation of the training pairs
     lr: float = 2e-3
     clip_norm: float | None = None
-    eval_test: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -183,10 +181,9 @@ class TrainConfig:
 
 @dataclass
 class LossHistory:
-    """Per-epoch mean training MSE (scaled units; see train), optional test MSE."""
+    """Per-epoch mean training MSE (scaled units; see train)."""
 
     train_mse: list[float] = field(default_factory=list)
-    test_mse: list[float] | None = None
 
 
 @dataclass
@@ -387,21 +384,21 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     if bad is not None:
         raise NonFiniteError(f"non-finite gradient at index {bad}")
     state.step += 1
-    root_bc2 = math.sqrt(1.0 - state.beta2**state.step)
-    lr_k = state.lr * root_bc2 / (1.0 - state.beta1**state.step)
+    root_bc2 = math.sqrt(1.0 - _ADAM_BETA2**state.step)
+    lr_k = state.lr * root_bc2 / (1.0 - _ADAM_BETA1**state.step)
     for lo in range(0, theta.size, _ADAM_CHUNK):
         hi = min(lo + _ADAM_CHUNK, theta.size)
         m, v, g, tmp = state.m[lo:hi], state.v[lo:hi], grad[lo:hi], state._work[: hi - lo]
         # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=tmp)
+        m *= _ADAM_BETA1
+        np.multiply(g, 1.0 - _ADAM_BETA1, out=tmp)
         m += tmp
-        v *= state.beta2
+        v *= _ADAM_BETA2
         np.square(g, out=tmp)
-        tmp *= 1.0 - state.beta2
+        tmp *= 1.0 - _ADAM_BETA2
         v += tmp
         np.sqrt(v, out=tmp)
-        tmp += state.eps * root_bc2
+        tmp += _ADAM_EPS * root_bc2
         np.divide(m, tmp, out=tmp)
         tmp *= lr_k
         theta[lo:hi] -= tmp
@@ -440,7 +437,7 @@ def train(
     theta = work.params.flat
     theta[:] = model.params.flat
     state = init_adam(theta, lr=cfg.lr)
-    history = LossHistory(test_mse=[] if cfg.eval_test else None)
+    history = LossHistory()
     grads = Params(np.empty_like(theta), model.input_dim, model.hidden_dim)
     clipped = 0
     rng = np.random.default_rng(cfg.rng_seed)
@@ -468,19 +465,10 @@ def train(
                 clipped += 1
             adam_step(state, theta, grads.flat)
         history.train_mse.append(total / n_pairs)
-        if cfg.eval_test:
-            history.test_mse.append(evaluate(work, data.test))
 
     if clipped:
         log.warning("gradient clipping fired on %d of %d updates", clipped, state.step)
     return work, history
-
-
-def evaluate(model: SurrogateModel, ds) -> float:
-    """Mean one-step MSE over a windowed dataset (scaled units), in one batched pass."""
-    if len(ds) == 0:
-        return float("nan")
-    return mse(predict_one_step(model, ds.inputs), ds.targets)
 
 
 def predict_one_step(model: SurrogateModel, windows: np.ndarray) -> np.ndarray:
@@ -558,12 +546,8 @@ def load_checkpoint(path) -> SurrogateModel:
 
 
 def write_loss_csv(history: LossHistory, path) -> None:
-    """Loss CSV: epoch,train_mse[,test_mse]."""
-    with_test = history.test_mse is not None
+    """Loss CSV: epoch,train_mse."""
     with atomic_text(path) as fh:
-        fh.write("epoch,train_mse,test_mse\n" if with_test else "epoch,train_mse\n")
+        fh.write("epoch,train_mse\n")
         for epoch, loss in enumerate(history.train_mse, start=1):
-            if with_test:
-                fh.write(f"{epoch},{loss:.17g},{history.test_mse[epoch - 1]:.17g}\n")
-            else:
-                fh.write(f"{epoch},{loss:.17g}\n")
+            fh.write(f"{epoch},{loss:.17g}\n")

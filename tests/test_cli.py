@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qwave import cli
 from qwave import compare as cp
@@ -17,6 +19,7 @@ from qwave.config import (
     validate_config,
 )
 from qwave.errors import ConfigError
+from qwave.evolve import NORMALIZATION_MODES
 
 # small, fast settings exercising every pipeline stage
 FAST = [
@@ -29,6 +32,30 @@ FAST = [
 
 def _cli(out_dir, *argv):
     return cli.main([*FAST, "--io.output_dir", str(out_dir), *argv])
+
+
+# every finite float, with the edges of the format drawn explicitly
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_CONFIGS = st.builds(
+    RunConfig,
+    grid_a=_FLOATS,
+    grid_b=_FLOATS,
+    grid_n_points=st.integers(),
+    evolution_dt=_FLOATS,
+    evolution_n_steps=st.integers(),
+    evolution_normalization_mode=st.sampled_from(NORMALIZATION_MODES),
+    dataset_lookback=st.integers(),
+    dataset_split_fraction=_FLOATS,
+    training_epochs=st.integers(),
+    training_lr=_FLOATS,
+    training_hidden_dim=st.integers(),
+    training_rng_seed=st.integers(),
+    training_clip=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    io_output_dir=st.text("abcXYZ019._-/", min_size=1),
+)
 
 
 class TestConfigFile:
@@ -62,6 +89,23 @@ class TestConfigFile:
     def test_clip_none_sentinel(self):
         assert parse_config("training.clip=none\n").training_clip is None
         assert parse_config("training.clip=0.5\n").training_clip == 0.5
+
+    @given(_CONFIGS)
+    def test_parse_inverts_serialize(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_clip_flag_none_wins_over_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("training.clip=0.5\n")
+        parser = cli._build_parser()
+        args = parser.parse_args(["--config", str(path), "train"])
+        assert cli._resolve_config(args).training_clip == 0.5
+        args = parser.parse_args(["--config", str(path), "train", "--training.clip", "none"])
+        assert cli._resolve_config(args).training_clip is None
+
+    def test_bad_flag_value_names_the_flag(self, capsys):
+        assert cli.main(["--training.clip", "tight", "train"]) == 1
+        assert "--training.clip" in capsys.readouterr().err
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -128,8 +172,8 @@ class TestPipeline:
         assert reports["--mode rollout"] != reports[""]
         # the rollout report is the one built from pred_rollout.csv
         cfg = RunConfig(grid_n_points=40, evolution_n_steps=30, io_output_dir=str(out))
-        scaler, _ = cli._load_split(cfg)
-        record = cli._record_from_csv(cfg, str(out / "frames.csv"))
+        scaler = dsm.load_scaler(out / "scaler.txt")
+        record = cli._record(cfg)
         times, preds = ev.read_frames_csv(out / "pred_rollout.csv")
         expected = tmp_path / "expected.csv"
         cp.write_report_csv(cp.build_report(record, preds, times, scaler), expected)
@@ -225,7 +269,7 @@ class TestPipeline:
                 def stacked(frames, lookback, times=None):
                     ds = windowize(frames, lookback, times)
                     return dsm.WindowedDataset(
-                        lookback, np.stack(list(ds.inputs)), ds.targets, ds.target_times
+                        np.stack(list(ds.inputs)), ds.targets, ds.target_times
                     )
 
                 monkeypatch.setattr(dsm, "windowize", stacked)

@@ -43,6 +43,16 @@ class TestFrameMetrics:
         pred = np.array([1.0, 1.0, 0.0, 0.0])  # tie at 0 and 1 -> index 0
         assert cp.frame_metrics(pred, truth, 0.0).peak_position_err == 1
 
+    def test_peak_ignores_rounding_between_mirror_cells(self):
+        # a mirror-symmetric truth whose right central cell is one ulp larger:
+        # argmax would pick cell 4, but both cells are within 1e-8 of the peak
+        truth = np.exp(-((np.arange(8) - 3.5) ** 2))
+        truth[4] = np.nextafter(truth[4], 1.0)
+        assert np.argmax(truth) == 4
+        pred = np.zeros(8)
+        pred[3] = 1.0
+        assert cp.frame_metrics(pred, truth, 0.0).peak_position_err == 0
+
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             cp.frame_metrics(np.zeros(3), np.zeros(4), 0.0)

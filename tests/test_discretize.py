@@ -62,16 +62,6 @@ class TestPotential:
         assert np.min(v) >= 0.0
         assert np.allclose(v, 0.5 * grid.nodes**2)
 
-    def test_custom_potential_hook(self):
-        grid = dz.make_grid(0.0, 1.0, 5)
-        v = dz.potential_on_grid(grid, lambda x: 3.0 * x)
-        assert np.allclose(v, 3.0 * grid.nodes)
-
-    def test_wrong_shape_rejected(self):
-        grid = dz.make_grid(0.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            dz.potential_on_grid(grid, lambda x: np.ones(3))
-
 
 class TestHamiltonian:
     def test_assembly_formula(self):

@@ -71,25 +71,15 @@ class TestRunEvolution:
         record = ev.run_evolution(cfg, h)
         assert np.max(record.conservation_log) <= 1e-10
 
-    def test_record_stride_thins_frames(self):
-        grid, h = _small_setup()
-        full = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=20), h)
-        thin = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=20), h, record_stride=5)
-        assert len(thin.densities) == 5  # t = 0, 0.25, 0.5, 0.75, 1.0
-        assert np.allclose(thin.times, full.times[::5])
-        assert np.allclose(thin.densities[-1], full.densities[-1])
-
-    def test_record_stride_logs_worst_drift(self):
-        # each thinned entry is the worst drift since the previous recorded frame;
-        # at 64 points the per-step drift is not monotone, so the two differ
-        grid, h = _small_setup(n=64)
-        s = 4
-        full = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=20), h)
-        thin = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=20), h, record_stride=s)
-        assert thin.conservation_log[0] == full.conservation_log[0]
-        for j in range(1, len(thin.densities)):
-            window = full.conservation_log[(j - 1) * s + 1 : j * s + 1]
-            assert thin.conservation_log[j] == np.max(window)
+    @pytest.mark.parametrize("mode", ev.NORMALIZATION_MODES)
+    def test_log_holds_each_steps_drift(self, mode):
+        # one entry per frame, |sum of that frame's density (times dx) - 1|,
+        # over four blocks of 81 steps
+        grid, h = _small_setup(n=400)
+        record = ev.run_evolution(ev.EvolutionConfig(grid, 0.05, 300, normalization_mode=mode), h)
+        weight = grid.dx if mode == "dx_weighted" else 1.0
+        drifts = np.abs(np.sum(record.densities, axis=1) * weight - 1.0)
+        assert np.array_equal(record.conservation_log, drifts)
 
     def test_record_keeps_its_decomposition(self):
         grid, h = _small_setup()
@@ -101,16 +91,12 @@ class TestRunEvolution:
         with pytest.raises(ValueError):
             ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=1), default_hamiltonian)
 
-    def test_bad_stride_rejected(self):
-        grid, h = _small_setup()
-        with pytest.raises(ValueError):
-            ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=1), h, record_stride=0)
-
-    def test_unnormalized_initial_aborts(self):
+    def test_unnormalized_initial_aborts(self, monkeypatch):
         grid, h = _small_setup()
         bad = WaveState(np.full(grid.n_points, 0.5, dtype=complex), 0.0)
+        monkeypatch.setattr(ev, "gaussian_initial", lambda grid, mode: bad)
         with pytest.raises(ConservationError, match="at step 1 "):
-            ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=3), h, initial=bad)
+            ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=3), h)
 
     def test_abort_names_the_step_inside_a_block(self, monkeypatch):
         # phases that lose 3e-9 of the norm per step cross the 1e-8 abort at
@@ -146,8 +132,8 @@ class TestRunEvolution:
 
         monkeypatch.setattr(sp.Propagator, "matrix", property(refuse))
         grid, h = _small_setup()
-        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=40), h, record_stride=3)
-        assert record.densities.shape == (14, grid.n_points)
+        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=40), h)
+        assert record.densities.shape == (41, grid.n_points)
 
     def test_density_matrix_is_the_table(self):
         grid, h = _small_setup()
@@ -158,7 +144,7 @@ class TestRunEvolution:
     def test_custom_initial_state(self):
         grid, h = _small_setup()
         psi = ev.gaussian_initial(grid)
-        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=2), h, initial=psi)
+        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=2), h)
         assert np.allclose(record.densities[0], np.abs(psi.amplitudes) ** 2)
 
     def test_density_periodicity_small_grid(self):
