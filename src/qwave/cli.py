@@ -31,7 +31,7 @@ from .config import (
     serialize_config,
     validate_config,
 )
-from .errors import ConfigError, MissingArtifactError, NumericalError
+from .errors import ConfigError, FrameCountError, MissingArtifactError, NumericalError
 
 log = logging.getLogger(__name__)
 
@@ -154,29 +154,101 @@ def _simulate(cfg: RunConfig) -> ev.EvolutionRecord:
     return ev.run_evolution(run, h)
 
 
-def _load_frames(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+def _n_frames(cfg: RunConfig) -> int:
+    return cfg.evolution_n_steps + 1
+
+
+def _n_fit(cfg: RunConfig) -> int:
+    """Leading frames of the train windows; frames n_fit onward are the test targets."""
+    return dsm.train_frame_count(_n_frames(cfg), cfg.dataset_lookback, cfg.dataset_split_fraction)
+
+
+def _clip_rows(start, stop, n: int) -> tuple[int, int]:
+    """[start, stop) moved inside [0, n), holding at least one row."""
+    start = int(min(max(start, 0), n - 1))
+    return start, int(min(max(stop, start + 1), n))
+
+
+def _rows_near(cfg: RunConfig, times: list[float]) -> tuple[int, int]:
+    """The frames.csv rows that span the frames nearest to times.
+
+    Row k is at t = k dt, so the frame nearest t is row floor(t/dt) or the
+    next; one more row on either side keeps the pick the whole table's
+    when t/dt rounds across an integer.
+    """
+    steps = np.floor(np.asarray(times, dtype=float) / cfg.evolution_dt)
+    if np.isnan(steps).any():
+        raise ConfigError(f"times must be numbers, got {list(times)}")
+    return _clip_rows(steps.min() - 1, steps.max() + 3, _n_frames(cfg))
+
+
+def _check_times(cfg: RunConfig, path: str, times: np.ndarray, first_step: int) -> None:
+    """Row j of times must be at (first_step + j) * evolution.dt exactly."""
+    expected = cfg.evolution_dt * np.arange(first_step, first_step + len(times))
+    bad = np.flatnonzero(times != expected)
+    if bad.size:
+        j = int(bad[0])
+        raise ConfigError(
+            f"{path} has t={float(times[j])!r} for step {first_step + j}, "
+            f"but evolution.dt={cfg.evolution_dt!r} puts it at t={float(expected[j])!r}"
+        )
+
+
+def _record(cfg: RunConfig, start: int = 0, stop: int | None = None) -> ev.EvolutionRecord:
+    """Rows [start, stop) of frames.csv (default: all) as a record.
+
+    frames.csv must hold evolution.n_steps + 1 rows, and the rows read must
+    lie at t = k * evolution.dt exactly; ConfigError names the key otherwise.
+    """
+    grid = dz.make_grid(cfg.grid_a, cfg.grid_b, cfg.grid_n_points)
     path = _require(cfg, FRAMES_FILE, "simulate")
-    return ev.read_frames_csv(path)
+    n = _n_frames(cfg)
+    try:
+        record = ev.record_from_frames_csv(
+            grid, cfg.evolution_dt, cfg.evolution_normalization_mode, path, start, stop, n
+        )
+    except FrameCountError as exc:
+        raise ConfigError(
+            f"{path} has {exc.rows} frames, but evolution.n_steps={n - 1} gives {n}"
+        ) from exc
+    _check_times(cfg, path, record.times, start)
+    return record
 
 
 def _load_scaler(cfg: RunConfig) -> dsm.Scaler:
     return dsm.load_scaler(_require(cfg, SCALER_FILE, "export-dataset"))
 
 
-def _load_split(cfg: RunConfig) -> dsm.SplitDataset:
-    """The scaled, windowed and split frames.csv, as train and predict see it."""
-    times, frames = _load_frames(cfg)
+def _load_split(cfg: RunConfig, start: int, stop: int) -> dsm.SplitDataset:
+    """The windows of frames.csv rows [start, stop), scaled and split as on the whole table."""
+    record = _record(cfg, start, stop)
     return dsm.prepare_split(
-        frames, times, cfg.dataset_lookback, cfg.dataset_split_fraction, _load_scaler(cfg)
+        record.densities, record.times, cfg.dataset_lookback, cfg.dataset_split_fraction,
+        _load_scaler(cfg), start, _n_frames(cfg),
     )
 
 
-def _load_predictions(cfg: RunConfig, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """(target times, scaled predictions) from the mode's prediction file."""
+def _load_predictions(
+    cfg: RunConfig, mode: str, start: int = 0, stop: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(target times, scaled predictions) in rows [start, stop) of the mode's prediction file.
+
+    Row j predicts frame n_fit + j, so the file must hold one row per test
+    frame, each at its frame's time; ConfigError names the keys otherwise.
+    """
     path = _require(cfg, PRED_FILES[mode], f"predict --mode {mode}")
-    times, preds = ev.read_frames_csv(path)
+    n_fit, n_test = _n_fit(cfg), _n_frames(cfg) - _n_fit(cfg)
+    try:
+        times, preds = ev.read_frames_csv(path, start, stop, n_test)
+    except FrameCountError as exc:
+        raise ConfigError(
+            f"{path} has {exc.rows} frames, but evolution.n_steps={cfg.evolution_n_steps}, "
+            f"dataset.lookback={cfg.dataset_lookback} and "
+            f"dataset.split_fraction={cfg.dataset_split_fraction!r} give {n_test} test frames"
+        ) from exc
     if preds.shape[1] != cfg.grid_n_points:
         raise ConfigError(f"{path} has {preds.shape[1]} columns, expected {cfg.grid_n_points}")
+    _check_times(cfg, path, times, n_fit + start)
     return times, preds
 
 
@@ -194,16 +266,9 @@ def cmd_simulate(cfg: RunConfig, dump_eigen: bool = False) -> int:
     return 0
 
 
-def _record(cfg: RunConfig) -> ev.EvolutionRecord:
-    """The simulated record, rebuilt from frames.csv."""
-    grid = dz.make_grid(cfg.grid_a, cfg.grid_b, cfg.grid_n_points)
-    path = _require(cfg, FRAMES_FILE, "simulate")
-    return ev.record_from_frames_csv(grid, cfg.evolution_dt, cfg.evolution_normalization_mode, path)
-
-
 def cmd_table(cfg: RunConfig, times: list[float], indices: list[int]) -> int:
     if os.path.exists(os.path.join(cfg.io_output_dir, FRAMES_FILE)):
-        record = _record(cfg)
+        record = _record(cfg, *_rows_near(cfg, times))
     else:
         record = _simulate(cfg)  # compute on the fly; nothing is written
     text = cp.render_table(record, times, indices)
@@ -214,21 +279,20 @@ def cmd_table(cfg: RunConfig, times: list[float], indices: list[int]) -> int:
 
 
 def cmd_export_dataset(cfg: RunConfig) -> int:
-    _, frames = _load_frames(cfg)
-    n_fit = dsm.train_frame_count(len(frames), cfg.dataset_lookback, cfg.dataset_split_fraction)
-    scaler = dsm.fit_scaler(frames[:n_fit])
+    n_fit = _n_fit(cfg)
+    scaler = dsm.fit_scaler(_record(cfg, 0, n_fit).densities)
     dsm.save_scaler(scaler, _out_path(cfg, SCALER_FILE))
     # the train windows end at frame n_fit - 1; every later frame is a test target
     print(
         f"export-dataset: scaler fit on frames[0:{n_fit}] "
         f"(min {scaler.min:.6g}, max {scaler.max:.6g}); "
-        f"{n_fit - cfg.dataset_lookback} train / {len(frames) - n_fit} test pairs"
+        f"{n_fit - cfg.dataset_lookback} train / {_n_frames(cfg) - n_fit} test pairs"
     )
     return 0
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    split = _load_split(cfg)
+    split = _load_split(cfg, 0, _n_fit(cfg))  # holds the train windows only
     model = sg.init_model(cfg.grid_n_points, cfg.training_hidden_dim, cfg.training_rng_seed)
     train_cfg = sg.TrainConfig(
         epochs=cfg.training_epochs,
@@ -247,7 +311,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig, mode: str) -> int:
-    split = _load_split(cfg)
+    split = _load_split(cfg, _n_fit(cfg) - cfg.dataset_lookback, _n_frames(cfg))  # test windows only
     model = sg.load_checkpoint(_require(cfg, CHECKPOINT_FILE, "train"))
     if model.input_dim != cfg.grid_n_points:
         raise ConfigError(
@@ -265,7 +329,7 @@ def cmd_predict(cfg: RunConfig, mode: str) -> int:
 
 
 def cmd_compare(cfg: RunConfig, mode: str) -> int:
-    record = _record(cfg)
+    record = _record(cfg, _n_fit(cfg))  # the test targets, the frames the predictions are at
     scaler = _load_scaler(cfg)
     pred_times, preds = _load_predictions(cfg, mode)
     report = cp.build_report(record, preds, pred_times, scaler)
@@ -280,9 +344,13 @@ def cmd_compare(cfg: RunConfig, mode: str) -> int:
 
 
 def cmd_snapshot(cfg: RunConfig, times: list[float], mode: str) -> int:
-    record = _record(cfg)
+    start, stop = _rows_near(cfg, times)
+    record = _record(cfg, start, stop)
     scaler = _load_scaler(cfg)
-    pred_times, preds = _load_predictions(cfg, mode)
+    n_fit = _n_fit(cfg)
+    pred_times, preds = _load_predictions(
+        cfg, mode, *_clip_rows(start - n_fit, stop - n_fit, _n_frames(cfg) - n_fit)
+    )
     physical = dsm.inverse_transform(scaler, preds)
     recorded = record.times
     for t in times:
@@ -293,7 +361,7 @@ def cmd_snapshot(cfg: RunConfig, times: list[float], mode: str) -> int:
         if abs(pred_times[j] - recorded[k]) > cfg.evolution_dt / 2:
             raise ConfigError(
                 f"t={t} is outside the predicted horizon "
-                f"[{pred_times[0]:.6g}, {pred_times[-1]:.6g}]"
+                f"[{n_fit * cfg.evolution_dt:.6g}, {cfg.evolution_n_steps * cfg.evolution_dt:.6g}]"
             )
         path = _out_path(cfg, f"snapshot_{recorded[k]:.2f}.csv")
         cp.write_snapshot_csv(record.config.grid, record.densities[k], physical[j], path)

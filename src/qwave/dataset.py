@@ -117,7 +117,10 @@ def split(ds: WindowedDataset, fraction: float) -> SplitDataset:
     """First floor(fraction * M) windows train, the rest test."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"split fraction must lie in (0, 1), got {fraction}")
-    n_train = int(math.floor(fraction * len(ds)))
+    return _split_at(ds, int(math.floor(fraction * len(ds))))
+
+
+def _split_at(ds: WindowedDataset, n_train: int) -> SplitDataset:
     train = WindowedDataset(ds.inputs[:n_train], ds.targets[:n_train], ds.target_times[:n_train])
     test = WindowedDataset(ds.inputs[n_train:], ds.targets[n_train:], ds.target_times[n_train:])
     return SplitDataset(train, test)
@@ -143,15 +146,27 @@ def prepare_split(
     lookback: int,
     fraction: float,
     scaler: Scaler,
+    first_row: int = 0,
+    n_frames: int | None = None,
 ) -> SplitDataset:
     """Scale raw frames, window them, and split chronologically.
 
-    Shared by the train, predict, and compare commands so all three see
-    byte-identical window construction.  The windows view the scaled
-    array made here, which no caller holds.
+    Shared by the train and predict commands so both see byte-identical
+    window construction.  The windows view the scaled array made here,
+    which no caller holds.
+
+    frames may be rows [first_row, first_row + len(frames)) of an
+    n_frames-row table (default: the whole table).  The split falls where
+    the whole table's does: the window starting at table row k trains iff
+    k < train_frame_count(n_frames, lookback, fraction) - lookback.  So rows
+    [0, n_fit) hold exactly the table's train windows and rows
+    [n_fit - lookback, n_frames) exactly its test windows, bitwise, since
+    transform is elementwise.
     """
-    scaled = transform(scaler, frames)
-    return split(windowize(scaled, lookback, times), fraction)
+    windows = windowize(transform(scaler, frames), lookback, times)
+    n_frames = len(frames) if n_frames is None else n_frames
+    n_train = train_frame_count(n_frames, lookback, fraction) - lookback - first_row
+    return _split_at(windows, min(max(n_train, 0), len(windows)))
 
 
 def save_scaler(scaler: Scaler, path) -> None:

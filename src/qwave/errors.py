@@ -9,6 +9,14 @@ class ConfigError(ValueError):
     """A run configuration key is unknown, malformed, or out of range."""
 
 
+class FrameCountError(ValueError):
+    """A frame table holds a different number of rows than its reader expects."""
+
+    def __init__(self, message: str, rows: int):
+        super().__init__(message)
+        self.rows = rows
+
+
 class NumericalError(RuntimeError):
     """Base class for failures of a numerical guarantee."""
 

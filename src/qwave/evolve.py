@@ -11,13 +11,14 @@ every recorded time.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import atomic_text
 from .discretize import Grid, Hamiltonian
-from .errors import ConservationError
+from .errors import ConservationError, FrameCountError
 from .spectral import SpectralDecomposition, build_propagator, eigendecompose
 from .state import WaveState, density
 
@@ -160,19 +161,51 @@ def write_frames_csv(times: np.ndarray, rows: np.ndarray, path) -> None:
             fh.write(fmt % (t, *row.tolist()))
 
 
-def read_frames_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a frame table back as (times, rows) arrays.
+def read_frames_csv(
+    path, start: int = 0, stop: int | None = None, n_rows: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read rows [start, stop) of a frame table (default: all) as (times, values) arrays.
 
-    Raises ValueError naming path if the file is not a whole frame table.
+    One pass streams the file.  Every row is checked to end in a newline
+    and to hold the header's field count, so a table cut short is refused
+    whatever range is asked for; only the rows in range are converted to
+    floats.  n_rows, when given, is the row count the table must have;
+    FrameCountError (a ValueError) says how many it has otherwise.
+
+    Raises ValueError naming path if the file is not a whole frame table or
+    the range does not lie inside it.
     """
+    rows = 0
+
+    def structured(fh, width):
+        nonlocal rows
+        for line in fh:
+            if line[-1:] != "\n":
+                raise ValueError(f"frame row {rows} is cut short")
+            if line.count(",") != width:
+                raise ValueError(f"frame row {rows} has {line.count(',') + 1} fields, not {width + 1}")
+            if start <= rows and (stop is None or rows < stop):
+                yield line
+            rows += 1
+
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("t,x_0"):
             raise ValueError(f"{path} is not a frame CSV (header {header[:40]!r})")
+        width = header.count(",")
+        lines = structured(fh, width)
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            first = next(lines, None)  # None: every row checked, none in range
+            if first is None:
+                data = np.empty((0, width + 1))
+            else:
+                data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path} is not a whole frame CSV: {exc}") from exc
+    if n_rows is not None and rows != n_rows:
+        raise FrameCountError(f"{path} has {rows} frame rows, expected {n_rows}", rows)
+    if not 0 <= start <= (rows if stop is None else stop) <= rows:
+        raise ValueError(f"rows [{start}, {stop}) are not inside the {rows} rows of {path}")
     return data[:, 0], data[:, 1:]
 
 
@@ -191,17 +224,26 @@ def write_conservation_csv(record: EvolutionRecord, path) -> None:
 
 
 def record_from_frames_csv(
-    grid: Grid, dt: float, normalization_mode: str, path
+    grid: Grid,
+    dt: float,
+    normalization_mode: str,
+    path,
+    start: int = 0,
+    stop: int | None = None,
+    n_rows: int | None = None,
 ) -> EvolutionRecord:
-    """Rebuild a record from the frame CSV at path, for table/comparison use.
+    """Rebuild a record from rows [start, stop) of the frame CSV at path (default: all).
 
-    The frame table does not store the conservation log, so the rebuilt
-    record has none (None); the real log lives in its own CSV.
+    start, stop and n_rows are read_frames_csv's.  The record holds exactly
+    those rows and their times; its config's n_steps is the step of its
+    last row.  The frame table does not store the conservation log, so the
+    rebuilt record has none (None); the real log lives in its own CSV.
     """
-    times, frames = read_frames_csv(path)
+    times, frames = read_frames_csv(path, start, stop, n_rows)
     if frames.shape[1] != grid.n_points:
         raise ValueError(f"{path} has {frames.shape[1]} columns, grid has {grid.n_points} nodes")
     config = EvolutionConfig(
-        grid=grid, dt=dt, n_steps=max(len(times) - 1, 0), normalization_mode=normalization_mode
+        grid=grid, dt=dt, n_steps=max(start + len(times) - 1, 0),
+        normalization_mode=normalization_mode,
     )
     return EvolutionRecord(config, times, frames, None)

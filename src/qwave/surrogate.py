@@ -515,8 +515,8 @@ def save_checkpoint(model: SurrogateModel, path) -> None:
 def load_checkpoint(path) -> SurrogateModel:
     """Read a save_checkpoint file; every section must match its parameter's shape."""
     header: dict[str, int] = {}
-    sections: dict[str, list[list[float]]] = {}
-    current: list[list[float]] | None = None
+    sections: dict[str, list[str]] = {}
+    current: list[str] | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -529,7 +529,7 @@ def load_checkpoint(path) -> SurrogateModel:
                 key, _, raw = line.partition("=")
                 header[key.strip()] = int(raw)
             else:
-                current.append([float(v) for v in line.split()])
+                current.append(line)
     missing = {"input_dim", "hidden_dim", "seed"} - set(header)
     if missing:
         raise ValueError(f"checkpoint {path} is missing header fields {sorted(missing)}")
@@ -540,7 +540,7 @@ def load_checkpoint(path) -> SurrogateModel:
         )
     model = SurrogateModel(header["input_dim"], header["hidden_dim"], header["seed"])
     for key, rows in sections.items():
-        tensor = np.array(rows, dtype=float)
+        tensor = np.loadtxt(rows, ndmin=2)
         model.params[key] = tensor.reshape(-1) if key.startswith("b_") else tensor
     return model
 

@@ -34,6 +34,15 @@ def _cli(out_dir, *argv):
     return cli.main([*FAST, "--io.output_dir", str(out_dir), *argv])
 
 
+@pytest.fixture(scope="module")
+def predicted_run(tmp_path_factory):
+    """An output directory after simulate, export-dataset, train and predict at FAST."""
+    out = tmp_path_factory.mktemp("run") / "out"
+    for argv in (["simulate"], ["export-dataset"], ["train"], ["predict"]):
+        assert _cli(out, *argv) == 0
+    return out
+
+
 # every finite float, with the edges of the format drawn explicitly
 _FLOATS = st.one_of(
     st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
@@ -244,9 +253,9 @@ class TestPipeline:
         reads = []
         real = ev.read_frames_csv
 
-        def counting(path):
+        def counting(path, *args):
             reads.append(os.path.basename(path))
-            return real(path)
+            return real(path, *args)
 
         monkeypatch.setattr(ev, "read_frames_csv", counting)
         assert _cli(out, "compare") == 0
@@ -331,6 +340,34 @@ class TestExitCodes:
         capsys.readouterr()
         assert _cli(out, "compare") == 1
         assert f"{path} is not a whole frame CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["table"], ["snapshot", "--times", "1.25"]])
+    def test_truncated_frames_csv_refused_outside_the_rows_read(self, tmp_path, capsys, argv):
+        # table reads rows [0, 23) and snapshot rows [24, 28) of 31; the cut is in row 30
+        out = tmp_path / "out"
+        for stage in (["simulate"], ["export-dataset"], ["train"], ["predict"]):
+            assert _cli(out, *stage) == 0
+        path = out / "frames.csv"
+        text = path.read_text()
+        path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2])
+        capsys.readouterr()
+        assert _cli(out, *argv) == 1
+        assert f"{path} is not a whole frame CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("evolution.n_steps", "40"), ("evolution.dt", "0.04")])
+    @pytest.mark.parametrize("stage", ["predict", "compare", "table"])
+    def test_frames_of_another_run_name_the_key(self, predicted_run, capsys, stage, key, value):
+        capsys.readouterr()
+        assert _cli(predicted_run, stage, f"--{key}", value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and key in err
+
+    @pytest.mark.parametrize("argv", [["compare"], ["snapshot", "--times", "1.4"]])
+    def test_predictions_of_another_split_name_the_keys(self, predicted_run, capsys, argv):
+        capsys.readouterr()
+        assert _cli(predicted_run, *argv, "--dataset.split_fraction", "0.5") == 1
+        err = capsys.readouterr().err
+        assert "pred_onestep.csv has 6 frames" in err and "dataset.split_fraction=0.5" in err
 
     def test_bad_times_syntax(self, tmp_path):
         out = tmp_path / "out"

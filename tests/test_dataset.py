@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qwave import dataset as dsm
+
+# every finite float, with the edges of the 17-digit format drawn explicitly
+_finite = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 class TestScaler:
@@ -32,6 +40,15 @@ class TestScaler:
         back = dsm.inverse_transform(s, dsm.transform(s, frames))
         assert np.max(np.abs(back - frames) / np.abs(frames)) < 1e-12
 
+    # positive frames at most 1e3 and at least 1e-200: below that, (v - min)/span
+    # underflows to subnormals and the relative error is no longer rounding's
+    @given(st.lists(st.floats(min_value=1e-200, max_value=1e3), min_size=1, max_size=40))
+    def test_inverse_is_within_rounding(self, values):
+        frames = np.array(values)
+        s = dsm.fit_scaler(frames)
+        back = dsm.inverse_transform(s, dsm.transform(s, frames))
+        np.testing.assert_allclose(back, frames, rtol=1e-12, atol=0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             dsm.Scaler(2.0, 1.0)
@@ -47,6 +64,15 @@ class TestScaler:
         back = dsm.load_scaler(path)
         assert back.min == s.min
         assert back.max == s.max
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_finite, _finite)
+    def test_sidecar_round_trips_any_finite_bounds(self, tmp_path, a, b):
+        s = dsm.Scaler(min(a, b), max(a, b))
+        path = tmp_path / "scaler.txt"
+        dsm.save_scaler(s, path)
+        back = dsm.load_scaler(path)
+        assert np.array([back.min, back.max]).tobytes() == np.array([s.min, s.max]).tobytes()
 
     def test_sidecar_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qwave import evolve as ev
 from qwave import spectral as sp
 from qwave.discretize import assemble_hamiltonian, harmonic_potential, laplacian, make_grid
-from qwave.errors import ConservationError
+from qwave.errors import ConservationError, FrameCountError
 from qwave.state import WaveState
 
 
@@ -215,6 +215,25 @@ class TestFrameCsv:
         with pytest.raises(ValueError, match="frames.csv is not a whole frame CSV"):
             ev.read_frames_csv(path)
 
+    def test_record_from_a_row_range(self, tmp_path):
+        grid, h = _small_setup()
+        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=6), h)
+        path = tmp_path / "frames.csv"
+        ev.write_frames_csv(record.times, record.density_matrix(), path)
+        back = ev.record_from_frames_csv(grid, 0.05, "ell2", path, 2, 5, n_rows=7)
+        assert np.array_equal(back.times, record.times[2:5])
+        assert np.array_equal(back.densities, record.densities[2:5])
+        assert back.config.n_steps == 4  # the step of its last row
+
+    def test_row_count_and_range_checked(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        ev.write_frames_csv(np.arange(4.0), np.ones((4, 3)), path)
+        with pytest.raises(FrameCountError, match="has 4 frame rows, expected 5") as info:
+            ev.read_frames_csv(path, 0, 2, n_rows=5)
+        assert info.value.rows == 4
+        with pytest.raises(ValueError, match=r"rows \[2, 5\) are not inside the 4 rows"):
+            ev.read_frames_csv(path, 2, 5)
+
     def test_record_from_frames_csv_width_mismatch(self, tmp_path):
         grid, h = _small_setup()
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=2), h)
@@ -244,3 +263,45 @@ class TestBulkFormatting:
         ev.write_frames_csv(table[:, 0], table[:, 1:], path)
         lines = path.read_text().splitlines()[1:]
         assert lines == [",".join(f"{v:.17g}" for v in row) for row in table.tolist()]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_tables = st.integers(1, 5).flatmap(
+    lambda w: st.lists(st.lists(_finite, min_size=w + 1, max_size=w + 1), min_size=1, max_size=8)
+)
+
+
+class TestFrameRanges:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_tables, st.data())
+    def test_range_read_is_the_whole_read_sliced(self, tmp_path, table, data):
+        table = np.array(table)
+        path = tmp_path / "frames.csv"
+        ev.write_frames_csv(table[:, 0], table[:, 1:], path)
+        times, rows = ev.read_frames_csv(path)
+        assert _same_bits(np.column_stack([times, rows]), table)
+        n = len(table)
+        start = data.draw(st.integers(0, n), label="start")
+        stop = data.draw(st.integers(start, n), label="stop")
+        part_times, part_rows = ev.read_frames_csv(path, start, stop, n_rows=n)
+        assert _same_bits(part_times, times[start:stop])
+        assert _same_bits(part_rows, rows[start:stop])
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_tables, st.data())
+    def test_cut_inside_the_last_row_is_refused_for_every_range(self, tmp_path, table, data):
+        table = np.array(table)
+        path = tmp_path / "frames.csv"
+        ev.write_frames_csv(table[:, 0], table[:, 1:], path)
+        text = path.read_bytes()
+        last = text.rstrip(b"\n").rfind(b"\n") + 1  # the last row's first byte
+        path.write_bytes(text[: data.draw(st.integers(last + 1, len(text) - 1), label="cut")])
+        n = len(table)
+        start = data.draw(st.integers(0, n), label="start")
+        stop = data.draw(st.integers(start, n), label="stop")
+        for rows in ((), (start, stop), (0, 1)):  # whole, random, head only
+            with pytest.raises(ValueError, match="frames.csv is not a whole frame CSV"):
+                ev.read_frames_csv(path, *rows)

@@ -570,6 +570,17 @@ class TestPredict:
         assert out.shape == (len(split.test), 12)
 
 
+# one value per parameter of a (2, 1) model, the edges of the 17-digit format drawn explicitly
+_PARAM_VALUES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                         -1.7976931348623157e308]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=sg._param_count(2, 1), max_size=sg._param_count(2, 1),
+)
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = sg.init_model(6, 4, 11)
@@ -583,14 +594,7 @@ class TestCheckpoint:
             assert np.array_equal(back.params[k], model.params[k])
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(
-        st.one_of(
-            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
-                             -1.7976931348623157e308]),
-            st.floats(allow_nan=False, allow_infinity=False),
-        ),
-        min_size=sg._param_count(2, 1), max_size=sg._param_count(2, 1),
-    ))
+    @given(_PARAM_VALUES)
     def test_rows_equal_the_per_value_join(self, tmp_path, values):
         model = sg.init_model(2, 1, 0)
         model.params.flat[:] = values
@@ -601,6 +605,15 @@ class TestCheckpoint:
             expected.append(f"[{key}]")
             expected += [" ".join(f"{v:.17g}" for v in row) for row in np.atleast_2d(model.params[key])]
         assert path.read_text().splitlines() == expected
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_PARAM_VALUES)
+    def test_read_back_bitwise(self, tmp_path, values):
+        model = sg.init_model(2, 1, 0)
+        model.params.flat[:] = values
+        path = tmp_path / "model.ckpt"
+        sg.save_checkpoint(model, path)
+        assert sg.load_checkpoint(path).params.flat.tobytes() == model.params.flat.tobytes()
 
     def test_missing_section_rejected(self, tmp_path):
         model = sg.init_model(3, 2, 0)
