@@ -28,12 +28,9 @@ from .config import (
     config_keys,
     key_type,
     load_config,
-    serialize_config,
     validate_config,
 )
 from .errors import ConfigError, FrameCountError, MissingArtifactError, NumericalError
-
-log = logging.getLogger(__name__)
 
 FRAMES_FILE = "frames.csv"
 CONSERVATION_FILE = "conservation.csv"
@@ -46,10 +43,24 @@ EIGEN_FILE = "eigen.csv"
 
 
 class _CleanArgumentParser(argparse.ArgumentParser):
-    """argparse that raises ConfigError instead of exiting with status 2."""
+    """argparse that raises ConfigError instead of exiting with status 2, and
+    takes the token after a flag as its value even when it starts with '-',
+    as in `--grid.a -5e0` or `--times -1,0.5`, which argparse alone reads as
+    two flags.  A token that is itself a flag of this parser stays a flag."""
 
     def error(self, message):
         raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        flags = self._option_string_actions
+        bound = []
+        for arg in sys.argv[1:] if args is None else args:
+            action = flags.get(bound[-1]) if bound else None
+            if action is not None and action.nargs != 0 and arg.startswith("-") and arg not in flags:
+                bound[-1] += "=" + arg
+            else:
+                bound.append(arg)
+        return super().parse_known_args(bound, namespace)
 
 
 def _build_parser() -> _CleanArgumentParser:
@@ -254,7 +265,7 @@ def _load_predictions(
 
 def cmd_simulate(cfg: RunConfig, dump_eigen: bool = False) -> int:
     record = _simulate(cfg)
-    ev.write_frames_csv(record.times, record.density_matrix(), _out_path(cfg, FRAMES_FILE))
+    ev.write_frames_csv(record.times, record.densities, _out_path(cfg, FRAMES_FILE))
     ev.write_conservation_csv(record, _out_path(cfg, CONSERVATION_FILE))
     if dump_eigen:
         sp.write_eigen_csv(record.decomposition, _out_path(cfg, EIGEN_FILE))
@@ -313,11 +324,12 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig, mode: str) -> int:
     split = _load_split(cfg, _n_fit(cfg) - cfg.dataset_lookback, _n_frames(cfg))  # test windows only
     model = sg.load_checkpoint(_require(cfg, CHECKPOINT_FILE, "train"))
-    if model.input_dim != cfg.grid_n_points:
-        raise ConfigError(
-            f"checkpoint input_dim {model.input_dim} does not match grid.n_points "
-            f"{cfg.grid_n_points}"
-        )
+    for field, got, key, want in (
+        ("input_dim", model.input_dim, "grid.n_points", cfg.grid_n_points),
+        ("hidden_dim", model.hidden_dim, "training.hidden_dim", cfg.training_hidden_dim),
+    ):
+        if got != want:
+            raise ConfigError(f"checkpoint {field} {got} does not match {key} {want}")
     if mode == "one-step":
         preds = sg.predict_one_step(model, split.test.inputs)
     else:

@@ -113,13 +113,6 @@ def windowize(frames: np.ndarray, lookback: int, times: np.ndarray | None = None
     return WindowedDataset(inputs, targets, target_times)
 
 
-def split(ds: WindowedDataset, fraction: float) -> SplitDataset:
-    """First floor(fraction * M) windows train, the rest test."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"split fraction must lie in (0, 1), got {fraction}")
-    return _split_at(ds, int(math.floor(fraction * len(ds))))
-
-
 def _split_at(ds: WindowedDataset, n_train: int) -> SplitDataset:
     train = WindowedDataset(ds.inputs[:n_train], ds.targets[:n_train], ds.target_times[:n_train])
     test = WindowedDataset(ds.inputs[n_train:], ds.targets[n_train:], ds.target_times[n_train:])

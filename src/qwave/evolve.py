@@ -19,8 +19,7 @@ import numpy as np
 from .artifacts import atomic_text
 from .discretize import Grid, Hamiltonian
 from .errors import ConservationError, FrameCountError
-from .spectral import SpectralDecomposition, build_propagator, eigendecompose
-from .state import WaveState, density
+from .spectral import Propagator, SpectralDecomposition, build_propagator, eigendecompose
 
 NORMALIZATION_MODES = ("ell2", "dx_weighted")
 
@@ -72,12 +71,12 @@ class EvolutionRecord:
         return self.densities
 
 
-def gaussian_initial(grid: Grid, mode: str = "ell2") -> WaveState:
+def gaussian_initial(grid: Grid, mode: str = "ell2") -> np.ndarray:
     """Normalized Gaussian packet psi_i = exp(-x_i^2) / norm at t = 0.
 
-    mode "ell2" divides by sqrt(sum exp(-2 x^2)) so sum |psi|^2 = 1;
-    "dx_weighted" divides by sqrt(sum exp(-2 x^2) dx) so
-    sum |psi|^2 dx = 1.
+    Returns the real, read-only (N,) amplitude vector.  mode "ell2"
+    divides by sqrt(sum exp(-2 x^2)) so sum psi^2 = 1; "dx_weighted"
+    divides by sqrt(sum exp(-2 x^2) dx) so sum psi^2 dx = 1.
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"normalization_mode must be one of {NORMALIZATION_MODES}, got {mode!r}")
@@ -85,51 +84,64 @@ def gaussian_initial(grid: Grid, mode: str = "ell2") -> WaveState:
     norm_sq = np.sum(raw**2)
     if mode == "dx_weighted":
         norm_sq = norm_sq * grid.dx
-    amps = (raw / np.sqrt(norm_sq)).astype(complex)
-    amps.setflags(write=False)
-    return WaveState(amps, 0.0)
+    psi = raw / np.sqrt(norm_sq)
+    psi.setflags(write=False)
+    return psi
+
+
+def _stepped_states(u: Propagator, psi0: np.ndarray, n_steps: int):
+    """Yield (k0, re, im) for steps 1..n_steps in blocks: row j of re and im
+    holds Re psi and Im psi of step k0 + j.
+
+    The coefficients c = Q^T psi0 step as c <- exp(-i lam dt) c, and each
+    block of max(1, _STEP_BLOCK_ENTRIES // N) steps forms psi = Q c by two
+    real GEMMs.  A block is freed before the next one is formed as long as
+    the caller drops its own references to re and im first.
+    """
+    q, phases = u.eigenvectors, u.phases
+    steps = max(1, _STEP_BLOCK_ENTRIES // u.n)
+    c = q.T @ psi0
+    coeffs = np.empty((min(steps, n_steps), u.n), dtype=complex)
+    for k0 in range(1, n_steps + 1, steps):
+        block = coeffs[: min(steps, n_steps + 1 - k0)]
+        for row in block:  # c is the step before: the row above, or the last block's last row
+            np.multiply(c, phases, out=row)
+            c = row
+        im = block.imag @ q.T
+        re = block.real @ q.T
+        yield k0, re, im
+        del re, im
 
 
 def run_evolution(config: EvolutionConfig, h: Hamiltonian) -> EvolutionRecord:
     """Step the Gaussian packet n_steps times, recording a density frame per step.
 
     The initial state is the Gaussian packet in the configured
-    normalization.  The coefficients c = Q^T psi step as c <- exp(-i lam dt) c;
-    every step's psi = Q c is formed, in blocks of steps by two real GEMMs,
-    and its norm checked.  Aborts with ConservationError at the first step
-    whose norm drifts by more than 1e-8 or is not finite, which signals a
-    broken decomposition, not rounding.
+    normalization.  _stepped_states forms every step's psi, and each
+    step's density and norm drift go straight into the record.  Aborts
+    with ConservationError at the first step whose norm drifts by more
+    than 1e-8 or is not finite, which signals a broken decomposition, not
+    rounding.
     """
     if h.n != config.grid.n_points:
         raise ValueError(f"Hamiltonian order {h.n} does not match grid size {config.grid.n_points}")
 
-    psi = gaussian_initial(config.grid, config.normalization_mode)
-    n = config.grid.n_points
+    psi0 = gaussian_initial(config.grid, config.normalization_mode)
     decomp = eigendecompose(h)
     u = build_propagator(decomp, config.dt)
-    q, phases = u.eigenvectors, u.phases
     weight = config.grid.dx if config.normalization_mode == "dx_weighted" else 1.0
 
     times = config.dt * np.arange(config.n_steps + 1)
-    table = np.empty((times.size, n))
+    table = np.empty((times.size, config.grid.n_points))
     log = np.empty(times.size)
-    table[0] = density(psi)
+    np.square(psi0, out=table[0])
     log[0] = abs(float(np.sum(table[0])) * weight - 1.0)
 
-    c = np.empty(n, dtype=complex)
-    c.real, c.imag = q.T @ psi.amplitudes.real, q.T @ psi.amplitudes.imag
-    steps = max(1, _STEP_BLOCK_ENTRIES // n)
-    coeffs = np.empty((min(steps, config.n_steps), n), dtype=complex)
-    for k0 in range(1, config.n_steps + 1, steps):
-        m = min(steps, config.n_steps + 1 - k0)
-        block = coeffs[:m]
-        for row in block:  # c is the step before: the row above, or the last block's last row
-            np.multiply(c, phases, out=row)
-            c = row
-        dens, drifts = table[k0 : k0 + m], log[k0 : k0 + m]
-        im = block.imag @ q.T
-        np.square(block.real @ q.T, out=dens)
+    for k0, re, im in _stepped_states(u, psi0, config.n_steps):
+        dens, drifts = table[k0 : k0 + len(re)], log[k0 : k0 + len(re)]
+        np.square(re, out=dens)
         dens += np.square(im, out=im)
+        del re, im  # so the generator frees this block before forming the next
         np.abs(np.sum(dens, axis=1) * weight - 1.0, out=drifts)
         bad = np.flatnonzero(~(drifts <= _DRIFT_ABORT))
         if bad.size:

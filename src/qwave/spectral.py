@@ -24,8 +24,9 @@ is skipped.
 
 The propagator is then exactly U(dt) = Q diag(exp(-i lam dt)) Q^T, so
 repeated stepping carries no splitting error and stays unitary to
-rounding.  It is kept as its factors, Q and the phases; the dense N x N
-complex U is built only when `Propagator.matrix` is read.
+rounding.  It is kept as its factors, Q and the phases, which the step
+loop of `evolve` applies in the eigenbasis; the dense N x N complex U is
+built only when `Propagator.matrix` is read, by unitarity checks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 from .artifacts import atomic_text
 from .discretize import Hamiltonian
 from .errors import ConvergenceError
-from .state import WaveState
 
 _EPS = float(np.finfo(float).eps)
 # interior test points per interval and sweep: a sweep cuts each interval
@@ -57,8 +57,8 @@ _RESIDUAL_BOUND = 1e-10
 # eigenvector entries within this relative distance of their column's
 # largest magnitude tie for the sign anchor
 _SIGN_TIE = 1e-8
-# entries of one work array: the LU bands, the residual check and the
-# propagator build hold N x (this // N) values at a time
+# entries of one work array: the LU bands and the residual check hold
+# N x (this // N) values at a time
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -79,7 +79,6 @@ class Propagator:
     """One-timestep unitary U(dt) = Q exp(-i lam dt) Q^T, kept as its factors:
     the eigenvector columns Q and the phases exp(-i lam dt)."""
 
-    dt: float
     eigenvectors: np.ndarray
     phases: np.ndarray
 
@@ -89,19 +88,8 @@ class Propagator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense U, built on first use.
-
-        Re U = Q diag(cos lam dt) Q^T and Im U = -Q diag(sin lam dt) Q^T are
-        two real GEMMs per block of rows, written straight into U: no complex
-        copy of Q and no N x N temporary is made.
-        """
-        q, n = self.eigenvectors, self.n
-        u = np.empty((n, n), dtype=complex)
-        rows = max(1, _BLOCK_ENTRIES // n)
-        for r0 in range(0, n, rows):
-            block = q[r0 : r0 + rows]
-            u.real[r0 : r0 + rows] = (block * self.phases.real) @ q.T
-            u.imag[r0 : r0 + rows] = (block * self.phases.imag) @ q.T
+        """Dense U = (Q diag(phases)) Q^T, built on first use."""
+        u = (self.eigenvectors * self.phases) @ self.eigenvectors.T
         u.setflags(write=False)
         return u
 
@@ -359,36 +347,7 @@ def build_propagator(decomp: SpectralDecomposition, dt: float) -> Propagator:
     phases = np.empty(decomp.n, dtype=complex)
     phases.real, phases.imag = np.cos(angle), -np.sin(angle)
     phases.setflags(write=False)
-    return Propagator(float(dt), decomp.eigenvectors, phases)
-
-
-def apply_propagator(u: Propagator, psi: WaveState) -> WaveState:
-    """Advance psi by one step: psi(t + dt) = U(dt) psi(t)."""
-    if psi.amplitudes.shape != (u.n,):
-        raise ValueError(
-            f"state has {psi.amplitudes.shape[0]} amplitudes, propagator order is {u.n}"
-        )
-    amps = u.matrix @ psi.amplitudes
-    amps.setflags(write=False)
-    return WaveState(amps, psi.time + u.dt)
-
-
-def propagate_direct(decomp: SpectralDecomposition, psi0: WaveState, t: float) -> WaveState:
-    """Evaluate psi(t) = Q exp(-i lam t) Q^T psi(0) in one shot.
-
-    Mathematically identical to repeated stepping; exposed for
-    spot-checking the step loop at arbitrary times.
-    """
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    if psi0.amplitudes.shape != (decomp.n,):
-        raise ValueError(
-            f"state has {psi0.amplitudes.shape[0]} amplitudes, decomposition order is {decomp.n}"
-        )
-    coeffs = decomp.eigenvectors.T @ psi0.amplitudes
-    amps = decomp.eigenvectors @ (np.exp(-1j * decomp.eigenvalues * t) * coeffs)
-    amps.setflags(write=False)
-    return WaveState(amps, psi0.time + t)
+    return Propagator(decomp.eigenvectors, phases)
 
 
 def write_eigen_csv(decomp: SpectralDecomposition, path) -> None:

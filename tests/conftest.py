@@ -116,4 +116,5 @@ def tiny_split():
     """Small trainable split: 12-wide frames, lookback 4."""
     frames = small_frames()
     scaler = dsm.fit_scaler(frames)
-    return scaler, dsm.split(dsm.windowize(dsm.transform(scaler, frames), 4), 0.8)
+    times = np.arange(len(frames), dtype=float)
+    return scaler, dsm.prepare_split(frames, times, 4, 0.8, scaler)

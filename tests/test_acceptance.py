@@ -58,11 +58,12 @@ def test_03_conservation(default_record):
 
 
 def test_04_unitarity_and_residual(default_hamiltonian, default_decomposition):
-    u = sp.build_propagator(default_decomposition, 0.05)
-    unit = float(np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(u.n))))
-    h = default_hamiltonian.matrix
+    # U from the factors the step loop applies: Q and build_propagator's phases
     q = default_decomposition.eigenvectors
     lam = default_decomposition.eigenvalues
+    u = (q * sp.build_propagator(default_decomposition, 0.05).phases) @ q.T
+    unit = float(np.max(np.abs(u.conj().T @ u - np.eye(q.shape[0]))))
+    h = default_hamiltonian.matrix
     resid = float(np.max(np.abs(h @ q - q * lam[None, :])))
     bound = 1e-8 * float(np.max(np.abs(h)))
     ok = unit <= 1e-10 and resid <= bound
@@ -102,27 +103,35 @@ def test_05a_eigenvalues_near_continuum(default_grid, default_hamiltonian, defau
     assert worst <= 1e-3
 
 
+def _direct(decomp, psi0, t):
+    """psi(t) = Q exp(-i lam t) Q^T psi(0) in one shot, from the decomposition's factors."""
+    q = decomp.eigenvectors
+    return q @ (np.exp(-1j * decomp.eigenvalues * t) * (q.T @ psi0))
+
+
 def test_05b_density_periodicity(default_grid, default_decomposition):
     psi0 = ev.gaussian_initial(default_grid)
-    at_pi = sp.propagate_direct(default_decomposition, psi0, float(np.pi))
-    diff = float(
-        np.max(np.abs(np.abs(at_pi.amplitudes) ** 2 - np.abs(psi0.amplitudes) ** 2))
-    )
+    at_pi = _direct(default_decomposition, psi0, float(np.pi))
+    diff = float(np.max(np.abs(np.abs(at_pi) ** 2 - psi0**2)))
     ok = diff <= 1e-3
     _verdict("criterion 5b", ok, f"max-abs density change over one period {diff:.3e} (tol 1e-3)")
     assert diff <= 1e-3
 
 
 def test_06_stepping_vs_direct(default_grid, default_decomposition):
+    # the amplitudes run_evolution squares into its frames, at t = 1.0 and t = 5.0
     psi0 = ev.gaussian_initial(default_grid)
     u = sp.build_propagator(default_decomposition, 0.05)
-    worst = 0.0
-    psi = psi0
-    for step in range(1, 101):
-        psi = sp.apply_propagator(u, psi)
-        if step in (20, 100):  # t = 1.0 and t = 5.0
-            direct = sp.propagate_direct(default_decomposition, psi0, 0.05 * step)
-            worst = max(worst, float(np.max(np.abs(psi.amplitudes - direct.amplitudes))))
+    stepped = {}
+    for k0, re, im in ev._stepped_states(u, psi0, 100):
+        for step in (20, 100):
+            if k0 <= step < k0 + len(re):
+                stepped[step] = re[step - k0] + 1j * im[step - k0]
+    assert sorted(stepped) == [20, 100]
+    worst = max(
+        float(np.max(np.abs(psi - _direct(default_decomposition, psi0, 0.05 * step))))
+        for step, psi in stepped.items()
+    )
     ok = worst <= 1e-9
     _verdict("criterion 6", ok, f"max step-vs-direct deviation {worst:.3e} (tol 1e-9)")
     assert worst <= 1e-9

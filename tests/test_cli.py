@@ -321,6 +321,13 @@ class TestExitCodes:
         assert code == 2
         assert "error: numerical:" in capsys.readouterr().err
 
+    def test_predict_rejects_another_hidden_dim(self, predicted_run, capsys):
+        # the checkpoint was trained at FAST's hidden_dim 8
+        capsys.readouterr()
+        assert _cli(predicted_run, "predict", "--training.hidden_dim", "16") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "training.hidden_dim 16" in err
+
     def test_bad_snapshot_time(self, tmp_path, capsys):
         out = tmp_path / "out"
         _cli(out, "simulate")
@@ -373,6 +380,27 @@ class TestExitCodes:
         out = tmp_path / "out"
         _cli(out, "simulate")
         assert _cli(out, "table", "--times", "abc") == 1
+
+
+class TestDashValues:
+    """A flag's value may start with '-' without being a plain negative number."""
+
+    @pytest.mark.parametrize("times", ["-1,0.5", "-1e0", "-inf"])
+    def test_times_reach_the_stage(self, tmp_path, capsys, times):
+        assert _cli(tmp_path / "out", "table", "--times", times) == 1
+        assert "no recorded frame within dt/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a, plain", [("-5e0", "-5"), ("-4.5e0", "-4.5")])
+    @pytest.mark.parametrize("before_command", [True, False])
+    def test_grid_a_value(self, tmp_path, a, plain, before_command):
+        argv = ["--grid.a", a, "simulate"] if before_command else ["simulate", "--grid.a", a]
+        assert _cli(tmp_path / "e", *argv) == 0
+        assert _cli(tmp_path / "plain", "simulate", "--grid.a", plain) == 0
+        assert (tmp_path / "e" / "frames.csv").read_bytes() == (tmp_path / "plain" / "frames.csv").read_bytes()
+
+    def test_a_flag_is_not_taken_for_a_value(self, tmp_path, capsys):
+        assert _cli(tmp_path / "out", "table", "--times", "--indices", "0") == 1
+        assert "--times: expected one argument" in capsys.readouterr().err
 
 
 class TestDeterminism:

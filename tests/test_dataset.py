@@ -131,16 +131,20 @@ class TestWindowize:
             dsm.windowize(np.zeros((5, 2)), 2, times=np.zeros(4))
 
 
+def _split(frames, lookback, fraction):
+    """prepare_split on raw frames through the identity scaler, times 0, 1, ..."""
+    times = np.arange(len(frames), dtype=float)
+    return dsm.prepare_split(frames, times, lookback, fraction, dsm.Scaler(0.0, 1.0))
+
+
 class TestSplit:
     def test_floor_arithmetic(self):
-        ds = dsm.windowize(np.zeros((12, 2)), 2)  # M = 10
-        sd = dsm.split(ds, 0.8)
+        sd = _split(np.zeros((12, 2)), 2, 0.8)  # M = 10
         assert len(sd.train) == 8
         assert len(sd.test) == 2
 
     def test_default_run_split(self):
-        ds = dsm.windowize(np.zeros((101, 2)), 4)  # M = 97
-        sd = dsm.split(ds, 0.8)
+        sd = _split(np.zeros((101, 2)), 4, 0.8)  # M = 97
         assert len(sd.train) == 77
         assert len(sd.test) == 20
 
@@ -148,16 +152,15 @@ class TestSplit:
         rng = np.random.default_rng(13)
         frames = rng.uniform(size=(15, 3))
         ds = dsm.windowize(frames, 3)
-        sd = dsm.split(ds, 0.6)
+        sd = _split(frames, 3, 0.6)
         assert np.max(sd.train.target_times) < np.min(sd.test.target_times)
         rebuilt = np.concatenate([sd.train.targets, sd.test.targets])
         assert np.array_equal(rebuilt, ds.targets)
 
     def test_fraction_range(self):
-        ds = dsm.windowize(np.zeros((6, 2)), 2)
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                dsm.split(ds, bad)
+                _split(np.zeros((6, 2)), 2, bad)
 
 
 class TestTrainFrameCount:
@@ -167,7 +170,7 @@ class TestTrainFrameCount:
     def test_matches_split_boundary(self):
         # scaler fit region must cover exactly the frames train windows touch
         n_frames, lookback = 30, 5
-        sd = dsm.split(dsm.windowize(np.zeros((n_frames, 2)), lookback), 0.7)
+        sd = _split(np.zeros((n_frames, 2)), lookback, 0.7)
         last_train_frame = len(sd.train) - 1 + lookback
         assert dsm.train_frame_count(n_frames, lookback, 0.7) == last_train_frame + 1
 

@@ -1,0 +1,30 @@
+"""The package's import surface and the README's code."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import qwave
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_import_loads_no_submodule():
+    code = (
+        "import sys, qwave; print(qwave.__version__); "
+        "print(sorted(m for m in sys.modules if m.startswith('qwave.')))"
+    )
+    src = os.path.dirname(os.path.dirname(qwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == [qwave.__version__, "[]"]
+
+
+def test_readme_quick_start_runs(capsys):
+    block = re.search(r"A quick start in code:\n\n```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(block.group(1), str(README), "exec"), {})
+    shape, drift = capsys.readouterr().out.splitlines()
+    assert shape == "(101, 200)"
+    assert 0.0 <= float(drift) <= 1e-10

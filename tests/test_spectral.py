@@ -11,7 +11,6 @@ import qwave
 from qwave import spectral as sp
 from qwave.discretize import Hamiltonian, assemble_hamiltonian, harmonic_potential, laplacian, make_grid
 from qwave.errors import ConvergenceError
-from qwave.state import WaveState
 
 # 6 lowest eigenvalues of the default 200-point Hamiltonian, frozen from an
 # independent dense eigensolve (LAPACK) before this module was built
@@ -289,41 +288,6 @@ class TestPropagator:
         q = d.eigenvectors
         assert np.max(np.abs(u.matrix - (q * u.phases) @ q.T)) < 1e-14
         assert u.matrix is u.matrix
-
-    def test_apply_advances_time(self):
-        d = sp.eigendecompose(_random_symmetric(6, 8))
-        u = sp.build_propagator(d, 0.1)
-        psi = WaveState(np.ones(6, dtype=complex) / np.sqrt(6), 1.0)
-        out = sp.apply_propagator(u, psi)
-        assert out.time == pytest.approx(1.1)
-        assert abs(np.vdot(out.amplitudes, out.amplitudes) - 1.0) < 1e-12
-
-    def test_apply_shape_mismatch(self):
-        d = sp.eigendecompose(_random_symmetric(6, 9))
-        u = sp.build_propagator(d, 0.1)
-        with pytest.raises(ValueError):
-            sp.apply_propagator(u, WaveState(np.ones(5, dtype=complex), 0.0))
-
-
-class TestSteppingVsDirect:
-    def test_repeated_steps_match_direct(self, default_decomposition, default_grid):
-        psi0 = WaveState(
-            np.exp(-default_grid.nodes**2) / np.linalg.norm(np.exp(-default_grid.nodes**2)),
-            0.0,
-        )
-        u = sp.build_propagator(default_decomposition, 0.05)
-        psi = psi0
-        for _ in range(20):  # t = 1.0
-            psi = sp.apply_propagator(u, psi)
-        direct = sp.propagate_direct(default_decomposition, psi0, 1.0)
-        assert np.max(np.abs(psi.amplitudes - direct.amplitudes)) <= 1e-9
-
-    def test_direct_shape_and_time_checks(self, default_decomposition):
-        with pytest.raises(ValueError):
-            sp.propagate_direct(default_decomposition, WaveState(np.ones(3, dtype=complex), 0.0), 1.0)
-        psi = WaveState(np.zeros(default_decomposition.n, dtype=complex), 0.0)
-        with pytest.raises(ValueError):
-            sp.propagate_direct(default_decomposition, psi, float("inf"))
 
 
 class TestEigenCsv:

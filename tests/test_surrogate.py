@@ -424,7 +424,8 @@ class TestTrain:
     def test_zero_lr_keeps_model(self):
         # one pair, one epoch, lr 0: model unchanged, history = [initial loss]
         frames = small_frames(6, 4)
-        split = dsm.split(dsm.windowize(frames, 4), 0.5)  # M=2 -> 1 train pair
+        identity = dsm.Scaler(0.0, 1.0)
+        split = dsm.prepare_split(frames, np.arange(6.0), 4, 0.5, identity)  # M=2 -> 1 train pair
         model = sg.init_model(4, 3, 0)
         trained, history = sg.train(model, split, sg.TrainConfig(epochs=1, lr=0.0))
         for k in sg.PARAM_KEYS:
@@ -533,7 +534,8 @@ class TestTrain:
 
     def test_empty_train_set_rejected(self):
         frames = small_frames(14, 4)
-        split = dsm.split(dsm.windowize(frames, 4), 0.05)  # floor(0.05 * 10) = 0 train pairs
+        identity = dsm.Scaler(0.0, 1.0)
+        split = dsm.prepare_split(frames, np.arange(14.0), 4, 0.05, identity)  # floor(0.05 * 10) = 0 train pairs
         model = sg.init_model(4, 3, 0)
         with pytest.raises(ValueError):
             sg.train(model, split, sg.TrainConfig(epochs=1))
