@@ -4,6 +4,9 @@ compare, snapshot.
 Commands compose through fixed filenames inside io.output_dir, so each
 step is restartable on its own.  Exit codes: 0 success, 1 config error,
 2 numerical failure, 3 missing artifact.
+
+The dataset, surrogate and compare modules are imported inside the stages
+that use them, so `simulate`, which every run starts with, loads none.
 """
 
 from __future__ import annotations
@@ -12,15 +15,13 @@ import argparse
 import logging
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import compare as cp
-from . import dataset as dsm
 from . import discretize as dz
 from . import evolve as ev
 from . import spectral as sp
-from . import surrogate as sg
 from .artifacts import atomic_text
 from .config import (
     RunConfig,
@@ -32,6 +33,8 @@ from .config import (
 )
 from .errors import ConfigError, FrameCountError, MissingArtifactError, NumericalError
 
+if TYPE_CHECKING:
+    from . import dataset as dsm
 FRAMES_FILE = "frames.csv"
 CONSERVATION_FILE = "conservation.csv"
 SCALER_FILE = "scaler.txt"
@@ -171,6 +174,7 @@ def _n_frames(cfg: RunConfig) -> int:
 
 def _n_fit(cfg: RunConfig) -> int:
     """Leading frames of the train windows; frames n_fit onward are the test targets."""
+    from . import dataset as dsm
     return dsm.train_frame_count(_n_frames(cfg), cfg.dataset_lookback, cfg.dataset_split_fraction)
 
 
@@ -227,11 +231,13 @@ def _record(cfg: RunConfig, start: int = 0, stop: int | None = None) -> ev.Evolu
 
 
 def _load_scaler(cfg: RunConfig) -> dsm.Scaler:
+    from . import dataset as dsm
     return dsm.load_scaler(_require(cfg, SCALER_FILE, "export-dataset"))
 
 
 def _load_split(cfg: RunConfig, start: int, stop: int) -> dsm.SplitDataset:
     """The windows of frames.csv rows [start, stop), scaled and split as on the whole table."""
+    from . import dataset as dsm
     record = _record(cfg, start, stop)
     return dsm.prepare_split(
         record.densities, record.times, cfg.dataset_lookback, cfg.dataset_split_fraction,
@@ -278,6 +284,7 @@ def cmd_simulate(cfg: RunConfig, dump_eigen: bool = False) -> int:
 
 
 def cmd_table(cfg: RunConfig, times: list[float], indices: list[int]) -> int:
+    from . import compare as cp
     if os.path.exists(os.path.join(cfg.io_output_dir, FRAMES_FILE)):
         record = _record(cfg, *_rows_near(cfg, times))
     else:
@@ -290,6 +297,7 @@ def cmd_table(cfg: RunConfig, times: list[float], indices: list[int]) -> int:
 
 
 def cmd_export_dataset(cfg: RunConfig) -> int:
+    from . import dataset as dsm
     n_fit = _n_fit(cfg)
     scaler = dsm.fit_scaler(_record(cfg, 0, n_fit).densities)
     dsm.save_scaler(scaler, _out_path(cfg, SCALER_FILE))
@@ -303,6 +311,7 @@ def cmd_export_dataset(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    from . import surrogate as sg
     split = _load_split(cfg, 0, _n_fit(cfg))  # holds the train windows only
     model = sg.init_model(cfg.grid_n_points, cfg.training_hidden_dim, cfg.training_rng_seed)
     train_cfg = sg.TrainConfig(
@@ -322,6 +331,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig, mode: str) -> int:
+    from . import surrogate as sg
     split = _load_split(cfg, _n_fit(cfg) - cfg.dataset_lookback, _n_frames(cfg))  # test windows only
     model = sg.load_checkpoint(_require(cfg, CHECKPOINT_FILE, "train"))
     for field, got, key, want in (
@@ -341,6 +351,7 @@ def cmd_predict(cfg: RunConfig, mode: str) -> int:
 
 
 def cmd_compare(cfg: RunConfig, mode: str) -> int:
+    from . import compare as cp
     record = _record(cfg, _n_fit(cfg))  # the test targets, the frames the predictions are at
     scaler = _load_scaler(cfg)
     pred_times, preds = _load_predictions(cfg, mode)
@@ -356,6 +367,8 @@ def cmd_compare(cfg: RunConfig, mode: str) -> int:
 
 
 def cmd_snapshot(cfg: RunConfig, times: list[float], mode: str) -> int:
+    from . import compare as cp
+    from . import dataset as dsm
     start, stop = _rows_near(cfg, times)
     record = _record(cfg, start, stop)
     scaler = _load_scaler(cfg)

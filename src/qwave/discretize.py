@@ -1,7 +1,8 @@
 """Spatial grid, finite-difference Laplacian, and Hamiltonian assembly.
 
 Natural units ħ = m = 1 throughout.  The domain [a, b] is sampled on N
-uniform nodes x_i = a + i*dx with dx = (b - a)/(N - 1); the wavefunction
+uniform nodes spaced dx = (b - a)/(N - 1), laid out from both ends so that
+they are symmetric about (a + b)/2; the wavefunction
 is pinned to zero at both endpoints (Dirichlet), which the truncated
 tridiagonal stencil encodes with no extra bookkeeping.  Operators are
 stored as their (diagonal, off_diagonal) bands, O(N) instead of O(N^2).
@@ -23,7 +24,7 @@ class Grid:
     a, b : domain endpoints, b > a
     n_points : number of nodes N (>= 3)
     dx : node spacing (b - a)/(N - 1)
-    nodes : array of N coordinates, nodes[i] = a + i*dx
+    nodes : array of N coordinates, nodes[i] = a + i*dx to rounding
     """
 
     a: float
@@ -76,13 +77,25 @@ class Hamiltonian(_Tridiagonal):
 
 
 def make_grid(a: float, b: float, n_points: int) -> Grid:
-    """Build a uniform grid on [a, b] with n_points nodes."""
+    """Build a uniform grid on [a, b] with n_points nodes.
+
+    The lower half is a + i*dx and the upper half its mirror b - i*dx, with
+    (a + b)/2 in the middle when n_points is odd.  So the ends are a and b
+    exactly, and for a = -b, nodes[i] == -nodes[N-1-i] bitwise, which keeps
+    an even potential's Hamiltonian an exact palindrome.
+    """
     if not b > a:
         raise ValueError(f"domain endpoints must satisfy b > a, got a={a}, b={b}")
     if n_points < 3:
         raise ValueError(f"grid needs at least 3 points for an interior node, got {n_points}")
     dx = (b - a) / (n_points - 1)
-    nodes = a + dx * np.arange(n_points, dtype=float)
+    half = n_points // 2
+    offsets = dx * np.arange(half, dtype=float)
+    nodes = np.empty(n_points)
+    nodes[:half] = a + offsets
+    nodes[n_points - half :] = (b - offsets)[::-1]
+    if n_points % 2:
+        nodes[half] = 0.5 * (a + b)
     nodes.setflags(write=False)
     return Grid(float(a), float(b), int(n_points), dx, nodes)
 

@@ -3,14 +3,27 @@
 H = Q diag(lam) Q^T is computed from the Hamiltonian's two bands in
 O(N^2), by the route of LAPACK's dstebz and dstein (Wilkinson, The
 Algebraic Eigenvalue Problem, 1965; Demmel, Applied Numerical Linear
-Algebra, 5.3, 1997).  Sturm-count multisection brackets every eigenvalue
-to about one ulp of max|H|; inverse iteration with a partially pivoted
-LU of H - sigma I then gives the eigenvectors.  Both loop once over the N
-rows per pass, with vector operations across the whole spectrum.  Columns
-whose eigenvalues lie closer than 1e-3 of the 1-norm of H are
-orthogonalized together, so inside a near-degenerate cluster Q holds some
-orthonormal basis of the cluster's invariant subspace.  Every pair must
-meet |H q - lam q| <= 1e-10 max|H|, or ConvergenceError names the column.
+Algebra, 5.3, 1997).  A zero off-diagonal splits T into unreduced blocks,
+and each block is solved on its own rows: Sturm-count multisection
+brackets every eigenvalue to about one ulp of max|H|, and inverse
+iteration with a partially pivoted LU of T - sigma I gives the
+eigenvectors.  Both loop once over the block's rows per pass, with vector
+operations across the block's spectrum.  Columns of one block whose
+eigenvalues lie closer than 1e-3 of the 1-norm of H are orthogonalized
+together, so inside a near-degenerate cluster Q holds some orthonormal
+basis of the cluster's invariant subspace.  Clusters never span blocks: a
+column is zero outside its block, so columns of different blocks are
+orthogonal even where their eigenvalues coincide.  The blocks' eigenvalues
+merge ascending.  Every pair must meet |H q - lam q| <= 1e-10 max|H| for
+the H passed in, or ConvergenceError names the column.
+
+When both bands are palindromes, as on a grid symmetric about 0 with an
+even potential, H commutes with the row reflection J.  A short orthogonal
+similarity then folds H into an even and an odd block of half the size,
+and the vectors unfold as [u; Ju]/sqrt 2 and [-Jw; w]/sqrt 2, so every
+eigenvector is exactly even or odd.  The near-degenerate even/odd pairs
+at the top of the default spectrum (5e-11 apart) fall into different
+blocks, and at N = 200 no block holds a cluster.
 
 A Sturm count is the number of negative pivots of the LDL^T factor of
 H - x I, read from their sign bits with no pivmin guard (Demmel, Dhillon
@@ -19,8 +32,8 @@ divides e^2 into an infinity of the zero's sign, the next pivot becomes
 an infinity of the other sign, and the one after it sees e^2 / inf = 0,
 so the count is that of H - x I with the zero pivot nudged to a signed
 tiny value, a backward-stable answer.  The one case IEEE cannot carry,
-0 / 0, needs a zero off-diagonal; there the band splits, and the division
-is skipped.
+0 / 0, needs e^2 = 0, which inside an unreduced block means an
+off-diagonal too small to square; there the division is skipped.
 
 The propagator is then exactly U(dt) = Q diag(exp(-i lam dt)) Q^T, so
 repeated stepping carries no splitting error and stays unitary to
@@ -49,16 +62,18 @@ _PROBES = 3
 # max|H|, and the number of solves
 _SHIFT = 1e-14
 _INVERSE_SOLVES = 3
-# eigenvalues closer than this times the 1-norm of H share a cluster
-# (dstein's ORTOL)
+# eigenvalues of one block closer than this times the 1-norm of T share a
+# cluster (dstein's ORTOL).  On the default grid the parity blocks hold
+# none at N = 200.  At N = 400 and 800 the low spectrum, spaced 2 within
+# a parity, still falls under it: four clusters of 7-9 and of 33 columns
 _CLUSTER_GAP = 1e-3
 # the largest accepted |H q - lam q| of a column, relative to max|H|
 _RESIDUAL_BOUND = 1e-10
 # eigenvector entries within this relative distance of their column's
 # largest magnitude tie for the sign anchor
 _SIGN_TIE = 1e-8
-# entries of one work array: the LU bands and the residual check hold
-# N x (this // N) values at a time
+# entries of one work array: the LU bands of a block of n rows, the sign
+# anchor and the residual check hold n x (this // n) values at a time
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -99,8 +114,8 @@ def _sturm_counts(d: list, e2: list, x: np.ndarray) -> np.ndarray:
 
     The LDL^T pivots q_i = d_i - x - e_{i-1}^2 / q_{i-1} run as one loop
     over the rows, and each row's negative pivots are read from the sign
-    bit, so -0 counts as negative and +0 does not.  Where e_{i-1}^2 is zero
-    the band splits and q_i = d_i - x.  Four ufunc calls per row.
+    bit, so -0 counts as negative and +0 does not.  Where e_{i-1}^2 is zero,
+    from a zero or an underflow, q_i = d_i - x.  Four ufunc calls per row.
     """
     q, t = np.empty((2, x.size))
     negative = np.empty((len(d), x.size), dtype=bool)
@@ -118,20 +133,20 @@ def _sturm_counts(d: list, e2: list, x: np.ndarray) -> np.ndarray:
     return np.count_nonzero(negative, axis=0)
 
 
-def _bisect(d: np.ndarray, e: np.ndarray, radius: np.ndarray) -> np.ndarray:
+def _bisect(d: np.ndarray, e: np.ndarray, radius: np.ndarray, tnorm: float) -> np.ndarray:
     """Every eigenvalue, ascending, by Sturm-count multisection (dstebz).
 
     An interval carries the eigenvalue counts at its ends.  Each sweep
     counts at _PROBES interior points of every interval and keeps the
     subintervals that hold an eigenvalue, so the list grows from the
-    Gershgorin interval to one interval per distinct eigenvalue.  The
-    sweep count depends only on the Gershgorin width, so every run does
-    the same work.  radius holds each row's Gershgorin radius.
+    Gershgorin interval to one interval per distinct eigenvalue, each
+    about an ulp of tnorm wide.  The sweep count depends only on the
+    Gershgorin width, so every run does the same work.  radius holds each
+    row's Gershgorin radius.
     """
     n = d.size
     e2 = (e * e).tolist()
     lower, upper = float(np.min(d - radius)), float(np.max(d + radius))
-    tnorm = max(abs(lower), abs(upper))
     slack = 2.0 * _EPS * n * tnorm
     lower, upper = lower - slack, upper + slack
     sweeps = math.ceil(math.log((upper - lower) / (_EPS * tnorm), _PROBES + 1))
@@ -179,7 +194,8 @@ def _inverse_iteration(
     d: list, e: list, sigma: np.ndarray, x: np.ndarray, tol: float, clusters: list,
     bands: np.ndarray, swap: np.ndarray,
 ) -> None:
-    """Overwrite x with _INVERSE_SOLVES solves of (T - sigma_j I) x_j = x_j.
+    """Overwrite x with _INVERSE_SOLVES solves of (T - sigma_j I) x_j = x_j,
+    T unreduced: no entry of e is zero.
 
     T - sigma_j I is factored once per shift by elimination with partial
     pivoting (LAPACK dgttrf), one loop over the rows with vector
@@ -199,10 +215,6 @@ def _inverse_iteration(
     for i in range(n - 1):
         ei, en = e[i], (e[i + 1] if i + 2 < n else 0.0)
         below = d[i + 1] - sigma
-        if ei == 0.0:  # T splits here: nothing to eliminate
-            u0[i], u1[i], u2[i], lm[i], swap[i] = pivot, sub, 0.0, 0.0, False
-            pivot, sub = below, np.full(m, en)
-            continue
         s = swap[i]
         np.abs(pivot, out=t)
         np.less(t, abs(ei), out=s)
@@ -217,7 +229,6 @@ def _inverse_iteration(
     small = np.abs(u0) < tol
     u0[small] = np.where(u0[small] < 0.0, -tol, tol)
     swapped = swap[:-1].any(axis=1).tolist()
-    fill = [en != 0.0 for en in e[1:]] + [False]
 
     multiply, subtract, divide, copyto = np.multiply, np.subtract, np.divide, np.copyto
     for _ in range(_INVERSE_SOLVES):
@@ -235,7 +246,7 @@ def _inverse_iteration(
             xi = x[i]
             multiply(u1[i], x[i + 1], t)
             subtract(xi, t, xi)
-            if fill[i] and swapped[i]:
+            if swapped[i] and i < n - 2:
                 multiply(u2[i], x[i + 2], t)
                 subtract(xi, t, xi)
             divide(xi, u0[i], xi)
@@ -244,22 +255,124 @@ def _inverse_iteration(
             x[:, lo:hi] = np.linalg.qr(x[:, lo:hi])[0]
 
 
-def _column_blocks(lam: np.ndarray, gap: float, width: int) -> list:
-    """Group the columns into blocks of at most width columns that never
-    split a cluster, a run of eigenvalues with consecutive gaps below gap;
-    a cluster wider than width is a block of its own.  Returns [lo, hi,
-    clusters] per block, with its clusters of two or more columns as
-    (lo, hi) ranges relative to the block."""
+def _column_chunks(lam: np.ndarray, gap: float, width: int) -> list:
+    """Group one block's columns into chunks of at most width columns that
+    never split a cluster, a run of eigenvalues with consecutive gaps below
+    gap; a cluster wider than width is a chunk of its own.  Returns [lo, hi,
+    clusters] per chunk, with its clusters of two or more columns as
+    (lo, hi) ranges relative to the chunk."""
     bounds = [0, *(np.flatnonzero(np.diff(lam) >= gap) + 1).tolist(), lam.size]
-    blocks = []
+    chunks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if not blocks or hi - blocks[-1][0] > width:
-            blocks.append([lo, hi, []])
-        block = blocks[-1]
-        block[1] = hi
+        if not chunks or hi - chunks[-1][0] > width:
+            chunks.append([lo, hi, []])
+        chunk = chunks[-1]
+        chunk[1] = hi
         if hi - lo > 1:
-            block[2].append((lo - block[0], hi - block[0]))
-    return blocks
+            chunk[2].append((lo - chunk[0], hi - chunk[0]))
+    return chunks
+
+
+def _solve_blocks(d: np.ndarray, e: np.ndarray, shift: float) -> tuple:
+    """Eigenvalues (ascending) and eigenvectors of T, one unreduced block at
+    a time, as dstebz and dstein do.
+
+    A zero e[i] splits T between rows i and i + 1.  Each block is bisected
+    and inverse-iterated on its own rows, with its clusters formed among its
+    own eigenvalues, so each column is zero outside its block.  The blocks'
+    eigenvalues merge ascending; equal ones keep the blocks' row order.
+    Inverse iteration shifts each eigenvalue up by shift.  Returns
+    (lam, q, first), with first[j] the first row of column j's block.
+    """
+    n = d.size
+    radius = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])  # Gershgorin
+    tnorm = max(abs(float(np.min(d - radius))), abs(float(np.max(d + radius))))
+    # the tolerances are T's, not a block's: a block of tiny entries has
+    # eigenvalues that are equal to within T's accuracy, so they must cluster
+    norm1 = float(np.max(np.abs(d) + radius))
+    bounds = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), n]
+    blocks = []
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        lam = _bisect(d[r0:r1], e[r0 : r1 - 1], radius[r0:r1], tnorm)
+        chunks = _column_chunks(lam, _CLUSTER_GAP * norm1, max(1, _BLOCK_ENTRIES // (r1 - r0)))
+        blocks.append((r0, r1, lam, chunks))
+    # block b's eigenvalues hold places r0:r1 of lam before the merge
+    lam = np.concatenate([block[2] for block in blocks])
+    order = np.argsort(lam, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+
+    q = np.zeros((n, n))
+    # one workspace for every chunk: freed once, it leaves the heap at the end
+    rows = max(r1 - r0 for r0, r1, *_ in blocks)
+    width = max(c1 - c0 for *_, chunks in blocks for c0, c1, _ in chunks)
+    x, bands = np.empty((rows, width)), np.empty((4, rows, width))
+    swap = np.empty((rows, width), dtype=bool)
+    d, e = d.tolist(), e.tolist()
+    for r0, r1, lam_b, chunks in blocks:
+        k = r1 - r0
+        for c0, c1, clusters in chunks:
+            w = c1 - c0
+            _start_vectors(x[:k, :w], c0)
+            _inverse_iteration(
+                d[r0:r1], e[r0 : r1 - 1], lam_b[c0:c1] + shift, x[:k, :w], _EPS * norm1,
+                clusters, bands[:, :k, :w], swap[:k, :w],
+            )
+            q[r0:r1, column[r0 + c0 : r0 + c1]] = x[:k, :w]
+    first = np.repeat(bounds[:-1], np.diff(bounds))[order]
+    return lam[order], q, first
+
+
+def _fold(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of P^T T P for palindromic bands d and e (T commutes with
+    the row reflection J), split by a zero into an even and an odd block.
+
+    With m = N // 2, P's columns are (e_i + e_{N-1-i}) / sqrt 2 for i < m,
+    then for odd N the middle e_m, then (e_i - e_{N-1-i}) / sqrt 2 for
+    i >= N - m.  For even N the centre coupling e[m-1] moves onto the
+    diagonal, + in the even block and - in the odd one; for odd N the middle
+    node couples to the even block by sqrt 2 e[m-1].  Every other entry is
+    T's own.
+    """
+    n, m = d.size, d.size // 2
+    d, e = d.copy(), e.copy()
+    if n % 2:
+        e[m - 1] *= math.sqrt(2.0)
+    else:
+        d[m - 1] += e[m - 1]
+        d[m] -= e[m - 1]
+    e[n - m - 1] = 0.0
+    return d, e
+
+
+def _unfold(q: np.ndarray, odd: np.ndarray) -> None:
+    """Overwrite the eigenvectors q of _fold's bands with P q, the
+    eigenvectors of T; odd marks the odd block's columns.  An even column
+    [u; c] becomes [u; c; Ju] / sqrt 2 (c, for odd N only, unscaled) and an
+    odd column [0; w] becomes [-Jw; w] / sqrt 2, so |q[i]| == |q[N-1-i]|
+    holds bitwise."""
+    n, m = q.shape[0], q.shape[0] // 2
+    mirror = q[::-1]
+    q[n - m :, ~odd] = mirror[n - m :, ~odd]
+    q[:m, odd] = -mirror[:m, odd]
+    q[:m] /= math.sqrt(2.0)
+    q[n - m :] /= math.sqrt(2.0)
+
+
+def _anchor_signs(q: np.ndarray) -> None:
+    """Sign each column so that its first entry within a relative _SIGN_TIE
+    of its largest magnitude is positive.  Not argmax: every odd
+    eigenvector of a mirror-symmetric H, such as the default one, has two
+    largest entries of equal magnitude, and rounding would pick between
+    them."""
+    n = q.shape[0]
+    width = max(1, _BLOCK_ENTRIES // n)
+    for c0 in range(0, q.shape[1], width):
+        block = q[:, c0 : c0 + width]
+        mags = np.abs(block)
+        tied = mags >= (1.0 - _SIGN_TIE) * mags.max(axis=0)
+        anchors = np.argmax(tied, axis=0)
+        block *= np.where(block[anchors, np.arange(block.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def _check_residuals(h: Hamiltonian, lam: np.ndarray, q: np.ndarray, hmax: float) -> None:
@@ -293,7 +406,9 @@ def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
     Eigenvalues are ascending, and each eigenvector column is signed so
     that the first entry within a relative _SIGN_TIE of its largest
     magnitude is positive, which makes the decomposition reproducible
-    across runs.  Raises ConvergenceError if an eigenpair misses its
+    across runs.  Palindromic bands are folded into their even and odd
+    blocks first, so every eigenvector of a mirror-symmetric H is exactly
+    even or odd.  Raises ConvergenceError if an eigenpair misses its
     residual bound.
     """
     d, e = h.diagonal, h.off_diagonal
@@ -305,31 +420,13 @@ def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
         # a power-of-two scale, exact, puts max|T| in [1/2, 1)
         scale = math.ldexp(1.0, math.frexp(hmax)[1])
         d, e = d / scale, e / scale
-        radius = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])  # Gershgorin
-        lam = _bisect(d, e, radius)
-        norm1 = float(np.max(np.abs(d) + radius))
-        sigma = lam + _SHIFT * hmax / scale
-        q = np.empty((n, n))
-        blocks = _column_blocks(lam, _CLUSTER_GAP * norm1, max(1, _BLOCK_ENTRIES // n))
-        # one workspace for every block: freed once, it leaves the heap at the end
-        widest = max(c1 - c0 for c0, c1, _ in blocks)
-        bands, swap = np.empty((4, n, widest)), np.empty((n, widest), dtype=bool)
-        d, e = d.tolist(), e.tolist()
-        for c0, c1, clusters in blocks:
-            block, m = q[:, c0:c1], c1 - c0
-            _start_vectors(block, c0)
-            _inverse_iteration(
-                d, e, sigma[c0:c1], block, _EPS * norm1, clusters, bands[:, :, :m], swap[:, :m]
-            )
-            # sign anchor: the first of the tied largest entries, not argmax;
-            # every odd eigenvector of a mirror-symmetric H, such as the default
-            # one, has two of equal magnitude, and rounding would pick between
-            # them.  The LU workspace holds the magnitudes and the tie mask.
-            mags = np.abs(block, out=bands[0, :, :m])
-            tied = np.greater_equal(mags, (1.0 - _SIGN_TIE) * mags.max(axis=0), out=swap[:, :m])
-            anchors = np.argmax(tied, axis=0)
-            block *= np.where(block[anchors, np.arange(m)] < 0.0, -1.0, 1.0)
-        del bands, swap
+        folded = n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
+        if folded:
+            d, e = _fold(d, e)
+        lam, q, first = _solve_blocks(d, e, _SHIFT * hmax / scale)
+        if folded:
+            _unfold(q, first >= n - n // 2)
+        _anchor_signs(q)
         lam *= scale
     _check_residuals(h, lam, q, hmax)
 

@@ -374,15 +374,14 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     and eps_k = eps sqrt(1 - beta2^k), which folds both bias corrections
     into two scalars (Kingma & Ba 2015, section 2).  The passes run chunk
     by chunk; every entry sees the same operations as in whole-vector form.
+    grad must be finite: `train` checks it, naming the parameter, before
+    clipping.
     """
     if grad.shape != theta.shape or theta.shape != state.m.shape:
         raise ValueError(
             f"gradient shape {grad.shape} does not match parameters {theta.shape} "
             f"and moments {state.m.shape}"
         )
-    bad = _first_nonfinite(grad)
-    if bad is not None:
-        raise NonFiniteError(f"non-finite gradient at index {bad}")
     state.step += 1
     root_bc2 = math.sqrt(1.0 - _ADAM_BETA2**state.step)
     lr_k = state.lr * root_bc2 / (1.0 - _ADAM_BETA1**state.step)

@@ -1,10 +1,14 @@
+import ast
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qwave
 from qwave import cli
 from qwave import compare as cp
 from qwave import dataset as dsm
@@ -147,6 +151,21 @@ class TestConfigFile:
         cfg = apply_overrides(RunConfig(), {"evolution.n_steps": 3, "dataset.lookback": 4})
         with pytest.raises(ConfigError, match="lookback"):
             validate_config(cfg)
+
+
+def test_simulate_loads_no_surrogate_dataset_or_compare(tmp_path):
+    # every run starts with simulate, in a child process of its own
+    code = (
+        "import sys; from qwave.cli import main; "
+        f"main(['simulate', '--grid.n_points', '40', '--io.output_dir', {str(tmp_path)!r}]); "
+        "print(sorted(m for m in sys.modules if m.startswith('qwave.')))"
+    )
+    src = os.path.dirname(os.path.dirname(qwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(ast.literal_eval(run.stdout.splitlines()[-1]))
+    assert "qwave.spectral" in loaded
+    assert not loaded & {"qwave.surrogate", "qwave.dataset", "qwave.compare"}
 
 
 class TestPipeline:

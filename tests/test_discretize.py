@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qwave import discretize as dz
+
+_sizes = st.integers(3, 400)
+_ends = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
 
 class TestMakeGrid:
@@ -26,6 +31,25 @@ class TestMakeGrid:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             dz.make_grid(-1.0, 1.0, 2)
+
+    @given(st.floats(1e-6, 1e6, allow_nan=False, allow_subnormal=False), _sizes)
+    def test_symmetric_domain_gives_mirrored_nodes(self, b, n):
+        # the fold of a mirror-symmetric H needs bands that are exact palindromes
+        nodes = dz.make_grid(-b, b, n).nodes
+        assert np.array_equal(nodes, -nodes[::-1])
+        v = dz.harmonic_potential(dz.make_grid(-b, b, n))
+        assert np.array_equal(v, v[::-1])
+
+    @given(_ends, _ends, _sizes)
+    def test_increasing_with_ends_on_the_domain(self, a, b, n):
+        a, b = min(a, b), max(a, b)
+        # spacing well above the rounding of the coordinates themselves
+        assume(b - a > 1e-6 * n * max(abs(a), abs(b), 1.0))
+        nodes = dz.make_grid(a, b, n).nodes
+        assert nodes.shape == (n,)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert abs(nodes[0] - a) <= 4 * np.spacing(abs(a))
+        assert abs(nodes[-1] - b) <= 4 * np.spacing(abs(b))
 
     def test_nodes_immutable(self):
         grid = dz.make_grid(-1.0, 1.0, 5)

@@ -134,7 +134,9 @@ class TestEigendecompose:
 def _assert_solves(h, lam, q, tol):
     hm = h.matrix
     scale = max(1.0, float(np.max(np.abs(hm))))
-    assert np.max(np.abs(lam - np.linalg.eigvalsh(hm))) <= tol * scale
+    # eigh, not eigvalsh: the values-only LAPACK path misses by 7.5e-4 on the
+    # "eigvalsh_misses" band below
+    assert np.max(np.abs(lam - np.linalg.eigh(hm)[0])) <= tol * scale
     assert np.max(np.abs(hm @ q - q * lam[None, :])) <= tol * scale
     assert np.max(np.abs(q.T @ q - np.eye(h.n))) <= tol
 
@@ -186,8 +188,24 @@ class TestSolverProperties:
                 [0.0, 0.0, -100.0, 100.0, -100.0, 0.0, 100.0, 0.0, -100.0, -100.0],
                 [0.0, 0.0, 1e-10, 1e-10, 0.0, 1e-10, 1.0, 1.0, 0.0],
             ),
+            # a palindrome whose fold leaves a block coupled by the smallest normal
+            # number: its eigenvalues agree to T's accuracy, so they must share a
+            # cluster even though the block's own 1-norm is tiny
+            (
+                [0.0] * 6 + [-0.0, 0.0, -0.0] + [0.0] * 6,
+                [0.0] * 5 + [2.2250738585072014e-308, 1.0, 1.0, 2.2250738585072014e-308] + [0.0] * 5,
+            ),
+            # couplings of 2e-261 and 8e-161 beside ones: the eigenvalues +-2 of
+            # the last three rows hold to the last bit
+            (
+                [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0, 1.0, 2.25624114e-261, 2.0, 8.10949246e-161],
+            ),
         ],
-        ids=["zero_off_diagonals", "small_pivot_needs_row_swap", "shift_lands_on_a_neighbour"],
+        ids=[
+            "zero_off_diagonals", "small_pivot_needs_row_swap", "shift_lands_on_a_neighbour",
+            "tiny_block_in_a_fold", "eigvalsh_misses",
+        ],
     )
     def test_hard_bands(self, d, e):
         h = Hamiltonian(np.array(d), np.array(e))
@@ -220,12 +238,98 @@ _band_entries = st.one_of(st.integers(-3, 3).map(float), _entries)
 
 
 @st.composite
-def _bands_and_probes(draw):
+def _split_bands(draw):
     n = draw(st.integers(1, 30))
     d = draw(st.lists(_band_entries, min_size=n, max_size=n))
     e = draw(st.lists(st.one_of(st.just(0.0), _band_entries), min_size=n - 1, max_size=n - 1))
+    return Hamiltonian(np.array(d), np.array(e))
+
+
+@st.composite
+def _palindromes(draw, sizes):
+    n = draw(sizes)
+    d = draw(st.lists(_band_entries, min_size=(n + 1) // 2, max_size=(n + 1) // 2))
+    e = draw(st.lists(_band_entries, min_size=n // 2, max_size=n // 2))
+    d = d + d[: n // 2][::-1]
+    e = e + e[: (n - 1) // 2][::-1]
+    return Hamiltonian(np.array(d), np.array(e))
+
+
+class TestParityFold:
+    @pytest.mark.parametrize(
+        "sizes",
+        [st.integers(1, 20).map(lambda k: 2 * k), st.integers(2, 20).map(lambda k: 2 * k + 1), st.just(3)],
+        ids=["even", "odd", "three"],
+    )
+    @given(data=st.data())
+    def test_palindromic_bands(self, sizes, data):
+        h = data.draw(_palindromes(sizes))
+        assume(np.max(np.abs(h.matrix)) > 0.0)
+        out = sp.eigendecompose(h)
+        q = out.eigenvectors
+        _assert_solves(h, out.eigenvalues, q, 1e-10)
+        # every column exactly even or odd
+        assert np.array_equal(np.abs(q), np.abs(q[::-1]))
+
+    def test_default_grid_folds_into_two_cluster_free_blocks(self, default_hamiltonian, monkeypatch):
+        formed = []
+        chunks = sp._column_chunks
+        monkeypatch.setattr(sp, "_column_chunks", lambda *args: formed.append(chunks(*args)) or formed[-1])
+        out = sp.eigendecompose(default_hamiltonian)
+        assert len(formed) == 2  # the even and the odd block
+        assert [clusters for block in formed for _, _, clusters in block] == [[], []]
+        q = out.eigenvectors
+        assert np.array_equal(np.abs(q), np.abs(q[::-1]))
+
+    def test_asymmetric_grid_is_not_folded(self, monkeypatch):
+        grid = make_grid(-6.0, 5.0, 200)
+        h = assemble_hamiltonian(laplacian(grid), harmonic_potential(grid))
+
+        def refuse(d, e):
+            raise AssertionError("bands of an asymmetric grid were folded")
+
+        monkeypatch.setattr(sp, "_fold", refuse)
+        out = sp.eigendecompose(h)
+        _assert_solves(h, out.eigenvalues, out.eigenvectors, 1e-10)
+        u = sp.build_propagator(out, 0.05).matrix
+        assert np.max(np.abs(u.conj().T @ u - np.eye(h.n))) <= 1e-10
+
+
+class TestSplitBlocks:
+    def test_copies_of_one_block_stay_apart(self):
+        # an exact cross-block degeneracy: each eigenvalue twice, once per copy
+        rng = np.random.default_rng(12)
+        k = 9
+        d, e = rng.normal(size=k), rng.normal(size=k - 1)
+        h = Hamiltonian(np.r_[d, d], np.r_[e, 0.0, e])
+        assert not np.array_equal(h.diagonal, h.diagonal[::-1])
+        out = sp.eigendecompose(h)
+        lam, q = out.eigenvalues, out.eigenvectors
+        assert np.array_equal(lam[0::2], lam[1::2])
+        _assert_solves(h, lam, q, 1e-10)
+        on_first = np.all(q[k:] == 0.0, axis=0)
+        on_second = np.all(q[:k] == 0.0, axis=0)
+        assert np.all(on_first ^ on_second)
+        assert np.count_nonzero(on_first) == k
+
+    @given(_split_bands())
+    def test_columns_live_in_their_blocks(self, h):
+        e = h.off_diagonal
+        # palindromes are folded first, which mirrors each column
+        assume(not (np.array_equal(h.diagonal, h.diagonal[::-1]) and np.array_equal(e, e[::-1])))
+        out = sp.eigendecompose(h)
+        q = out.eigenvectors
+        _assert_solves(h, out.eigenvalues, q, 1e-10)
+        block = np.cumsum(np.r_[0, e == 0.0])  # each row's block number
+        for j in range(h.n):
+            assert np.unique(block[q[:, j] != 0.0]).size == 1
+
+
+@st.composite
+def _bands_and_probes(draw):
+    h = draw(_split_bands())
     probes = draw(st.lists(st.one_of(st.integers(-4, 4).map(float), _entries), min_size=1, max_size=20))
-    return Hamiltonian(np.array(d), np.array(e)), np.array(probes)
+    return h, np.array(probes)
 
 
 class TestSturmCounts:
