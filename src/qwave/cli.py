@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,77 +76,74 @@ def _build_parser() -> _CleanArgumentParser:
     )
     for key in config_keys():
         common.add_argument(
-            f"--{key}", dest=_override_dest(key), metavar="V", type=key_type(key),
-            default=argparse.SUPPRESS,
+            f"--{key}", dest=key, metavar="V", type=key_type(key), default=argparse.SUPPRESS
         )
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=sorted(PRED_FILES), default="one-step")
 
     parser = _CleanArgumentParser(
         prog="qwave", parents=[common], description=__doc__.splitlines()[0]
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sim = sub.add_parser(
-        "simulate", parents=[common],
-        help="run the evolution; write frames and conservation CSVs",
-    )
+    sub = parser.add_subparsers(metavar="COMMAND")
+
+    def add(name, run, help, *parents):
+        cmd = sub.add_parser(name, parents=[common, *parents], help=help)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    sim = add("simulate", cmd_simulate, "run the evolution; write frames and conservation CSVs")
     sim.add_argument("--dump-eigen", action="store_true", help="also write the eigendecomposition CSV")
-    tab = sub.add_parser(
-        "table", parents=[common], help="print density values at selected positions and times"
+    tab = add("table", cmd_table, "print density values at selected positions and times")
+    tab.add_argument(
+        "--times", type=_list_of(float), default="0,0.5,1",
+        help="comma-separated times (default 0,0.5,1)",
     )
-    tab.add_argument("--times", default="0,0.5,1", help="comma-separated times (default 0,0.5,1)")
-    tab.add_argument("--indices", default="0,1,2,3,4", help="comma-separated grid indices")
-    sub.add_parser(
-        "export-dataset", parents=[common],
-        help="fit the scaler on the training frames; write scaler.txt",
+    tab.add_argument(
+        "--indices", type=_list_of(int), default="0,1,2,3,4", help="comma-separated grid indices"
     )
-    sub.add_parser(
-        "train", parents=[common], help="train the surrogate; write checkpoint and loss CSV"
+    add("export-dataset", cmd_export_dataset, "fit the scaler on the training frames; write scaler.txt")
+    add("train", cmd_train, "train the surrogate; write checkpoint and loss CSV")
+    add("predict", cmd_predict, "predict test-horizon frames with a trained model", mode)
+    add("compare", cmd_compare, "score predictions against simulated frames; write report.csv", mode)
+    snap = add("snapshot", cmd_snapshot, "write x/truth/prediction columns for selected times", mode)
+    snap.add_argument(
+        "--times", type=_list_of(float), required=True, help="comma-separated times, e.g. 4.1,5.0"
     )
-    pred = sub.add_parser(
-        "predict", parents=[common], help="predict test-horizon frames with a trained model"
-    )
-    pred.add_argument("--mode", choices=sorted(PRED_FILES), default="one-step")
-    comp = sub.add_parser(
-        "compare", parents=[common],
-        help="score predictions against simulated frames; write report.csv",
-    )
-    comp.add_argument("--mode", choices=sorted(PRED_FILES), default="one-step")
-    snap = sub.add_parser(
-        "snapshot", parents=[common],
-        help="write x/truth/prediction columns for selected times",
-    )
-    snap.add_argument("--times", required=True, help="comma-separated times, e.g. 4.1,5.0")
-    snap.add_argument("--mode", choices=sorted(PRED_FILES), default="one-step")
     return parser
 
 
-def _override_dest(key: str) -> str:
-    return "override_" + key.replace(".", "_")
+def _list_of(cast: type) -> Callable[[str], list]:
+    """argparse type: comma-separated values of type cast, at least one."""
 
+    def parse(text: str) -> list:
+        try:
+            values = [cast(v) for v in text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expects comma-separated {cast.__name__}s, got {text!r}"
+            ) from exc
+        if not values:
+            raise argparse.ArgumentTypeError("must name at least one value")
+        return values
 
-def _parse_list(text: str, flag: str, cast: type) -> list:
-    """Comma-separated values of type cast; ConfigError naming flag otherwise."""
-    try:
-        values = [cast(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated {cast.__name__}s, got {text!r}") from exc
-    if not values:
-        raise ConfigError(f"{flag} must name at least one value")
-    return values
+    return parse
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     cfg = load_config(config_path) if config_path else RunConfig()
-    overrides = {}
-    for key in config_keys():
-        # an unset flag leaves no attribute; a set one may hold None (clip "none")
-        if hasattr(args, _override_dest(key)):
-            overrides[key] = getattr(args, _override_dest(key))
+    # an unset flag leaves no attribute; a set one may hold None (clip "none")
+    overrides = {key: getattr(args, key) for key in config_keys() if key in args}
     return validate_config(apply_overrides(cfg, overrides))
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.io_output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.io_output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"io.output_dir {cfg.io_output_dir!r} cannot be made a directory: {exc.strerror}"
+        ) from exc
     return os.path.join(cfg.io_output_dir, name)
 
 
@@ -264,39 +262,39 @@ def _load_predictions(
             f"dataset.split_fraction={cfg.dataset_split_fraction!r} give {n_test} test frames"
         ) from exc
     if preds.shape[1] != cfg.grid_n_points:
-        raise ConfigError(f"{path} has {preds.shape[1]} columns, expected {cfg.grid_n_points}")
+        raise ConfigError(
+            f"{path} has {preds.shape[1]} columns, expected {cfg.grid_n_points} from grid.n_points"
+        )
     _check_times(cfg, path, times, n_fit + start)
     return times, preds
 
 
-def cmd_simulate(cfg: RunConfig, dump_eigen: bool = False) -> int:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
     record = _simulate(cfg)
     ev.write_frames_csv(record.times, record.densities, _out_path(cfg, FRAMES_FILE))
     ev.write_conservation_csv(record, _out_path(cfg, CONSERVATION_FILE))
-    if dump_eigen:
+    if args.dump_eigen:
         sp.write_eigen_csv(record.decomposition, _out_path(cfg, EIGEN_FILE))
     drift = float(np.max(record.conservation_log))
     print(
         f"simulate: wrote {len(record.times)} frames to "
         f"{_out_path(cfg, FRAMES_FILE)} (max norm drift {drift:.3e})"
     )
-    return 0
 
 
-def cmd_table(cfg: RunConfig, times: list[float], indices: list[int]) -> int:
+def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import compare as cp
     if os.path.exists(os.path.join(cfg.io_output_dir, FRAMES_FILE)):
-        record = _record(cfg, *_rows_near(cfg, times))
+        record = _record(cfg, *_rows_near(cfg, args.times))
     else:
         record = _simulate(cfg)  # compute on the fly; nothing is written
-    text = cp.render_table(record, times, indices)
+    text = cp.render_table(record, args.times, args.indices)
     sys.stdout.write(text)
     with atomic_text(_out_path(cfg, "table.txt")) as fh:
         fh.write(text)
-    return 0
 
 
-def cmd_export_dataset(cfg: RunConfig) -> int:
+def cmd_export_dataset(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import dataset as dsm
     n_fit = _n_fit(cfg)
     scaler = dsm.fit_scaler(_record(cfg, 0, n_fit).densities)
@@ -307,10 +305,9 @@ def cmd_export_dataset(cfg: RunConfig) -> int:
         f"(min {scaler.min:.6g}, max {scaler.max:.6g}); "
         f"{n_fit - cfg.dataset_lookback} train / {_n_frames(cfg) - n_fit} test pairs"
     )
-    return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import surrogate as sg
     split = _load_split(cfg, 0, _n_fit(cfg))  # holds the train windows only
     model = sg.init_model(cfg.grid_n_points, cfg.training_hidden_dim, cfg.training_rng_seed)
@@ -327,10 +324,9 @@ def cmd_train(cfg: RunConfig) -> int:
         f"train: {cfg.training_epochs} epochs on {len(split.train)} pairs; "
         f"epoch MSE {history.train_mse[0]:.6e} -> {history.train_mse[-1]:.6e}"
     )
-    return 0
 
 
-def cmd_predict(cfg: RunConfig, mode: str) -> int:
+def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import surrogate as sg
     split = _load_split(cfg, _n_fit(cfg) - cfg.dataset_lookback, _n_frames(cfg))  # test windows only
     model = sg.load_checkpoint(_require(cfg, CHECKPOINT_FILE, "train"))
@@ -340,6 +336,7 @@ def cmd_predict(cfg: RunConfig, mode: str) -> int:
     ):
         if got != want:
             raise ConfigError(f"checkpoint {field} {got} does not match {key} {want}")
+    mode = args.mode
     if mode == "one-step":
         preds = sg.predict_one_step(model, split.test.inputs)
     else:
@@ -347,51 +344,51 @@ def cmd_predict(cfg: RunConfig, mode: str) -> int:
     # the frames.csv layout, in scaled units; t is each target frame's time
     ev.write_frames_csv(split.test.target_times, preds, _out_path(cfg, PRED_FILES[mode]))
     print(f"predict: wrote {len(preds)} {mode} frames to {_out_path(cfg, PRED_FILES[mode])}")
-    return 0
 
 
-def cmd_compare(cfg: RunConfig, mode: str) -> int:
+def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import compare as cp
     record = _record(cfg, _n_fit(cfg))  # the test targets, the frames the predictions are at
     scaler = _load_scaler(cfg)
-    pred_times, preds = _load_predictions(cfg, mode)
+    pred_times, preds = _load_predictions(cfg, args.mode)
     report = cp.build_report(record, preds, pred_times, scaler)
     cp.write_report_csv(report, _out_path(cfg, REPORT_FILE))
     print(
-        f"compare ({mode}, {len(report.frames)} frames): "
+        f"compare ({args.mode}, {len(report.frames)} frames): "
         f"mean mse {report.mean_mse:.6e}, mean mae {report.mean_mae:.6e}, "
         f"mean max_abs_err {report.mean_max_abs_err:.6e}, "
         f"mean peak_position_err {report.mean_peak_position_err:.3f}"
     )
-    return 0
 
 
-def cmd_snapshot(cfg: RunConfig, times: list[float], mode: str) -> int:
+def cmd_snapshot(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import compare as cp
     from . import dataset as dsm
-    start, stop = _rows_near(cfg, times)
+    start, stop = _rows_near(cfg, args.times)
     record = _record(cfg, start, stop)
     scaler = _load_scaler(cfg)
     n_fit = _n_fit(cfg)
-    pred_times, preds = _load_predictions(
-        cfg, mode, *_clip_rows(start - n_fit, stop - n_fit, _n_frames(cfg) - n_fit)
-    )
+    pred_start, pred_stop = _clip_rows(start - n_fit, stop - n_fit, _n_frames(cfg) - n_fit)
+    _, preds = _load_predictions(cfg, args.mode, pred_start, pred_stop)
     physical = dsm.inverse_transform(scaler, preds)
-    recorded = record.times
-    for t in times:
-        k = int(np.argmin(np.abs(recorded - t)))
-        if abs(recorded[k] - t) > cfg.evolution_dt / 2:
-            raise ConfigError(f"no recorded frame within dt/2 of t={t}")
-        j = int(np.argmin(np.abs(pred_times - recorded[k])))
-        if abs(pred_times[j] - recorded[k]) > cfg.evolution_dt / 2:
+    # record row k is frame start + k; prediction row j is frame n_fit + pred_start + j
+    picks, names = [], {}
+    for t in args.times:
+        k = cp._nearest_frame(record.times, t, cfg.evolution_dt)
+        if start + k < n_fit:
             raise ConfigError(
                 f"t={t} is outside the predicted horizon "
                 f"[{n_fit * cfg.evolution_dt:.6g}, {cfg.evolution_n_steps * cfg.evolution_dt:.6g}]"
             )
-        path = _out_path(cfg, f"snapshot_{recorded[k]:.2f}.csv")
+        name = f"snapshot_{record.times[k]:.2f}.csv"
+        first_t, first_k = names.setdefault(name, (t, k))
+        if first_k != k:
+            raise ConfigError(f"t={first_t} and t={t} are different frames, but both name {name}")
+        picks.append((name, k, start + k - n_fit - pred_start))
+    for name, k, j in picks:
+        path = _out_path(cfg, name)
         cp.write_snapshot_csv(record.config.grid, record.densities[k], physical[j], path)
         print(f"snapshot: wrote {path}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -399,29 +396,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
+        if "run" not in args:
             parser.print_help()
             return 0
-        cfg = _resolve_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, dump_eigen=args.dump_eigen)
-        if args.command == "table":
-            return cmd_table(
-                cfg,
-                _parse_list(args.times, "--times", float),
-                _parse_list(args.indices, "--indices", int),
-            )
-        if args.command == "export-dataset":
-            return cmd_export_dataset(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.mode)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.mode)
-        if args.command == "snapshot":
-            return cmd_snapshot(cfg, _parse_list(args.times, "--times", float), args.mode)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args.run(_resolve_config(args), args)
+        return 0
     except MissingArtifactError as exc:
         print(f"error: missing-artifact: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,7 @@ are rejected so typos fail fast instead of silently using a default.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -16,25 +16,6 @@ from .errors import ConfigError
 def float_or_none(text: str) -> float | None:
     """A float, or None for the sentinel `none` in any letter case."""
     return None if text.strip().lower() == "none" else float(text)
-
-
-# key -> (field name, parser); the file format and the flags are untyped text
-_SCHEMA: dict[str, tuple[str, Callable[[str], object]]] = {
-    "grid.a": ("grid_a", float),
-    "grid.b": ("grid_b", float),
-    "grid.n_points": ("grid_n_points", int),
-    "evolution.dt": ("evolution_dt", float),
-    "evolution.n_steps": ("evolution_n_steps", int),
-    "evolution.normalization_mode": ("evolution_normalization_mode", str),
-    "dataset.lookback": ("dataset_lookback", int),
-    "dataset.split_fraction": ("dataset_split_fraction", float),
-    "training.epochs": ("training_epochs", int),
-    "training.lr": ("training_lr", float),
-    "training.hidden_dim": ("training_hidden_dim", int),
-    "training.rng_seed": ("training_rng_seed", int),
-    "training.clip": ("training_clip", float_or_none),
-    "io.output_dir": ("io_output_dir", str),
-}
 
 
 @dataclass(frozen=True)
@@ -55,6 +36,12 @@ class RunConfig:
     training_rng_seed: int = 42
     training_clip: float | None = None  # max gradient norm; None disables clipping
     io_output_dir: str = "out"
+
+
+# key -> (field name, parser): the key is the field's section, a dot, then the
+# rest of its name; the file format and the flags are untyped text
+_PARSERS = {"float": float, "int": int, "str": str, "float | None": float_or_none}
+_SCHEMA = {f.name.replace("_", ".", 1): (f.name, _PARSERS[f.type]) for f in fields(RunConfig)}
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -88,6 +75,8 @@ def load_config(path) -> RunConfig:
             text = fh.read()
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     return parse_config(text, source=str(path))
 
 

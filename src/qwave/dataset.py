@@ -177,7 +177,12 @@ def load_scaler(path) -> Scaler:
             if not line:
                 continue
             key, _, raw = line.partition("=")
-            values[key.strip()] = float(raw)
+            try:
+                values[key.strip()] = float(raw)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path} is not a scaler sidecar (line {line!r} is not key=float)"
+                ) from exc
     if set(values) != {"min", "max"}:
         raise ValueError(f"{path} is not a scaler sidecar (keys {sorted(values)})")
     return Scaler(values["min"], values["max"])

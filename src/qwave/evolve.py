@@ -253,7 +253,9 @@ def record_from_frames_csv(
     """
     times, frames = read_frames_csv(path, start, stop, n_rows)
     if frames.shape[1] != grid.n_points:
-        raise ValueError(f"{path} has {frames.shape[1]} columns, grid has {grid.n_points} nodes")
+        raise ValueError(
+            f"{path} has {frames.shape[1]} columns, expected {grid.n_points} from grid.n_points"
+        )
     config = EvolutionConfig(
         grid=grid, dt=dt, n_steps=max(start + len(times) - 1, 0),
         normalization_mode=normalization_mode,

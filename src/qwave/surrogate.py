@@ -526,7 +526,10 @@ def load_checkpoint(path) -> SurrogateModel:
                 current = sections.setdefault(name, [])
             elif current is None:
                 key, _, raw = line.partition("=")
-                header[key.strip()] = int(raw)
+                try:
+                    header[key.strip()] = int(raw)
+                except ValueError as exc:
+                    raise ValueError(f"checkpoint {path} header line {line!r} is not name=int") from exc
             else:
                 current.append(line)
     missing = {"input_dim", "hidden_dim", "seed"} - set(header)
@@ -539,8 +542,11 @@ def load_checkpoint(path) -> SurrogateModel:
         )
     model = SurrogateModel(header["input_dim"], header["hidden_dim"], header["seed"])
     for key, rows in sections.items():
-        tensor = np.loadtxt(rows, ndmin=2)
-        model.params[key] = tensor.reshape(-1) if key.startswith("b_") else tensor
+        try:
+            tensor = np.loadtxt(rows, ndmin=2)
+            model.params[key] = tensor.reshape(-1) if key.startswith("b_") else tensor
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path} section [{key}]: {exc}") from exc
     return model
 
 

@@ -1,5 +1,7 @@
 import ast
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -380,7 +382,9 @@ class TestExitCodes:
         assert _cli(out, *argv) == 1
         assert f"{path} is not a whole frame CSV" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("evolution.n_steps", "40"), ("evolution.dt", "0.04")])
+    @pytest.mark.parametrize(
+        "key, value", [("evolution.n_steps", "40"), ("evolution.dt", "0.04"), ("grid.n_points", "100")]
+    )
     @pytest.mark.parametrize("stage", ["predict", "compare", "table"])
     def test_frames_of_another_run_name_the_key(self, predicted_run, capsys, stage, key, value):
         capsys.readouterr()
@@ -399,6 +403,52 @@ class TestExitCodes:
         out = tmp_path / "out"
         _cli(out, "simulate")
         assert _cli(out, "table", "--times", "abc") == 1
+
+    def test_snapshot_names_must_not_collide(self, tmp_path, capsys):
+        # at dt 0.001 the frames at t = 0.026 and 0.028 both print as snapshot_0.03.csv
+        out = tmp_path / "out"
+        for argv in (["simulate"], ["export-dataset"], ["train"], ["predict"]):
+            assert _cli(out, *argv, "--evolution.dt", "0.001") == 0
+        capsys.readouterr()
+        assert _cli(out, "snapshot", "--times", "0.026,0.028", "--evolution.dt", "0.001") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "t=0.026" in err and "t=0.028" in err
+        assert not list(out.glob("snapshot_*"))
+        # the same time twice names one frame
+        assert _cli(out, "snapshot", "--times", "0.026,0.026", "--evolution.dt", "0.001") == 0
+        assert [p.name for p in out.glob("snapshot_*")] == ["snapshot_0.03.csv"]
+
+    @pytest.mark.parametrize("name, edit, detail", [
+        ("scaler.txt", lambda text: re.sub(r"max=.*", "max", text), "'max'"),
+        ("model.ckpt", lambda text: text.replace("hidden_dim=8", "hidden_dim=four"), "'hidden_dim=four'"),
+        # one extra value on the second row of a section
+        ("model.ckpt", lambda text: re.sub(r"(\[W_f\]\n.*\n.*)", r"\1 0", text, count=1), "[W_f]"),
+    ], ids=["scaler-line-without-value", "checkpoint-header", "checkpoint-row-width"])
+    def test_bad_scaler_or_checkpoint_names_the_file(
+        self, predicted_run, tmp_path, capsys, name, edit, detail
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        path = out / name
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert _cli(out, "predict") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and str(path) in err and detail in err
+
+    def test_config_path_naming_a_directory(self, tmp_path, capsys):
+        assert cli.main(["--config", str(tmp_path), "simulate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1
+
+    def test_output_dir_naming_a_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert _cli(path, "simulate") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "io.output_dir" in err and str(path) in err
+        assert len(err.splitlines()) == 1
 
 
 class TestDashValues:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import qwave
+from qwave.config import RunConfig, config_keys, key_type
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +29,20 @@ def test_readme_quick_start_runs(capsys):
     shape, drift = capsys.readouterr().out.splitlines()
     assert shape == "(101, 200)"
     assert 0.0 <= float(drift) <= 1e-10
+
+
+def test_readme_config_table_matches_the_schema():
+    section = README.read_text().split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys, defaults = [], []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if not line.startswith("|") or cells[0] == "key" or set(cells[0]) <= {"-"}:
+            continue
+        # one row may hold several keys, as in `grid.a / grid.b | -5.0 / 5.0`
+        row_keys, row_defaults = cells[0].split(" / "), cells[1].split(" / ")
+        assert len(row_keys) == len(row_defaults), line
+        keys += row_keys
+        defaults += row_defaults
+    assert tuple(keys) == config_keys()
+    for key, text in zip(keys, defaults):
+        assert key_type(key)(text) == getattr(RunConfig(), key.replace(".", "_", 1)), key
