@@ -7,6 +7,7 @@ are rejected so typos fail fast instead of silently using a default.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
@@ -75,6 +76,8 @@ def load_config(path) -> RunConfig:
             text = fh.read()
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     return parse_config(text, source=str(path))
@@ -107,6 +110,10 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, object]) -> RunConfig:
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     """Range-check every field before any computation; fail fast."""
+    for key in ("grid.a", "grid.b", "evolution.dt", "training.lr", "training.clip"):
+        value = getattr(cfg, _SCHEMA[key][0])
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if not cfg.grid_b > cfg.grid_a:
         raise ConfigError(f"grid.b ({cfg.grid_b}) must exceed grid.a ({cfg.grid_a})")
     if cfg.grid_n_points < 3:

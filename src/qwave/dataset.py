@@ -185,4 +185,7 @@ def load_scaler(path) -> Scaler:
                 ) from exc
     if set(values) != {"min", "max"}:
         raise ValueError(f"{path} is not a scaler sidecar (keys {sorted(values)})")
-    return Scaler(values["min"], values["max"])
+    try:
+        return Scaler(values["min"], values["max"])
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a scaler sidecar ({exc})") from exc

@@ -22,7 +22,7 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """An eigenpair from inverse iteration missed its residual bound."""
+    """The eigensolver failed on a block, or an eigenpair missed its residual bound."""
 
 
 class ConservationError(NumericalError):

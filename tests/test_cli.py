@@ -122,6 +122,13 @@ class TestConfigFile:
         assert cli.main(["--training.clip", "tight", "train"]) == 1
         assert "--training.clip" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe")
+        assert cli.main(["--config", str(path), "simulate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and str(path) in err and "UTF-8" in err
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.txt")
@@ -145,8 +152,16 @@ class TestConfigFile:
             {"training.hidden_dim": 0},
             {"training.clip": -1.0},
             {"io.output_dir": ""},
+            {"grid.a": -np.inf},
+            {"grid.a": np.nan},
+            {"grid.b": np.inf},
+            {"evolution.dt": np.inf},
+            {"training.lr": np.inf},
+            {"training.lr": np.nan},
+            {"training.clip": np.inf},
         ):
-            with pytest.raises(ConfigError):
+            (key,) = bad
+            with pytest.raises(ConfigError, match=re.escape(key)):
                 validate_config(apply_overrides(RunConfig(), bad))
 
     def test_lookback_versus_frames(self):
@@ -342,6 +357,15 @@ class TestExitCodes:
         assert code == 2
         assert "error: numerical:" in capsys.readouterr().err
 
+    def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(t):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(sp.np.linalg, "eigh", fail)
+        assert _cli(tmp_path / "out", "simulate") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and "rows 0:20" in err
+
     def test_predict_rejects_another_hidden_dim(self, predicted_run, capsys):
         # the checkpoint was trained at FAST's hidden_dim 8
         capsys.readouterr()
@@ -420,10 +444,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name, edit, detail", [
         ("scaler.txt", lambda text: re.sub(r"max=.*", "max", text), "'max'"),
+        ("scaler.txt", lambda text: re.sub(r"min=.*", "min=nan", text), "min=nan"),
         ("model.ckpt", lambda text: text.replace("hidden_dim=8", "hidden_dim=four"), "'hidden_dim=four'"),
         # one extra value on the second row of a section
         ("model.ckpt", lambda text: re.sub(r"(\[W_f\]\n.*\n.*)", r"\1 0", text, count=1), "[W_f]"),
-    ], ids=["scaler-line-without-value", "checkpoint-header", "checkpoint-row-width"])
+    ], ids=[
+        "scaler-line-without-value", "scaler-bounds-not-finite", "checkpoint-header", "checkpoint-row-width",
+    ])
     def test_bad_scaler_or_checkpoint_names_the_file(
         self, predicted_run, tmp_path, capsys, name, edit, detail
     ):
@@ -487,6 +514,23 @@ class TestDeterminism:
                 for f in ("frames.csv", "scaler.txt", "model.ckpt", "report.csv")
             })
         assert outputs[0] == outputs[1]
+
+    def test_frames_bitwise_across_blas_threads(self, tmp_path):
+        # LAPACK's eigh and the step loop's products are on the path; a
+        # second OpenBLAS thread must not move a bit of the frames
+        src = os.path.dirname(os.path.dirname(qwave.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        frames = []
+        for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("unset", {})):
+            out = tmp_path / name
+            code = (
+                "from qwave.cli import main; "
+                f"main(['simulate', '--grid.n_points', '400', '--io.output_dir', {str(out)!r}])"
+            )
+            subprocess.run([sys.executable, "-c", code], env={**env, **threads}, check=True)
+            frames.append((out / "frames.csv").read_bytes())
+        assert frames[0] == frames[1]
 
 
 class TestPredCsv:

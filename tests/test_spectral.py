@@ -43,7 +43,7 @@ class TestEigendecompose:
         assert np.max(np.abs(gram - np.eye(25))) < 1e-13
 
     def test_matches_lapack_dense_path(self):
-        # dual route: the from-scratch solver against numpy's LAPACK on the dense form
+        # dual route: the block solver on the bands against LAPACK on the dense form
         h = _random_symmetric(30, 4)
         d = sp.eigendecompose(h)
         lam_ref = np.linalg.eigvalsh(h.matrix)
@@ -110,9 +110,16 @@ class TestEigendecompose:
                 sp.eigendecompose(Hamiltonian(np.ones(3), wrong))
 
     def test_convergence_error_surfaces(self, monkeypatch):
-        # with no solves the columns stay orthonormalized start vectors
-        monkeypatch.setattr(sp, "_INVERSE_SOLVES", 0)
-        with pytest.raises(ConvergenceError, match=r"eigenvector 0 .* residual"):
+        # a perturbed column must fail the residual check, which names it
+        solve = sp._solve_blocks
+
+        def perturbed(d, e):
+            lam, q, first = solve(d, e)
+            q[:, 3] += 1e-6
+            return lam, q, first
+
+        monkeypatch.setattr(sp, "_solve_blocks", perturbed)
+        with pytest.raises(ConvergenceError, match=r"eigenvector 3 .* residual"):
             sp.eigendecompose(_random_symmetric(8, 6))
 
     def test_single_point(self):
@@ -271,15 +278,18 @@ class TestParityFold:
         # every column exactly even or odd
         assert np.array_equal(np.abs(q), np.abs(q[::-1]))
 
-    def test_default_grid_folds_into_two_cluster_free_blocks(self, default_hamiltonian, monkeypatch):
-        formed = []
-        chunks = sp._column_chunks
-        monkeypatch.setattr(sp, "_column_chunks", lambda *args: formed.append(chunks(*args)) or formed[-1])
+    def test_default_grid_folds_into_two_blocks(self, default_hamiltonian, monkeypatch):
+        solved = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(sp.np.linalg, "eigh", lambda t: solved.append(t.shape) or eigh(t))
         out = sp.eigendecompose(default_hamiltonian)
-        assert len(formed) == 2  # the even and the odd block
-        assert [clusters for block in formed for _, _, clusters in block] == [[], []]
+        n = default_hamiltonian.n
+        assert solved == [(n // 2, n // 2)] * 2  # the even and the odd block, unreduced
         q = out.eigenvectors
-        assert np.array_equal(np.abs(q), np.abs(q[::-1]))
+        even = np.all(q == q[::-1], axis=0)
+        odd = np.all(q == -q[::-1], axis=0)
+        assert np.all(even ^ odd)
+        assert np.count_nonzero(even) == n // 2
 
     def test_asymmetric_grid_is_not_folded(self, monkeypatch):
         grid = make_grid(-6.0, 5.0, 200)
@@ -323,44 +333,6 @@ class TestSplitBlocks:
         block = np.cumsum(np.r_[0, e == 0.0])  # each row's block number
         for j in range(h.n):
             assert np.unique(block[q[:, j] != 0.0]).size == 1
-
-
-@st.composite
-def _bands_and_probes(draw):
-    h = draw(_split_bands())
-    probes = draw(st.lists(st.one_of(st.integers(-4, 4).map(float), _entries), min_size=1, max_size=20))
-    return h, np.array(probes)
-
-
-class TestSturmCounts:
-    @given(_bands_and_probes())
-    def test_counts_match_dense_eigenvalues(self, case):
-        h, x = case
-        lam = np.linalg.eigvalsh(h.matrix)
-        scale = max(float(np.max(np.abs(h.matrix))), np.finfo(float).tiny)
-        x = np.sort(x[np.min(np.abs(x[:, None] - lam[None, :]), axis=1) >= 1e-8 * scale])
-        assume(x.size)
-        e = h.off_diagonal
-        counts = sp._sturm_counts(h.diagonal.tolist(), (e * e).tolist(), x)
-        assert counts.tolist() == np.searchsorted(lam, x).tolist()
-        assert np.all(np.diff(counts) >= 0)
-
-    def test_zero_pivots_count_by_sign_bit(self):
-        # at x = 0 the first pivot is +0 or -0; either way the next one is an
-        # infinity of the other sign and the count stays exact
-        e2 = [1.0, 1.0]
-        for first in (0.0, -0.0):
-            counts = sp._sturm_counts([first, 0.0, 5.0], e2, np.array([0.0]))
-            lam = np.linalg.eigvalsh(Hamiltonian(np.array([0.0, 0.0, 5.0]), np.ones(2)).matrix)
-            assert counts.tolist() == [int(np.count_nonzero(lam < 0.0))]
-
-    def test_probe_on_an_eigenvalue_of_a_split_band(self):
-        # x = 1 zeroes the pivot that ends the first block; dividing the zero
-        # coupling by it would give 0/0 and poison every later pivot
-        h = Hamiltonian(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0]))
-        lam = np.linalg.eigvalsh(h.matrix)
-        (count,) = sp._sturm_counts([1.0, 2.0, 3.0], [0.0, 1.0], np.array([1.0])).tolist()
-        assert np.count_nonzero(lam < 1.0) <= count <= np.count_nonzero(lam <= 1.0)
 
 
 class TestPropagator:
@@ -417,8 +389,8 @@ class TestHarmonicOracle:
 
 
 def test_simulate_leaves_numpy_random_unloaded(tmp_path):
-    # the solver's start vectors come from a fixed hash, not numpy.random,
-    # whose first import costs several MB resident
+    # numpy.random's first import costs several MB resident, and no stage
+    # of simulate needs it
     code = (
         "import sys; from qwave.cli import main; "
         f"main(['simulate', '--grid.n_points', '40', '--io.output_dir', {str(tmp_path)!r}]); "
