@@ -173,59 +173,81 @@ def _n_frames(cfg: RunConfig) -> int:
 def _n_fit(cfg: RunConfig) -> int:
     """Leading frames of the train windows; frames n_fit onward are the test targets."""
     from . import dataset as dsm
-    return dsm.train_frame_count(_n_frames(cfg), cfg.dataset_lookback, cfg.dataset_split_fraction)
+    n_fit = dsm.train_frame_count(_n_frames(cfg), cfg.dataset_lookback, cfg.dataset_split_fraction)
+    if n_fit - cfg.dataset_lookback < 1:
+        raise ConfigError(
+            f"dataset.split_fraction={cfg.dataset_split_fraction!r} leaves no train pair of the "
+            f"{_n_frames(cfg) - cfg.dataset_lookback} pairs that evolution.n_steps="
+            f"{cfg.evolution_n_steps} and dataset.lookback={cfg.dataset_lookback} give"
+        )
+    return n_fit
 
 
-def _clip_rows(start, stop, n: int) -> tuple[int, int]:
-    """[start, stop) moved inside [0, n), holding at least one row."""
-    start = int(min(max(start, 0), n - 1))
-    return start, int(min(max(stop, start + 1), n))
+def _frames_near(cfg: RunConfig, times: list[float]) -> tuple[float, float]:
+    """Frames [lo, hi) that span the frames nearest to times.
 
-
-def _rows_near(cfg: RunConfig, times: list[float]) -> tuple[int, int]:
-    """The frames.csv rows that span the frames nearest to times.
-
-    Row k is at t = k dt, so the frame nearest t is row floor(t/dt) or the
-    next; one more row on either side keeps the pick the whole table's
+    Frame k is at t = k dt, so the frame nearest t is floor(t/dt) or the
+    next; one more frame on either side keeps the pick the whole table's
     when t/dt rounds across an integer.
     """
     steps = np.floor(np.asarray(times, dtype=float) / cfg.evolution_dt)
     if np.isnan(steps).any():
         raise ConfigError(f"times must be numbers, got {list(times)}")
-    return _clip_rows(steps.min() - 1, steps.max() + 3, _n_frames(cfg))
+    return steps.min() - 1, steps.max() + 3
 
 
-def _check_times(cfg: RunConfig, path: str, times: np.ndarray, first_step: int) -> None:
-    """Row j of times must be at (first_step + j) * evolution.dt exactly."""
-    expected = cfg.evolution_dt * np.arange(first_step, first_step + len(times))
+def _read_frames(
+    cfg: RunConfig, lo: float, hi: float, mode: str | None = None
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(first frame read, times, values) of frames [lo, hi) from frames.csv or,
+    given a mode, from its prediction file.
+
+    Frame k is at t = k * evolution.dt.  Row j of frames.csv is frame j and
+    row j of a prediction file is frame n_fit + j, so the two tables hold
+    frames [0, n_steps] and [n_fit, n_steps].  [lo, hi) is moved inside the
+    table's frames, holding at least one.  The table's row count and width,
+    and the times of the rows read, must match the config; ConfigError
+    names the keys otherwise.
+    """
+    n = _n_frames(cfg)
+    if mode is None:
+        path, first = _require(cfg, FRAMES_FILE, "simulate"), 0
+        count = f"evolution.n_steps={n - 1} gives {n}"
+    else:
+        path, first = _require(cfg, PRED_FILES[mode], f"predict --mode {mode}"), _n_fit(cfg)
+        count = (
+            f"evolution.n_steps={cfg.evolution_n_steps}, "
+            f"dataset.lookback={cfg.dataset_lookback} and "
+            f"dataset.split_fraction={cfg.dataset_split_fraction!r} give {n - first} test frames"
+        )
+    lo = int(min(max(lo, first), n - 1))
+    hi = int(min(max(hi, lo + 1), n))
+    try:
+        times, values = ev.read_frames_csv(path, lo - first, hi - first, n - first)
+    except FrameCountError as exc:
+        raise ConfigError(f"{path} has {exc.rows} frames, but {count}") from exc
+    if values.shape[1] != cfg.grid_n_points:
+        raise ConfigError(
+            f"{path} has {values.shape[1]} columns, expected {cfg.grid_n_points} from grid.n_points"
+        )
+    expected = cfg.evolution_dt * np.arange(lo, hi)
     bad = np.flatnonzero(times != expected)
     if bad.size:
         j = int(bad[0])
         raise ConfigError(
-            f"{path} has t={float(times[j])!r} for step {first_step + j}, "
+            f"{path} has t={float(times[j])!r} for step {lo + j}, "
             f"but evolution.dt={cfg.evolution_dt!r} puts it at t={float(expected[j])!r}"
         )
+    return lo, times, values
 
 
-def _record(cfg: RunConfig, start: int = 0, stop: int | None = None) -> ev.EvolutionRecord:
-    """Rows [start, stop) of frames.csv (default: all) as a record.
-
-    frames.csv must hold evolution.n_steps + 1 rows, and the rows read must
-    lie at t = k * evolution.dt exactly; ConfigError names the key otherwise.
-    """
+def _record(cfg: RunConfig, lo: float, hi: float) -> ev.EvolutionRecord:
+    """Frames [lo, hi) of frames.csv, as _read_frames reads them, as a record."""
+    first, times, frames = _read_frames(cfg, lo, hi)
     grid = dz.make_grid(cfg.grid_a, cfg.grid_b, cfg.grid_n_points)
-    path = _require(cfg, FRAMES_FILE, "simulate")
-    n = _n_frames(cfg)
-    try:
-        record = ev.record_from_frames_csv(
-            grid, cfg.evolution_dt, cfg.evolution_normalization_mode, path, start, stop, n
-        )
-    except FrameCountError as exc:
-        raise ConfigError(
-            f"{path} has {exc.rows} frames, but evolution.n_steps={n - 1} gives {n}"
-        ) from exc
-    _check_times(cfg, path, record.times, start)
-    return record
+    steps = first + len(times) - 1  # the step of the last frame read
+    run = ev.EvolutionConfig(grid, cfg.evolution_dt, steps, cfg.evolution_normalization_mode)
+    return ev.EvolutionRecord(run, times, frames, None)
 
 
 def _load_scaler(cfg: RunConfig) -> dsm.Scaler:
@@ -233,40 +255,14 @@ def _load_scaler(cfg: RunConfig) -> dsm.Scaler:
     return dsm.load_scaler(_require(cfg, SCALER_FILE, "export-dataset"))
 
 
-def _load_split(cfg: RunConfig, start: int, stop: int) -> dsm.SplitDataset:
-    """The windows of frames.csv rows [start, stop), scaled and split as on the whole table."""
+def _load_split(cfg: RunConfig, lo: int, hi: int) -> dsm.SplitDataset:
+    """The windows of frames [lo, hi), scaled and split as on the whole table."""
     from . import dataset as dsm
-    record = _record(cfg, start, stop)
+    first, times, frames = _read_frames(cfg, lo, hi)
     return dsm.prepare_split(
-        record.densities, record.times, cfg.dataset_lookback, cfg.dataset_split_fraction,
-        _load_scaler(cfg), start, _n_frames(cfg),
+        frames, times, cfg.dataset_lookback, cfg.dataset_split_fraction,
+        _load_scaler(cfg), first, _n_frames(cfg),
     )
-
-
-def _load_predictions(
-    cfg: RunConfig, mode: str, start: int = 0, stop: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(target times, scaled predictions) in rows [start, stop) of the mode's prediction file.
-
-    Row j predicts frame n_fit + j, so the file must hold one row per test
-    frame, each at its frame's time; ConfigError names the keys otherwise.
-    """
-    path = _require(cfg, PRED_FILES[mode], f"predict --mode {mode}")
-    n_fit, n_test = _n_fit(cfg), _n_frames(cfg) - _n_fit(cfg)
-    try:
-        times, preds = ev.read_frames_csv(path, start, stop, n_test)
-    except FrameCountError as exc:
-        raise ConfigError(
-            f"{path} has {exc.rows} frames, but evolution.n_steps={cfg.evolution_n_steps}, "
-            f"dataset.lookback={cfg.dataset_lookback} and "
-            f"dataset.split_fraction={cfg.dataset_split_fraction!r} give {n_test} test frames"
-        ) from exc
-    if preds.shape[1] != cfg.grid_n_points:
-        raise ConfigError(
-            f"{path} has {preds.shape[1]} columns, expected {cfg.grid_n_points} from grid.n_points"
-        )
-    _check_times(cfg, path, times, n_fit + start)
-    return times, preds
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -285,7 +281,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import compare as cp
     if os.path.exists(os.path.join(cfg.io_output_dir, FRAMES_FILE)):
-        record = _record(cfg, *_rows_near(cfg, args.times))
+        record = _record(cfg, *_frames_near(cfg, args.times))
     else:
         record = _simulate(cfg)  # compute on the fly; nothing is written
     text = cp.render_table(record, args.times, args.indices)
@@ -297,7 +293,7 @@ def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_export_dataset(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import dataset as dsm
     n_fit = _n_fit(cfg)
-    scaler = dsm.fit_scaler(_record(cfg, 0, n_fit).densities)
+    scaler = dsm.fit_scaler(_read_frames(cfg, 0, n_fit)[2])
     dsm.save_scaler(scaler, _out_path(cfg, SCALER_FILE))
     # the train windows end at frame n_fit - 1; every later frame is a test target
     print(
@@ -348,9 +344,10 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import compare as cp
-    record = _record(cfg, _n_fit(cfg))  # the test targets, the frames the predictions are at
+    n_fit, n = _n_fit(cfg), _n_frames(cfg)
+    record = _record(cfg, n_fit, n)  # the test targets, the frames the predictions are at
     scaler = _load_scaler(cfg)
-    pred_times, preds = _load_predictions(cfg, args.mode)
+    _, pred_times, preds = _read_frames(cfg, n_fit, n, args.mode)
     report = cp.build_report(record, preds, pred_times, scaler)
     cp.write_report_csv(report, _out_path(cfg, REPORT_FILE))
     print(
@@ -364,30 +361,29 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_snapshot(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import compare as cp
     from . import dataset as dsm
-    start, stop = _rows_near(cfg, args.times)
-    record = _record(cfg, start, stop)
+    lo, hi = _frames_near(cfg, args.times)
+    first, times, truth = _read_frames(cfg, lo, hi)
     scaler = _load_scaler(cfg)
     n_fit = _n_fit(cfg)
-    pred_start, pred_stop = _clip_rows(start - n_fit, stop - n_fit, _n_frames(cfg) - n_fit)
-    _, preds = _load_predictions(cfg, args.mode, pred_start, pred_stop)
+    pred_first, _, preds = _read_frames(cfg, lo, hi, args.mode)
     physical = dsm.inverse_transform(scaler, preds)
-    # record row k is frame start + k; prediction row j is frame n_fit + pred_start + j
     picks, names = [], {}
     for t in args.times:
-        k = cp._nearest_frame(record.times, t, cfg.evolution_dt)
-        if start + k < n_fit:
+        k = first + cp._nearest_frame(times, t, cfg.evolution_dt)
+        if k < n_fit:
             raise ConfigError(
                 f"t={t} is outside the predicted horizon "
                 f"[{n_fit * cfg.evolution_dt:.6g}, {cfg.evolution_n_steps * cfg.evolution_dt:.6g}]"
             )
-        name = f"snapshot_{record.times[k]:.2f}.csv"
+        name = f"snapshot_{times[k - first]:.2f}.csv"
         first_t, first_k = names.setdefault(name, (t, k))
         if first_k != k:
             raise ConfigError(f"t={first_t} and t={t} are different frames, but both name {name}")
-        picks.append((name, k, start + k - n_fit - pred_start))
-    for name, k, j in picks:
+        picks.append((name, k))
+    grid = dz.make_grid(cfg.grid_a, cfg.grid_b, cfg.grid_n_points)
+    for name, k in picks:
         path = _out_path(cfg, name)
-        cp.write_snapshot_csv(record.config.grid, record.densities[k], physical[j], path)
+        cp.write_snapshot_csv(grid, truth[k - first], physical[k - pred_first], path)
         print(f"snapshot: wrote {path}")
 
 

@@ -238,29 +238,18 @@ def write_conservation_csv(record: EvolutionRecord, path) -> None:
             fh.write(f"{t:.17g},{drift:.17g}\n")
 
 
-def record_from_frames_csv(
-    grid: Grid,
-    dt: float,
-    normalization_mode: str,
-    path,
-    start: int = 0,
-    stop: int | None = None,
-    n_rows: int | None = None,
-) -> EvolutionRecord:
-    """Rebuild a record from rows [start, stop) of the frame CSV at path (default: all).
+def record_from_frames_csv(grid: Grid, dt: float, normalization_mode: str, path) -> EvolutionRecord:
+    """Rebuild a record from the whole frame CSV at path.
 
-    start, stop and n_rows are read_frames_csv's.  The record holds exactly
-    those rows and their times; its config's n_steps is the step of its
-    last row.  The frame table does not store the conservation log, so the
-    rebuilt record has none (None); the real log lives in its own CSV.
+    The frame table does not store the conservation log, so the rebuilt
+    record has none (None); the real log lives in its own CSV.
     """
-    times, frames = read_frames_csv(path, start, stop, n_rows)
+    times, frames = read_frames_csv(path)
     if frames.shape[1] != grid.n_points:
         raise ValueError(
             f"{path} has {frames.shape[1]} columns, expected {grid.n_points} from grid.n_points"
         )
     config = EvolutionConfig(
-        grid=grid, dt=dt, n_steps=max(start + len(times) - 1, 0),
-        normalization_mode=normalization_mode,
+        grid=grid, dt=dt, n_steps=max(len(times) - 1, 0), normalization_mode=normalization_mode
     )
     return EvolutionRecord(config, times, frames, None)

@@ -154,7 +154,7 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    lr: float = 1e-3
+    lr: float
     step: int = 0
     # scratch for one chunk, so a step allocates nothing
     _work: np.ndarray = field(init=False, repr=False)
@@ -360,7 +360,7 @@ def _first_nonfinite(vector: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def init_adam(theta: np.ndarray, lr: float = 1e-3) -> AdamState:
+def init_adam(theta: np.ndarray, lr: float) -> AdamState:
     """Zero moments for the flat parameter vector theta."""
     return AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta), lr=lr)
 

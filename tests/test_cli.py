@@ -218,7 +218,7 @@ class TestPipeline:
         # the rollout report is the one built from pred_rollout.csv
         cfg = RunConfig(grid_n_points=40, evolution_n_steps=30, io_output_dir=str(out))
         scaler = dsm.load_scaler(out / "scaler.txt")
-        record = cli._record(cfg)
+        record = cli._record(cfg, 0, 31)
         times, preds = ev.read_frames_csv(out / "pred_rollout.csv")
         expected = tmp_path / "expected.csv"
         cp.write_report_csv(cp.build_report(record, preds, times, scaler), expected)
@@ -297,6 +297,25 @@ class TestPipeline:
         assert _cli(out, "compare") == 0
         assert _cli(out, "snapshot", "--times", "1.4") == 0
         assert reads == ["frames.csv", "pred_onestep.csv"] * 2
+
+    @pytest.mark.parametrize("mode", sorted(cli.PRED_FILES))
+    def test_snapshot_pairs_each_frame_with_its_prediction(self, predicted_run, tmp_path, capsys, mode):
+        # 31 frames and n_fit = 25: prediction row j is frame 25 + j, so the
+        # predicted horizon is t in [1.25, 1.5]
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        assert _cli(out, "predict", "--mode", mode) == 0
+        assert _cli(out, "snapshot", "--mode", mode, "--times", "1.25,1.35,1.5") == 0
+        _, frames = ev.read_frames_csv(out / "frames.csv")
+        _, preds = ev.read_frames_csv(out / cli.PRED_FILES[mode])
+        physical = np.clip(dsm.inverse_transform(dsm.load_scaler(out / "scaler.txt"), preds), 0.0, None)
+        for k, t in ((25, "1.25"), (27, "1.35"), (30, "1.50")):
+            snap = np.loadtxt(out / f"snapshot_{t}.csv", delimiter=",", skiprows=1)
+            assert snap[:, 1].tobytes() == frames[k].tobytes(), k
+            assert snap[:, 2].tobytes() == physical[k - 25].tobytes(), k
+        capsys.readouterr()
+        assert _cli(out, "snapshot", "--mode", mode, "--times", "1.2") == 1
+        assert "t=1.2 is outside the predicted horizon [1.25, 1.5]" in capsys.readouterr().err
 
     def test_window_views_keep_outputs_byte_identical(self, tmp_path, monkeypatch):
         # windows are views of the scaled frames; stacked copies, as windowize
@@ -423,6 +442,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "pred_onestep.csv has 6 frames" in err and "dataset.split_fraction=0.5" in err
 
+    def test_split_without_a_train_pair_names_the_keys(self, tmp_path, capsys):
+        # 11 frames give 7 pairs; 0.05 of them floors to no train pair
+        out = tmp_path / "out"
+        argv = ["--evolution.n_steps", "10", "--dataset.split_fraction", "0.05"]
+        assert _cli(out, "simulate", *argv) == 0
+        capsys.readouterr()
+        assert _cli(out, "export-dataset", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        for key in ("dataset.split_fraction", "dataset.lookback", "evolution.n_steps"):
+            assert key in err
+        assert not (out / "scaler.txt").exists()
+
     def test_bad_times_syntax(self, tmp_path):
         out = tmp_path / "out"
         _cli(out, "simulate")
@@ -517,20 +549,23 @@ class TestDeterminism:
 
     def test_frames_bitwise_across_blas_threads(self, tmp_path):
         # LAPACK's eigh and the step loop's products are on the path; a
-        # second OpenBLAS thread must not move a bit of the frames
+        # second OpenBLAS thread must not move a bit of the frames while
+        # every eigenblock has fewer than about 500 rows.  At N = 400, a = -5
+        # folds into two blocks of 200 rows and a = -6 is one block of 400.
         src = os.path.dirname(os.path.dirname(qwave.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         env.pop("OPENBLAS_NUM_THREADS", None)
-        frames = []
-        for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("unset", {})):
-            out = tmp_path / name
-            code = (
-                "from qwave.cli import main; "
-                f"main(['simulate', '--grid.n_points', '400', '--io.output_dir', {str(out)!r}])"
-            )
-            subprocess.run([sys.executable, "-c", code], env={**env, **threads}, check=True)
-            frames.append((out / "frames.csv").read_bytes())
-        assert frames[0] == frames[1]
+        for grid_a in ("-5", "-6"):
+            frames = []
+            for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("unset", {})):
+                out = tmp_path / grid_a / name
+                code = (
+                    "from qwave.cli import main; main(['simulate', '--grid.n_points', '400', "
+                    f"'--grid.a', {grid_a!r}, '--io.output_dir', {str(out)!r}])"
+                )
+                subprocess.run([sys.executable, "-c", code], env={**env, **threads}, check=True)
+                frames.append((out / "frames.csv").read_bytes())
+            assert frames[0] == frames[1], f"grid.a {grid_a}"
 
 
 class TestPredCsv:

@@ -214,16 +214,6 @@ class TestFrameCsv:
         with pytest.raises(ValueError, match="frames.csv is not a whole frame CSV"):
             ev.read_frames_csv(path)
 
-    def test_record_from_a_row_range(self, tmp_path):
-        grid, h = _small_setup()
-        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=6), h)
-        path = tmp_path / "frames.csv"
-        ev.write_frames_csv(record.times, record.density_matrix(), path)
-        back = ev.record_from_frames_csv(grid, 0.05, "ell2", path, 2, 5, n_rows=7)
-        assert np.array_equal(back.times, record.times[2:5])
-        assert np.array_equal(back.densities, record.densities[2:5])
-        assert back.config.n_steps == 4  # the step of its last row
-
     def test_row_count_and_range_checked(self, tmp_path):
         path = tmp_path / "frames.csv"
         ev.write_frames_csv(np.arange(4.0), np.ones((4, 3)), path)

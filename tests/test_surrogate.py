@@ -409,7 +409,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         params = np.zeros(3)
-        state = sg.init_adam(params)
+        state = sg.init_adam(params, lr=1e-3)
         with pytest.raises(ValueError):
             sg.adam_step(state, params, np.zeros(4))
 
