@@ -8,6 +8,7 @@ are rejected so typos fail fast instead of silently using a default.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
@@ -118,6 +119,14 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"grid.b ({cfg.grid_b}) must exceed grid.a ({cfg.grid_a})")
     if cfg.grid_n_points < 3:
         raise ConfigError(f"grid.n_points must be >= 3, got {cfg.grid_n_points}")
+    # the Laplacian scales by 1/dx^2 and the potential by x^2: both stay in the float range
+    dx = (cfg.grid_b - cfg.grid_a) / (cfg.grid_n_points - 1)
+    edge = max(abs(cfg.grid_a), abs(cfg.grid_b))
+    if not (sys.float_info.min <= dx * dx < math.inf and edge * edge < math.inf):
+        raise ConfigError(
+            f"grid.a={cfg.grid_a!r}, grid.b={cfg.grid_b!r} and grid.n_points={cfg.grid_n_points} "
+            f"give dx={dx:.3g}; dx^2 must be a normal float and grid.a^2 and grid.b^2 finite"
+        )
     if not cfg.evolution_dt > 0:
         raise ConfigError(f"evolution.dt must be positive, got {cfg.evolution_dt}")
     if cfg.evolution_n_steps < 1:

@@ -82,9 +82,14 @@ def gaussian_initial(grid: Grid, mode: str = "ell2") -> np.ndarray:
         raise ValueError(f"normalization_mode must be one of {NORMALIZATION_MODES}, got {mode!r}")
     raw = np.exp(-(grid.nodes**2))
     norm_sq = np.sum(raw**2)
-    if mode == "dx_weighted":
-        norm_sq = norm_sq * grid.dx
-    psi = raw / np.sqrt(norm_sq)
+    weight = grid.dx if mode == "dx_weighted" else 1.0
+    # ValueError if a sum is zero or subnormal: it has lost the digits that normalize psi
+    if not min(norm_sq, norm_sq * weight) >= np.finfo(float).tiny:
+        raise ValueError(
+            f"the packet exp(-x^2) misses the domain [{grid.a!r}, {grid.b!r}]: its squared "
+            f"norm there, {norm_sq * weight:.3g}, is below the smallest normal float"
+        )
+    psi = raw / np.sqrt(norm_sq * weight)
     psi.setflags(write=False)
     return psi
 

@@ -43,6 +43,8 @@ _SIGN_TIE = 1e-8
 # entries of one work array: the column sort, the sign anchor and the
 # residual check hold n x (this // n) values at a time
 _BLOCK_ENTRIES = 1 << 18
+# largest |lam dt| accepted: floats are 0.125 rad apart there, 1 rad from 2^52 = 4.5e15
+_MAX_PHASE = 1e15
 
 
 @dataclass(frozen=True)
@@ -219,10 +221,14 @@ def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
 
 def build_propagator(decomp: SpectralDecomposition, dt: float) -> Propagator:
     """U(dt) = Q diag(exp(-i lam dt)) Q^T as its factors; dt may be zero or
-    negative.  O(N): the phases are the only new array."""
-    if not math.isfinite(dt):
-        raise ValueError(f"time step must be finite, got {dt}")
-    angle = decomp.eigenvalues * dt
+    negative, and max|lam dt| at most _MAX_PHASE.  O(N) new memory: the phases."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with a dt not finite
+        angle = decomp.eigenvalues * dt
+    turn = float(np.max(np.abs(angle), initial=0.0))
+    if not turn <= _MAX_PHASE:
+        raise ValueError(
+            f"time step {dt!r} turns a phase by {turn:.3g} rad per step; the bound is {_MAX_PHASE:.0e}"
+        )
     phases = np.empty(decomp.n, dtype=complex)
     phases.real, phases.imag = np.cos(angle), -np.sin(angle)
     phases.setflags(write=False)

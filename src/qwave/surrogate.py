@@ -62,7 +62,7 @@ _ADAM_CHUNK = 16384
 # Adam's moment decay rates and denominator guard, Kingma & Ba's defaults
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
-# training pairs per Adam update; lr's default (TrainConfig, RunConfig) was
+# training pairs per Adam update; the default training.lr (RunConfig) was
 # chosen with it in a six-seed convergence sweep, so the two move together
 _BATCH_SIZE = 8
 
@@ -163,22 +163,6 @@ class AdamState:
         self._work = np.empty(min(self.m.size, _ADAM_CHUNK))
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 100
-    rng_seed: int = 42  # seeds the per-epoch permutation of the training pairs
-    lr: float = 2e-3
-    clip_norm: float | None = None
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.lr >= 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be positive when set, got {self.clip_norm}")
-
-
 @dataclass
 class LossHistory:
     """Per-epoch mean training MSE (scaled units; see train)."""
@@ -224,6 +208,7 @@ def init_model(input_dim: int, hidden_dim: int, rng_seed: int) -> SurrogateModel
     return model
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in the non-finite check below
 def forward(model: SurrogateModel, windows: np.ndarray) -> tuple[np.ndarray, Tape]:
     """Run the recurrence over a (B, L, input_dim) batch; return (B, N) predictions and tape."""
     windows = np.asarray(windows, dtype=float)
@@ -412,14 +397,12 @@ def _clip_gradients(grad: np.ndarray, max_norm: float) -> bool:
 
 
 def train(
-    model: SurrogateModel,
-    data: SplitDataset,
-    cfg: TrainConfig,
+    model: SurrogateModel, data: SplitDataset, *, epochs: int, lr: float, clip_norm: float | None
 ) -> tuple[SurrogateModel, LossHistory]:
     """Adam updates over epochs x batches, one update per batch of train pairs.
 
     Each epoch visits every training pair exactly once, in a fresh
-    permutation drawn from np.random.default_rng(cfg.rng_seed) and cut
+    permutation drawn from np.random.default_rng(model.seed) and cut
     into batches of _BATCH_SIZE pairs (the last may be shorter); a
     fixed chronological order ends every epoch pulled toward the last,
     nearly identical frames.  Only the visiting order is shuffled: the
@@ -427,21 +410,28 @@ def train(
     train windows.  Each batch takes one Adam step on the gradient of its
     mean pair MSE, recorded before the update; an epoch's entry is the sum
     of its pair losses over the pair count, the mean MSE the parameters of
-    that epoch actually saw.  Deterministic for a fixed seed; no dropout.
+    that epoch actually saw.  Gradients are clipped to norm clip_norm
+    unless it is None.  Deterministic for a fixed model.seed; no dropout.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not lr >= 0:
+        raise ValueError(f"lr must be >= 0, got {lr}")
+    if clip_norm is not None and not clip_norm > 0:
+        raise ValueError(f"clip_norm must be positive when set, got {clip_norm}")
     n_pairs = len(data.train)
     if n_pairs == 0:
         raise ValueError("training set is empty")
     work = SurrogateModel(model.input_dim, model.hidden_dim, model.seed)
     theta = work.params.flat
     theta[:] = model.params.flat
-    state = init_adam(theta, lr=cfg.lr)
+    state = init_adam(theta, lr)
     history = LossHistory()
     grads = Params(np.empty_like(theta), model.input_dim, model.hidden_dim)
     clipped = 0
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(model.seed)
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(epochs):
         total = 0.0
         order = rng.permutation(n_pairs)
         for start in range(0, n_pairs, _BATCH_SIZE):
@@ -460,7 +450,7 @@ def train(
                     f"non-finite gradient for parameter {grads.key_at(bad)} "
                     f"at epoch {epoch + 1}, pairs {batch.tolist()}"
                 )
-            if cfg.clip_norm is not None and _clip_gradients(grads.flat, cfg.clip_norm):
+            if clip_norm is not None and _clip_gradients(grads.flat, clip_norm):
                 clipped += 1
             adam_step(state, theta, grads.flat)
         history.train_mse.append(total / n_pairs)

@@ -85,12 +85,13 @@ def trained_default(default_config, default_split):
         default_config.training_hidden_dim,
         default_config.training_rng_seed,
     )
-    cfg = sg.TrainConfig(
+    return sg.train(
+        model,
+        split,
         epochs=default_config.training_epochs,
-        rng_seed=default_config.training_rng_seed,
         lr=default_config.training_lr,
+        clip_norm=default_config.training_clip,
     )
-    return sg.train(model, split, cfg)
 
 
 @pytest.fixture(scope="session")

@@ -189,11 +189,9 @@ def test_08_training_property(default_config, default_split, trained_default):
     retrained, rehistory = sg.train(
         fresh,
         split,
-        sg.TrainConfig(
-            epochs=default_config.training_epochs,
-            rng_seed=default_config.training_rng_seed,
-            lr=default_config.training_lr,
-        ),
+        epochs=default_config.training_epochs,
+        lr=default_config.training_lr,
+        clip_norm=default_config.training_clip,
     )
     deterministic = rehistory.train_mse == history.train_mse and all(
         np.array_equal(retrained.params[k], model.params[k]) for k in sg.PARAM_KEYS

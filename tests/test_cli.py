@@ -1,13 +1,17 @@
 import ast
+import contextlib
+import io
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qwave
@@ -49,9 +53,13 @@ def predicted_run(tmp_path_factory):
     return out
 
 
-# every finite float, with the edges of the format drawn explicitly
+# every finite float, with the edges of the format, and values whose squares
+# leave it, drawn explicitly
 _FLOATS = st.one_of(
-    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.sampled_from([
+        -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e200, -1e200,
+        1.7976931348623157e308, -1.7976931348623157e308,
+    ]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 _CONFIGS = st.builds(
@@ -455,6 +463,41 @@ class TestExitCodes:
             assert key in err
         assert not (out / "scaler.txt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--grid.a", "-1e200", "--grid.b", "1e200"],
+        ["simulate", "--grid.a", "-1e-200", "--grid.b", "1e-200"],
+        ["table", "--grid.a", "-1e-200", "--grid.b", "1e-200"],
+        ["simulate", "--grid.a", "-1e-155", "--grid.b", "1e-155"],
+        ["simulate", "--grid.a", "-1e155", "--grid.b", "1e155", "--grid.n_points", "1000"],
+    ], ids=["dx-overflows", "dx-underflows", "table-dx-underflows", "dx-squared-subnormal", "a-squared-overflows"])
+    def test_grid_outside_the_float_range_names_the_keys(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--io.output_dir", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: config:")
+        for key in ("grid.a", "grid.b", "grid.n_points"):
+            assert key in line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", NORMALIZATION_MODES)
+    def test_packet_that_misses_the_grid_is_refused(self, tmp_path, capsys, mode):
+        argv = [
+            "simulate", "--evolution.n_steps", "4", "--evolution.normalization_mode", mode,
+            "--io.output_dir", str(tmp_path / "out"),
+        ]
+        assert cli.main([*argv, "--grid.a", "20", "--grid.b", "30"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: config: the packet") and "[20.0, 30.0]" in line
+        assert cli.main([*argv, "--grid.a", "18", "--grid.b", "28"]) == 0
+
+    def test_time_step_whose_phases_keep_no_digit(self, tmp_path, capsys):
+        # max|lam| is 799.6 on the default grid: dt 1e13 turns a phase by 8.0e15 rad
+        argv = ["simulate", "--evolution.n_steps", "4", "--io.output_dir", str(tmp_path / "out")]
+        assert cli.main([*argv, "--evolution.dt", "1e13"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: config: time step 10000000000000.0 turns a phase by 8e+15")
+        assert "1e+15" in line
+        assert cli.main([*argv, "--evolution.dt", "1e12"]) == 0
+
     def test_bad_times_syntax(self, tmp_path):
         out = tmp_path / "out"
         _cli(out, "simulate")
@@ -508,6 +551,75 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "io.output_dir" in err and str(path) in err
         assert len(err.splitlines()) == 1
+
+
+# a tiny chain that runs end to end; the property test below overrides up to
+# two of its float keys with any finite float
+_CHAIN_FLAGS = st.fixed_dictionaries({
+    "grid.n_points": st.integers(3, 8),
+    "evolution.n_steps": st.integers(1, 12),
+    "dataset.lookback": st.integers(1, 4),
+    "training.epochs": st.just(1),
+    "training.hidden_dim": st.integers(1, 2),
+    "evolution.normalization_mode": st.sampled_from(NORMALIZATION_MODES),
+    "grid.a": st.floats(-8.0, 0.0),
+    "grid.b": st.floats(0.1, 8.0),
+    "evolution.dt": st.floats(1e-3, 1.0),
+    "training.lr": st.floats(0.0, 0.1),
+    "training.clip": st.floats(1e-3, 10.0),
+})
+_CHAIN_OVERRIDES = st.dictionaries(
+    st.sampled_from(["grid.a", "grid.b", "evolution.dt", "training.lr", "training.clip"]),
+    _FLOATS,
+    max_size=2,
+)
+_PINNED = {
+    "grid.n_points": 8, "evolution.n_steps": 4, "dataset.lookback": 2, "training.epochs": 1,
+    "training.hidden_dim": 1, "evolution.normalization_mode": "ell2", "grid.a": -5.0,
+    "grid.b": 5.0, "evolution.dt": 0.05, "training.lr": 2e-3, "training.clip": 1.0,
+}
+_CHAIN = [
+    ["simulate"], ["table", "--times", "0", "--indices", "0,1,2"], ["export-dataset"], ["train"],
+    ["predict", "--mode", "one-step"], ["predict", "--mode", "rollout"], ["compare"],
+]
+
+
+class TestExitContract:
+    @settings(max_examples=300)
+    @given(flags=_CHAIN_FLAGS, overrides=_CHAIN_OVERRIDES)
+    # dx^2 overflows; dx^2 underflows; dx^2 is subnormal; a^2 overflows
+    @example(flags=_PINNED, overrides={"grid.a": -1e200, "grid.b": 1e200})
+    @example(flags=_PINNED, overrides={"grid.a": -1e-200, "grid.b": 1e-200})
+    @example(flags=_PINNED, overrides={"grid.a": -1e-155, "grid.b": 1e-155})
+    @example(flags={**_PINNED, "grid.n_points": 1000}, overrides={"grid.a": -1e155, "grid.b": 1e155})
+    # the packet misses the grid; max|lam dt| is 1.3e16, then infinite (numpy
+    # warned of the overflow); train leaves weights that overflow predict's
+    # forward pass (numpy warned before the error line)
+    @example(flags=_PINNED, overrides={"grid.a": 20.0, "grid.b": 30.0})
+    @example(flags=_PINNED, overrides={"evolution.dt": 1e15})
+    @example(flags=_PINNED, overrides={"evolution.dt": 1.7976931348623157e308})
+    @example(flags={**_PINNED, "grid.n_points": 4}, overrides={"training.lr": 1.7976931348623157e308})
+    def test_each_stage_exits_0_or_with_one_error_line(self, flags, overrides):
+        argv = [arg for key, value in {**flags, **overrides}.items() for arg in (f"--{key}", str(value))]
+        with tempfile.TemporaryDirectory() as out:
+            for stage in _CHAIN:
+                err = io.StringIO()
+                with (
+                    contextlib.redirect_stderr(err),
+                    contextlib.redirect_stdout(io.StringIO()),
+                    warnings.catch_warnings(record=True) as caught,
+                ):
+                    warnings.simplefilter("always")
+                    code = cli.main([*stage, *argv, "--io.output_dir", out])
+                if code == 0:
+                    continue
+                # the interpreter prints every warning to stderr as well
+                lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+                assert code in (1, 2, 3), (stage, code, lines)
+                assert len(lines) == 1, (stage, lines)
+                prefix = {1: "error: config:", 2: "error: numerical:", 3: "error: missing-artifact:"}
+                assert lines[0].startswith(prefix[code]), (stage, lines)
+                break
 
 
 class TestDashValues:

@@ -38,6 +38,15 @@ class TestGaussianInitial:
         with pytest.raises(ValueError):
             ev.gaussian_initial(default_grid, "l1")
 
+    @pytest.mark.parametrize("mode", ev.NORMALIZATION_MODES)
+    def test_packet_that_misses_the_domain_rejected(self, mode):
+        # exp(-2 x^2) is 0 on every node of [20, 30] and subnormal at x = 19.2
+        for a in (20.0, 19.2):
+            with pytest.raises(ValueError, match=rf"misses the domain \[{a}, 30.0\]"):
+                ev.gaussian_initial(make_grid(a, 30.0, 200), mode)
+        psi = ev.gaussian_initial(make_grid(18.0, 28.0, 200), mode)
+        assert np.all(np.isfinite(psi)) and psi[0] > 0.0
+
 
 class TestEvolutionConfig:
     def test_validation(self, default_grid):

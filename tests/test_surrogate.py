@@ -368,7 +368,7 @@ class TestParams:
 
     def test_views_survive_train_and_load(self, tiny_split, tmp_path):
         _, split = tiny_split
-        trained, _ = sg.train(sg.init_model(12, 6, 5), split, sg.TrainConfig(epochs=2))
+        trained, _ = sg.train(sg.init_model(12, 6, 5), split, epochs=2, lr=2e-3, clip_norm=None)
         sg.save_checkpoint(trained, tmp_path / "model.ckpt")
         loaded = sg.load_checkpoint(tmp_path / "model.ckpt")
         for model in (trained, loaded):
@@ -421,7 +421,7 @@ class TestTrain:
         identity = dsm.Scaler(0.0, 1.0)
         split = dsm.prepare_split(frames, np.arange(6.0), 4, 0.5, identity)  # M=2 -> 1 train pair
         model = sg.init_model(4, 3, 0)
-        trained, history = sg.train(model, split, sg.TrainConfig(epochs=1, lr=0.0))
+        trained, history = sg.train(model, split, epochs=1, lr=0.0, clip_norm=None)
         for k in sg.PARAM_KEYS:
             assert np.array_equal(trained.params[k], model.params[k])
         initial_loss = sg.mse(sg.forward(model, split.train.inputs[:1])[0], split.train.targets[:1])
@@ -432,10 +432,11 @@ class TestTrain:
         # pairs it visited: equal to the all-pairs mean only if each is seen once
         _, split = tiny_split
         assert len(split.train) > 1
-        model = sg.init_model(12, 6, 4)
-        _, history = sg.train(model, split, sg.TrainConfig(epochs=4, rng_seed=3, lr=0.0))
-        mean_loss = sg.mse(sg.predict_one_step(model, split.train.inputs), split.train.targets)
-        assert history.train_mse == pytest.approx([mean_loss] * 4, rel=1e-12)
+        for seed in (3, 4):  # the model's seed also draws the pair order
+            model = sg.init_model(12, 6, seed)
+            _, history = sg.train(model, split, epochs=4, lr=0.0, clip_norm=None)
+            mean_loss = sg.mse(sg.predict_one_step(model, split.train.inputs), split.train.targets)
+            assert history.train_mse == pytest.approx([mean_loss] * 4, rel=1e-12), seed
 
     @pytest.mark.parametrize("batch_size", [1, 8, 10, 76, 77, 80])
     def test_epoch_loss_is_the_all_pairs_mean(self, default_split, batch_size, monkeypatch):
@@ -443,10 +444,9 @@ class TestTrain:
         # as a whole batch mean beside the full ones
         _, split = default_split
         assert len(split.train) == 77
-        model = sg.init_model(200, 64, 5)
+        model = sg.init_model(200, 64, 1)
         monkeypatch.setattr(sg, "_BATCH_SIZE", batch_size)
-        cfg = sg.TrainConfig(epochs=2, rng_seed=1, lr=0.0)
-        _, history = sg.train(model, split, cfg)
+        _, history = sg.train(model, split, epochs=2, lr=0.0, clip_norm=None)
         mean_loss = sg.mse(sg.predict_one_step(model, split.train.inputs), split.train.targets)
         assert history.train_mse == pytest.approx([mean_loss] * 2, rel=1e-12)
 
@@ -463,23 +463,32 @@ class TestTrain:
         for batch_size, per_epoch in ((1, 28), (8, 4), (28, 1), (30, 1)):
             steps.clear()
             monkeypatch.setattr(sg, "_BATCH_SIZE", batch_size)
-            sg.train(sg.init_model(12, 6, 0), split, sg.TrainConfig(epochs=2, lr=1e-3))
+            sg.train(sg.init_model(12, 6, 0), split, epochs=2, lr=1e-3, clip_norm=None)
             assert len(steps) == 2 * per_epoch, batch_size
 
     def test_deterministic(self, tiny_split):
         _, split = tiny_split
         model = sg.init_model(12, 6, 7)
-        cfg = sg.TrainConfig(epochs=5, rng_seed=7, lr=1e-3)
-        t1, h1 = sg.train(model, split, cfg)
-        t2, h2 = sg.train(model, split, cfg)
+        t1, h1 = sg.train(model, split, epochs=5, lr=1e-3, clip_norm=None)
+        t2, h2 = sg.train(model, split, epochs=5, lr=1e-3, clip_norm=None)
         assert h1.train_mse == h2.train_mse
         for k in sg.PARAM_KEYS:
             assert np.array_equal(t1.params[k], t2.params[k])
 
+    def test_pair_order_follows_the_model_seed(self, tiny_split):
+        # equal weights, other seed: only the order of the 28 pairs differs
+        _, split = tiny_split
+        model = sg.init_model(12, 6, 7)
+        other = sg.SurrogateModel(12, 6, 8)
+        other.params.flat[:] = model.params.flat
+        _, h1 = sg.train(model, split, epochs=1, lr=1e-3, clip_norm=None)
+        _, h2 = sg.train(other, split, epochs=1, lr=1e-3, clip_norm=None)
+        assert h1.train_mse != h2.train_mse
+
     def test_loss_decreases_on_smooth_data(self, tiny_split):
         _, split = tiny_split
         model = sg.init_model(12, 16, 42)
-        _, history = sg.train(model, split, sg.TrainConfig(epochs=60, lr=1e-3))
+        _, history = sg.train(model, split, epochs=60, lr=1e-3, clip_norm=None)
         assert history.train_mse[-1] < history.train_mse[0] / 10.0
         assert all(np.isfinite(v) and v >= 0.0 for v in history.train_mse)
 
@@ -487,7 +496,7 @@ class TestTrain:
         _, split = tiny_split
         model = sg.init_model(12, 6, 3)
         before = {k: v.copy() for k, v in model.params.items()}
-        sg.train(model, split, sg.TrainConfig(epochs=1, lr=1e-3))
+        sg.train(model, split, epochs=1, lr=1e-3, clip_norm=None)
         for k in sg.PARAM_KEYS:
             assert np.array_equal(model.params[k], before[k])
 
@@ -495,7 +504,7 @@ class TestTrain:
         _, split = tiny_split
         model = sg.init_model(12, 6, 0)
         with pytest.raises(NonFiniteError, match="epoch"):
-            sg.train(model, split, sg.TrainConfig(epochs=2, lr=1e160))
+            sg.train(model, split, epochs=2, lr=1e160, clip_norm=None)
 
     def test_nonfinite_gradient_names_its_parameter(self, tiny_split, monkeypatch):
         _, split = tiny_split
@@ -511,20 +520,27 @@ class TestTrain:
         # with clipping on too: the NaN must still be named where it arose
         for clip in (None, 1.0):
             with pytest.raises(NonFiniteError, match="U_o"):
-                sg.train(model, split, sg.TrainConfig(epochs=1, clip_norm=clip))
+                sg.train(model, split, epochs=1, lr=2e-3, clip_norm=clip)
 
     def test_clip_fires_and_is_logged(self, tiny_split, caplog):
         _, split = tiny_split
         model = sg.init_model(12, 6, 0)
         with caplog.at_level(logging.WARNING, logger="qwave.surrogate"):
-            sg.train(model, split, sg.TrainConfig(epochs=1, lr=1e-3, clip_norm=1e-6))
+            sg.train(model, split, epochs=1, lr=1e-3, clip_norm=1e-6)
         assert "clipping" in caplog.text
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            sg.TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            sg.TrainConfig(clip_norm=0.0)
+    def test_config_validation(self, tiny_split):
+        _, split = tiny_split
+        model = sg.init_model(12, 6, 0)
+        for bad, match in (
+            ({"epochs": 0}, "epochs must be >= 1"),
+            ({"lr": -1.0}, "lr must be >= 0"),
+            ({"lr": float("nan")}, "lr must be >= 0"),
+            ({"clip_norm": 0.0}, "clip_norm must be positive"),
+        ):
+            settings = {"epochs": 1, "lr": 1e-3, "clip_norm": None, **bad}
+            with pytest.raises(ValueError, match=match):
+                sg.train(model, split, **settings)
 
     def test_empty_train_set_rejected(self):
         frames = small_frames(14, 4)
@@ -532,7 +548,7 @@ class TestTrain:
         split = dsm.prepare_split(frames, np.arange(14.0), 4, 0.05, identity)  # floor(0.05 * 10) = 0 train pairs
         model = sg.init_model(4, 3, 0)
         with pytest.raises(ValueError):
-            sg.train(model, split, sg.TrainConfig(epochs=1))
+            sg.train(model, split, epochs=1, lr=2e-3, clip_norm=None)
 
 
 class TestPredict:
