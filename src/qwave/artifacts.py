@@ -1,10 +1,10 @@
-"""Atomic artifact writes.
+"""Atomic artifact writes and the one CSV writer.
 
 Every file a CLI stage writes goes through atomic_text: the text goes to
 a temp file beside the target and is moved into place with os.replace
 only once it is complete.  A stage that fails or is killed mid-write
 leaves the previous artifact, or none, never a truncated one for the
-next stage to read.
+next stage to read.  Every CSV artifact goes through write_csv.
 """
 
 from __future__ import annotations
@@ -33,3 +33,20 @@ def atomic_text(path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Atomically write a CSV: the header's names, then one line per row.
+
+    Every value is one %.17g format, byte for byte the per-value
+    f"{v:.17g}" join, so every float round-trips bitwise; an int prints as
+    itself up to 2**53.  A row whose first field is a str, such as a
+    report's `mean` footer, prints that field as is.
+    """
+    header = list(header)
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    labelled = ",".join(["%s"] + ["%.17g"] * (len(header) - 1)) + "\n"
+    with atomic_text(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write((labelled if isinstance(row[0], str) else fmt) % tuple(row))

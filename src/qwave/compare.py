@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import atomic_text
+from .artifacts import write_csv
 from .dataset import Scaler, inverse_transform
 from .discretize import Grid
 from .errors import ConfigError
@@ -160,17 +160,9 @@ def render_table(record: EvolutionRecord, times: list[float], indices: list[int]
 
 def write_report_csv(report: ComparisonReport, path) -> None:
     """Per-frame metric rows plus a `mean` footer; no paths or metadata inside."""
-    with atomic_text(path) as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for f in report.frames:
-            fh.write(
-                f"{f.time:.17g},{f.mse:.17g},{f.mae:.17g},"
-                f"{f.max_abs_err:.17g},{f.peak_position_err}\n"
-            )
-        fh.write(
-            f"mean,{report.mean_mse:.17g},{report.mean_mae:.17g},"
-            f"{report.mean_max_abs_err:.17g},{report.mean_peak_position_err:.17g}\n"
-        )
+    rows = [(f.time, f.mse, f.mae, f.max_abs_err, f.peak_position_err) for f in report.frames]
+    mean = (report.mean_mse, report.mean_mae, report.mean_max_abs_err, report.mean_peak_position_err)
+    write_csv(path, REPORT_COLUMNS, [*rows, ("mean", *mean)])
 
 
 def write_snapshot_csv(
@@ -187,7 +179,5 @@ def write_snapshot_csv(
             f"density widths {ctqw_density.shape}/{ml_density.shape} "
             f"do not match grid size {grid.n_points}"
         )
-    with atomic_text(path) as fh:
-        fh.write("x,ctqw_density,ml_density\n")
-        for x, a, b in zip(grid.nodes, ctqw_density, ml_density):
-            fh.write(f"{x:.17g},{a:.17g},{b:.17g}\n")
+    columns = zip(grid.nodes.tolist(), ctqw_density.tolist(), ml_density.tolist())
+    write_csv(path, ("x", "ctqw_density", "ml_density"), columns)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import atomic_text
+from .artifacts import write_csv
 from .discretize import Grid, Hamiltonian
 from .errors import ConservationError, FrameCountError
 from .spectral import Propagator, SpectralDecomposition, build_propagator, eigendecompose
@@ -167,18 +167,14 @@ def write_frames_csv(times: np.ndarray, rows: np.ndarray, path) -> None:
     """Frame table: header t,x_0,...,x_{N-1}, then one row per time, 17 digits.
 
     The one codec for every frame table: simulated densities and the
-    surrogate's predictions alike.  Each row is one %-format of all its
-    values, byte for byte the per-value f"{v:.17g}" join.
+    surrogate's predictions alike.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or len(times) != rows.shape[0]:
         raise ValueError(f"{len(times)} times for rows of shape {rows.shape}")
-    width = rows.shape[1]
-    fmt = ",".join(["%.17g"] * (width + 1)) + "\n"
-    with atomic_text(path) as fh:
-        fh.write("t," + ",".join(f"x_{i}" for i in range(width)) + "\n")
-        for t, row in zip(np.asarray(times, dtype=float).tolist(), rows):
-            fh.write(fmt % (t, *row.tolist()))
+    header = ["t", *(f"x_{i}" for i in range(rows.shape[1]))]
+    pairs = zip(np.asarray(times, dtype=float).tolist(), rows)
+    write_csv(path, header, ((t, *row.tolist()) for t, row in pairs))
 
 
 def read_frames_csv(
@@ -237,10 +233,7 @@ def write_conservation_csv(record: EvolutionRecord, path) -> None:
     """
     if record.conservation_log is None:
         raise ValueError("the record has no conservation log; it was rebuilt from a frame table")
-    with atomic_text(path) as fh:
-        fh.write("t,norm_drift\n")
-        for t, drift in zip(record.times.tolist(), record.conservation_log.tolist()):
-            fh.write(f"{t:.17g},{drift:.17g}\n")
+    write_csv(path, ("t", "norm_drift"), zip(record.times.tolist(), record.conservation_log.tolist()))
 
 
 def record_from_frames_csv(grid: Grid, dt: float, normalization_mode: str, path) -> EvolutionRecord:

@@ -25,13 +25,14 @@ built only when `Propagator.matrix` is read, by unitarity checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .artifacts import atomic_text
+from .artifacts import write_csv
 from .discretize import Hamiltonian
 from .errors import ConvergenceError
 
@@ -237,9 +238,5 @@ def build_propagator(decomp: SpectralDecomposition, dt: float) -> Propagator:
 
 def write_eigen_csv(decomp: SpectralDecomposition, path) -> None:
     """Debug dump of (lam, Q): header, one eigenvalue row, then Q row by row."""
-    n = decomp.n
-    with atomic_text(path) as fh:
-        fh.write(",".join(f"eig_{k}" for k in range(n)) + "\n")
-        fh.write(",".join(f"{v:.17g}" for v in decomp.eigenvalues) + "\n")
-        for row in decomp.eigenvectors:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    rows = itertools.chain([decomp.eigenvalues], decomp.eigenvectors)
+    write_csv(path, (f"eig_{k}" for k in range(decomp.n)), (row.tolist() for row in rows))

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import atomic_text
+from .artifacts import atomic_text, write_csv
 from .dataset import SplitDataset
 from .errors import NonFiniteError
 
@@ -542,7 +542,4 @@ def load_checkpoint(path) -> SurrogateModel:
 
 def write_loss_csv(history: LossHistory, path) -> None:
     """Loss CSV: epoch,train_mse."""
-    with atomic_text(path) as fh:
-        fh.write("epoch,train_mse\n")
-        for epoch, loss in enumerate(history.train_mse, start=1):
-            fh.write(f"{epoch},{loss:.17g}\n")
+    write_csv(path, ("epoch", "train_mse"), enumerate(history.train_mse, start=1))
