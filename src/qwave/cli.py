@@ -2,8 +2,9 @@
 compare, snapshot.
 
 Commands compose through fixed filenames inside io.output_dir, so each
-step is restartable on its own.  Exit codes: 0 success, 1 config error,
-2 numerical failure, 3 missing artifact.
+step is restartable on its own.  Exit codes: 0 success, 1 config error
+(an artifact path that cannot be read or written, or a run too large for
+memory, counts as one), 2 numerical failure, 3 missing artifact.
 
 The dataset, surrogate and compare modules are imported inside the stages
 that use them, so `simulate`, which every run starts with, loads none.
@@ -401,6 +402,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ConfigError, ValueError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an artifact path that cannot be read or written, e.g. a directory
+        path = exc.filename2 or exc.filename  # os.replace's target, or the file opened
+        print(f"error: config: {f'{path}: {exc.strerror}' if path else exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        hint = "lower grid.n_points, evolution.n_steps or training.hidden_dim"
+        print(f"error: config: the run does not fit in memory ({exc}); {hint}", file=sys.stderr)
         return 1
 
 

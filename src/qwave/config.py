@@ -115,6 +115,14 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         value = getattr(cfg, _SCHEMA[key][0])
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
+    # numpy sizes an array by a signed 64-bit int, and dx needs n_points as a float
+    sizes = ("grid.n_points", "evolution.n_steps", "dataset.lookback", "training.epochs", "training.hidden_dim")
+    for key in sizes:
+        value = getattr(cfg, _SCHEMA[key][0])
+        if value > 2**63 - 1:
+            raise ConfigError(f"{key} must be at most 2**63 - 1, got a {len(str(value))}-digit number")
+    if cfg.training_rng_seed < 0:
+        raise ConfigError(f"training.rng_seed must be >= 0, got {cfg.training_rng_seed}")
     if not cfg.grid_b > cfg.grid_a:
         raise ConfigError(f"grid.b ({cfg.grid_b}) must exceed grid.a ({cfg.grid_a})")
     if cfg.grid_n_points < 3:

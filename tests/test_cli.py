@@ -167,10 +167,18 @@ class TestConfigFile:
             {"training.lr": np.inf},
             {"training.lr": np.nan},
             {"training.clip": np.inf},
+            {"grid.n_points": 2**63},
+            {"grid.n_points": 10**400},
+            {"evolution.n_steps": 2**63},
+            {"dataset.lookback": 2**63},
+            {"training.epochs": 2**63},
+            {"training.hidden_dim": 10**30},
+            {"training.rng_seed": -1},
         ):
             (key,) = bad
             with pytest.raises(ConfigError, match=re.escape(key)):
                 validate_config(apply_overrides(RunConfig(), bad))
+        validate_config(apply_overrides(RunConfig(), {"training.epochs": 2**63 - 1}))
 
     def test_lookback_versus_frames(self):
         cfg = apply_overrides(RunConfig(), {"evolution.n_steps": 3, "dataset.lookback": 4})
@@ -544,6 +552,25 @@ class TestExitCodes:
         assert err.startswith("error: config:") and str(tmp_path) in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("name, stage", [
+        ("frames.csv", "simulate"), ("frames.csv", "table"), ("frames.csv", "export-dataset"),
+        ("frames.csv", "train"), ("scaler.txt", "export-dataset"), ("scaler.txt", "train"),
+        ("model.ckpt", "train"), ("model.ckpt", "predict"), ("pred_onestep.csv", "predict"),
+        ("pred_onestep.csv", "compare"), ("report.csv", "compare"),
+    ])
+    def test_artifact_that_is_a_directory_names_the_path(self, predicted_run, tmp_path, capsys, name, stage):
+        # the stage reads the artifact, or replaces it with what it wrote
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        path = out / name
+        if path.exists():
+            path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert _cli(out, stage) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("INFO ")]
+        assert len(errors) == 1 and errors[0].startswith("error: config:") and str(path) in errors[0]
+
     def test_output_dir_naming_a_file(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")
@@ -599,6 +626,16 @@ class TestExitContract:
     @example(flags=_PINNED, overrides={"evolution.dt": 1e15})
     @example(flags=_PINNED, overrides={"evolution.dt": 1.7976931348623157e308})
     @example(flags={**_PINNED, "grid.n_points": 4}, overrides={"training.lr": 1.7976931348623157e308})
+    # sizes the machine cannot hold: make_grid's first array is 4 PB; the
+    # times array is 8 PB; the LSTM's parameters are 3.2e17 bytes.  Then sizes
+    # past a C long, and a negative seed.  Each first allocation is beyond any
+    # address space, so no size here allocates gigabytes before it fails
+    @example(flags={**_PINNED, "grid.n_points": 10**15}, overrides={})
+    @example(flags={**_PINNED, "evolution.n_steps": 10**15}, overrides={})
+    @example(flags={**_PINNED, "training.hidden_dim": 10**8}, overrides={})
+    @example(flags={**_PINNED, "training.hidden_dim": 10**30}, overrides={})
+    @example(flags={**_PINNED, "grid.n_points": 10**400}, overrides={})
+    @example(flags={**_PINNED, "training.rng_seed": -1}, overrides={})
     def test_each_stage_exits_0_or_with_one_error_line(self, flags, overrides):
         argv = [arg for key, value in {**flags, **overrides}.items() for arg in (f"--{key}", str(value))]
         with tempfile.TemporaryDirectory() as out:

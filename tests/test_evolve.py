@@ -3,9 +3,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qwave import compare as cp
 from qwave import evolve as ev
 from qwave import spectral as sp
-from qwave.discretize import assemble_hamiltonian, harmonic_potential, laplacian, make_grid
+from qwave import surrogate as sg
+from qwave.discretize import Grid, assemble_hamiltonian, harmonic_potential, laplacian, make_grid
 from qwave.errors import ConservationError, FrameCountError
 
 
@@ -250,11 +252,16 @@ _finite = st.one_of(
 )
 
 
+def _rows(width, min_size=1, max_size=5):
+    return st.lists(st.lists(_finite, min_size=width, max_size=width), min_size=min_size, max_size=max_size)
+
+
 class TestBulkFormatting:
+    """Every CSV writer's file is the per-value f"{v:.17g}" join of its rows,
+    written as each writer wrote its own rows before they shared one writer."""
+
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.integers(1, 6).flatmap(
-        lambda w: st.lists(st.lists(_finite, min_size=w + 1, max_size=w + 1), min_size=1, max_size=5)
-    ))
+    @given(st.integers(1, 6).flatmap(lambda w: _rows(w + 1)))
     def test_rows_equal_the_per_value_join(self, tmp_path, table):
         table = np.array(table)
         path = tmp_path / "frames.csv"
@@ -262,14 +269,64 @@ class TestBulkFormatting:
         lines = path.read_text().splitlines()[1:]
         assert lines == [",".join(f"{v:.17g}" for v in row) for row in table.tolist()]
 
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_rows(2))
+    def test_conservation_rows(self, tmp_path, rows):
+        times, drifts = np.array(rows).T
+        config = ev.EvolutionConfig(make_grid(-1.0, 1.0, 3), 0.05, len(rows) - 1)
+        record = ev.EvolutionRecord(config, times, np.zeros((len(rows), 3)), drifts)
+        path = tmp_path / "conservation.csv"
+        ev.write_conservation_csv(record, path)
+        assert path.read_text() == "t,norm_drift\n" + "".join(f"{t:.17g},{d:.17g}\n" for t, d in rows)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_finite, min_size=1, max_size=5))
+    def test_loss_rows_with_int_epochs(self, tmp_path, losses):
+        path = tmp_path / "loss.csv"
+        sg.write_loss_csv(sg.LossHistory(losses), path)
+        expected = "".join(f"{epoch},{loss:.17g}\n" for epoch, loss in enumerate(losses, start=1))
+        assert path.read_text() == "epoch,train_mse\n" + expected
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.tuples(_finite, _finite, _finite, _finite, st.integers(0, 2**53)), max_size=5),
+        st.tuples(_finite, _finite, _finite, _finite),
+    )
+    def test_report_rows_with_int_peak_error_and_mean_footer(self, tmp_path, frames, mean):
+        report = cp.ComparisonReport([cp.FrameMetrics(*f) for f in frames], *mean, clamped_values=0)
+        path = tmp_path / "report.csv"
+        cp.write_report_csv(report, path)
+        expected = "".join(f"{t:.17g},{a:.17g},{b:.17g},{c:.17g},{k}\n" for t, a, b, c, k in frames)
+        expected += "mean," + ",".join(f"{v:.17g}" for v in mean) + "\n"
+        assert path.read_text() == "t,mse,mae,max_abs_err,peak_position_err\n" + expected
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_rows(3))
+    def test_snapshot_rows(self, tmp_path, rows):
+        x, ctqw, ml = np.array(rows).T
+        grid = Grid(-1.0, 1.0, len(x), 1.0, x)
+        path = tmp_path / "snapshot.csv"
+        cp.write_snapshot_csv(grid, ctqw, ml, path)
+        columns = zip(x.tolist(), ctqw.tolist(), np.clip(ml, 0.0, None).tolist())
+        expected = "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in columns)
+        assert path.read_text() == "x,ctqw_density,ml_density\n" + expected
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 5).flatmap(lambda n: _rows(n, n + 1, n + 1)))
+    def test_eigen_rows(self, tmp_path, rows):
+        table = np.array(rows)
+        path = tmp_path / "eigen.csv"
+        sp.write_eigen_csv(sp.SpectralDecomposition(table[0], table[1:]), path)
+        header = ",".join(f"eig_{k}" for k in range(len(table[0])))
+        lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
+        assert path.read_text() == "\n".join([header, *lines]) + "\n"
+
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-_tables = st.integers(1, 5).flatmap(
-    lambda w: st.lists(st.lists(_finite, min_size=w + 1, max_size=w + 1), min_size=1, max_size=8)
-)
+_tables = st.integers(1, 5).flatmap(lambda w: _rows(w + 1, max_size=8))
 
 
 class TestFrameRanges:
