@@ -405,7 +405,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:  # an artifact path that cannot be read or written, e.g. a directory
         path = exc.filename2 or exc.filename  # os.replace's target, or the file opened
-        print(f"error: config: {f'{path}: {exc.strerror}' if path else exc}", file=sys.stderr)
+        detail = f"{path}: {exc.strerror}" if path else exc
+        print(f"error: config: {detail}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         hint = "lower grid.n_points, evolution.n_steps or training.hidden_dim"
