@@ -626,10 +626,9 @@ class TestExitContract:
     @example(flags=_PINNED, overrides={"evolution.dt": 1e15})
     @example(flags=_PINNED, overrides={"evolution.dt": 1.7976931348623157e308})
     @example(flags={**_PINNED, "grid.n_points": 4}, overrides={"training.lr": 1.7976931348623157e308})
-    # sizes the machine cannot hold: make_grid's first array is 4 PB; the
-    # times array is 8 PB; the LSTM's parameters are 3.2e17 bytes.  Then sizes
-    # past a C long, and a negative seed.  Each first allocation is beyond any
-    # address space, so no size here allocates gigabytes before it fails
+    # sizes no machine holds, refused at a first allocation beyond any address
+    # space: make_grid's first array is 4 PB, the times 8 PB and the LSTM's
+    # parameters 3.2e17 bytes.  Then counts past 2**63 - 1 and a negative seed
     @example(flags={**_PINNED, "grid.n_points": 10**15}, overrides={})
     @example(flags={**_PINNED, "evolution.n_steps": 10**15}, overrides={})
     @example(flags={**_PINNED, "training.hidden_dim": 10**8}, overrides={})

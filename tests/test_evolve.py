@@ -257,8 +257,8 @@ def _rows(width, min_size=1, max_size=5):
 
 
 class TestBulkFormatting:
-    """Every CSV writer's file is the per-value f"{v:.17g}" join of its rows,
-    written as each writer wrote its own rows before they shared one writer."""
+    """Each CSV writer's file is its header, then the per-value f"{v:.17g}"
+    join of each row, with ints as themselves and the report's footer led by `mean`."""
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(1, 6).flatmap(lambda w: _rows(w + 1)))
