@@ -347,6 +347,11 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> None:
     _, pred_times, preds = _read_frames(cfg, n_fit, n, args.mode)
     report = cp.build_report(record, preds, pred_times, scaler)
     cp.write_report_csv(report, _out_path(cfg, REPORT_FILE))
+    # logged once report.csv is written, so that a failed write prints only its error line
+    if report.clamped_values:
+        logging.getLogger(cp.__name__).info(
+            "clamped %d negative predicted values to 0 for metrics", report.clamped_values
+        )
     print(
         f"compare ({args.mode}, {len(report.frames)} frames): "
         f"mean mse {report.mean_mse:.6e}, mean mae {report.mean_mae:.6e}, "

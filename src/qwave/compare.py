@@ -8,7 +8,6 @@ never clamps).  Scaled-unit losses live in the training log instead.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ from .dataset import Scaler, inverse_transform
 from .discretize import Grid
 from .errors import ConfigError
 from .evolve import EvolutionRecord
-
-log = logging.getLogger(__name__)
 
 REPORT_COLUMNS = ("t", "mse", "mae", "max_abs_err", "peak_position_err")
 
@@ -95,8 +92,6 @@ def build_report(
 
     physical = inverse_transform(scaler, predictions_scaled)
     clamped = int(np.count_nonzero(physical < 0.0))
-    if clamped:
-        log.info("clamped %d negative predicted values to 0 for metrics", clamped)
     physical = np.clip(physical, 0.0, None)
 
     times = record.times

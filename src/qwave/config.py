@@ -33,7 +33,7 @@ class RunConfig:
     dataset_lookback: int = 4
     dataset_split_fraction: float = 0.8
     training_epochs: int = 100
-    training_lr: float = 2e-3
+    training_lr: float = 5e-3
     training_hidden_dim: int = 64
     training_rng_seed: int = 42
     training_clip: float | None = None  # max gradient norm; None disables clipping

@@ -207,9 +207,7 @@ def test_08_training_property(default_config, default_split, trained_default):
     assert deterministic
 
 
-def test_09_surrogate_quality(default_split, trained_default):
-    scaler, split = default_split
-    model, _ = trained_default
+def _check_criterion_9(criterion: str, scaler, split, model) -> None:
     preds = dsm.inverse_transform(scaler, sg.predict_one_step(model, split.test.inputs))
     truth = dsm.inverse_transform(scaler, split.test.targets)
     passing = 0
@@ -224,11 +222,31 @@ def test_09_surrogate_quality(default_split, trained_default):
     share = passing / len(preds)
     ok = share >= 0.8
     _verdict(
-        "criterion 9", ok,
+        criterion, ok,
         f"{passing}/{len(preds)} test frames within 5% of frame peak and 2 cells "
         f"({share:.0%}, need >= 80%; worst max_abs_err/peak {worst_frac:.3f})",
     )
     assert share >= 0.8
+
+
+def test_09_surrogate_quality(default_split, trained_default):
+    scaler, split = default_split
+    _check_criterion_9("criterion 9", scaler, split, trained_default[0])
+
+
+# the default batch size and learning rate hold criterion 9 on every seed of
+# a 25-seed sweep (CHANGES.md); these five stand for it beside seed 42 above
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+def test_09_surrogate_quality_other_seeds(default_config, default_split, seed):
+    scaler, split = default_split
+    model, _ = sg.train(
+        sg.init_model(default_config.grid_n_points, default_config.training_hidden_dim, seed),
+        split,
+        epochs=default_config.training_epochs,
+        lr=default_config.training_lr,
+        clip_norm=default_config.training_clip,
+    )
+    _check_criterion_9(f"criterion 9, seed {seed}", scaler, split, model)
 
 
 def test_10_pipeline_determinism(tmp_path):

@@ -44,6 +44,12 @@ def _cli(out_dir, *argv):
     return cli.main([*FAST, "--io.output_dir", str(out_dir), *argv])
 
 
+def _child_env() -> dict[str, str]:
+    """os.environ with this qwave first on PYTHONPATH, for a child interpreter."""
+    src = os.path.dirname(os.path.dirname(qwave.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="module")
 def predicted_run(tmp_path_factory):
     """An output directory after simulate, export-dataset, train and predict at FAST."""
@@ -193,9 +199,9 @@ def test_simulate_loads_no_surrogate_dataset_or_compare(tmp_path):
         f"main(['simulate', '--grid.n_points', '40', '--io.output_dir', {str(tmp_path)!r}]); "
         "print(sorted(m for m in sys.modules if m.startswith('qwave.')))"
     )
-    src = os.path.dirname(os.path.dirname(qwave.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, check=True
+    )
     loaded = set(ast.literal_eval(run.stdout.splitlines()[-1]))
     assert "qwave.spectral" in loaded
     assert not loaded & {"qwave.surrogate", "qwave.dataset", "qwave.compare"}
@@ -571,6 +577,21 @@ class TestExitCodes:
         errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("INFO ")]
         assert len(errors) == 1 and errors[0].startswith("error: config:") and str(path) in errors[0]
 
+    def test_compare_into_a_directory_prints_only_its_error(self, predicted_run, tmp_path):
+        # in a child process, where the clamped-values INFO line reaches stderr
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        argv = [sys.executable, "-m", "qwave.cli", *FAST, "--io.output_dir", str(out), "compare"]
+        done = subprocess.run(argv, env=_child_env(), capture_output=True, text=True)
+        assert done.returncode == 0
+        assert "negative predicted values to 0 for metrics" in done.stderr  # this run clamps
+        path = out / "report.csv"
+        path.unlink()
+        path.mkdir()
+        failed = subprocess.run(argv, env=_child_env(), capture_output=True, text=True)
+        assert failed.returncode == 1
+        assert failed.stderr.splitlines() == [f"error: config: {path}: Is a directory"]
+
     def test_output_dir_naming_a_file(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")
@@ -620,8 +641,8 @@ class TestExitContract:
     @example(flags=_PINNED, overrides={"grid.a": -1e-155, "grid.b": 1e-155})
     @example(flags={**_PINNED, "grid.n_points": 1000}, overrides={"grid.a": -1e155, "grid.b": 1e155})
     # the packet misses the grid; max|lam dt| is 1.3e16, then infinite (numpy
-    # warned of the overflow); train leaves weights that overflow predict's
-    # forward pass (numpy warned before the error line)
+    # warned of the overflow); train's final update leaves weights that
+    # overflow the forward pass, so train exits 2 and saves no checkpoint
     @example(flags=_PINNED, overrides={"grid.a": 20.0, "grid.b": 30.0})
     @example(flags=_PINNED, overrides={"evolution.dt": 1e15})
     @example(flags=_PINNED, overrides={"evolution.dt": 1.7976931348623157e308})
@@ -656,6 +677,19 @@ class TestExitContract:
                 prefix = {1: "error: config:", 2: "error: numerical:", 3: "error: missing-artifact:"}
                 assert lines[0].startswith(prefix[code]), (stage, lines)
                 break
+
+    def test_train_saves_no_weights_its_final_update_overflows(self, tmp_path, capsys):
+        flags = {**_PINNED, "grid.n_points": 4, "training.lr": 1.7976931348623157e308}
+        argv = [arg for key, value in flags.items() for arg in (f"--{key}", str(value))]
+        for stage in ("simulate", "export-dataset"):
+            assert cli.main([stage, *argv, "--io.output_dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", *argv, "--io.output_dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and "after the final update" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "model.ckpt").exists()
+        assert not (tmp_path / "loss.csv").exists()
 
 
 class TestDashValues:
@@ -700,8 +734,7 @@ class TestDeterminism:
         # second OpenBLAS thread must not move a bit of the frames while
         # every eigenblock has fewer than about 500 rows.  At N = 400, a = -5
         # folds into two blocks of 200 rows and a = -6 is one block of 400.
-        src = os.path.dirname(os.path.dirname(qwave.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env()
         env.pop("OPENBLAS_NUM_THREADS", None)
         for grid_a in ("-5", "-6"):
             frames = []
