@@ -309,7 +309,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
     split = _load_split(cfg, 0, _n_fit(cfg))  # holds the train windows only
     model = sg.init_model(cfg.grid_n_points, cfg.training_hidden_dim, cfg.training_rng_seed)
     trained, history = sg.train(
-        model, split, epochs=cfg.training_epochs, lr=cfg.training_lr, clip_norm=cfg.training_clip
+        model, split.train, epochs=cfg.training_epochs, lr=cfg.training_lr, clip_norm=cfg.training_clip
     )
     sg.save_checkpoint(trained, _out_path(cfg, CHECKPOINT_FILE))
     sg.write_loss_csv(history, _out_path(cfg, LOSS_FILE))

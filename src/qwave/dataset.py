@@ -84,7 +84,7 @@ def inverse_transform(scaler: Scaler, frames: np.ndarray) -> np.ndarray:
     return frames * (scaler.max - scaler.min) + scaler.min
 
 
-def windowize(frames: np.ndarray, lookback: int, times: np.ndarray | None = None) -> WindowedDataset:
+def windowize(frames: np.ndarray, lookback: int, times: np.ndarray) -> WindowedDataset:
     """Cut F frames into M = F - lookback (input sequence, next frame) pairs.
 
     The inputs are a read-only sliding-window view of frames, not a copy:
@@ -100,8 +100,6 @@ def windowize(frames: np.ndarray, lookback: int, times: np.ndarray | None = None
     n_frames = frames.shape[0]
     if n_frames < lookback + 1:
         raise ValueError(f"need at least lookback+1 = {lookback + 1} frames, got {n_frames}")
-    if times is None:
-        times = np.arange(n_frames, dtype=float)
     times = np.asarray(times, dtype=float)
     if times.shape != (n_frames,):
         raise ValueError(f"times has shape {times.shape}, expected ({n_frames},)")

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .artifacts import atomic_text, write_csv
-from .dataset import SplitDataset
+from .dataset import WindowedDataset
 from .errors import NonFiniteError
 
 log = logging.getLogger(__name__)
@@ -55,9 +54,9 @@ PARAM_KEYS = tuple(f"{kind}_{g}" for g in GATES for kind in ("W", "U", "b")) + (
 # the stacked blocks, back to back in the flat vector
 _BLOCKS = ("W", "U", "b", "W_out", "b_out")
 
-# entries per Adam chunk: the chunk's slices of theta, m, v and the gradient
-# plus the scratch (5 x 128 kB) stay in a 2 MB L2 across its twelve passes,
-# and the scratch is one chunk instead of a whole parameter vector
+# entries per Adam chunk: the scratch is one chunk instead of a whole
+# parameter vector, which keeps train's peak RSS 0.3-0.5 MB lower at the
+# defaults; chunked and whole-vector steps run at the same speed (CHANGES.md)
 _ADAM_CHUNK = 16384
 # Adam's moment decay rates and denominator guard, Kingma & Ba's defaults
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -68,12 +67,12 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _BATCH_SIZE = 16
 
 
-class Params(Mapping):
+class Params:
     """Every LSTM parameter (or gradient) as a view into one flat vector.
 
     `flat` holds the blocks W (4H, N), U (4H, H), b (4H,), W_out (N, H)
     and b_out (N,) back to back; the attributes of the same names are
-    views of them.  As a mapping over PARAM_KEYS, params["W_f"] is rows
+    views of them.  Indexed by a PARAM_KEYS entry, params["W_f"] is rows
     H:2H of W, and so on for every gate.  Assigning params[key] = array
     copies into that view and raises ValueError on a shape mismatch, so
     the flat vector stays the only storage.
@@ -107,12 +106,6 @@ class Params(Mapping):
             raise ValueError(f"parameter {key} has shape {value.shape}, expected {view.shape}")
         view[...] = value
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._views)
-
-    def __len__(self) -> int:
-        return len(self._views)
-
     def key_at(self, index: int) -> str:
         """The PARAM_KEYS entry that holds flat[index]."""
         for name in _BLOCKS:
@@ -133,7 +126,7 @@ def _param_count(input_dim: int, hidden_dim: int) -> int:
 class SurrogateModel:
     """LSTM gate parameters plus the dense output head.
 
-    params is a Params mapping over one zero-initialised flat vector:
+    params holds views into one zero-initialised flat vector:
     W_g is (hidden, input), U_g is (hidden, hidden), b_g is (hidden,),
     W_out is (input, hidden), b_out is (input,).
     """
@@ -398,25 +391,25 @@ def _clip_gradients(grad: np.ndarray, max_norm: float) -> bool:
 
 
 def train(
-    model: SurrogateModel, data: SplitDataset, *, epochs: int, lr: float, clip_norm: float | None
+    model: SurrogateModel, pairs: WindowedDataset, *, epochs: int, lr: float, clip_norm: float | None
 ) -> tuple[SurrogateModel, LossHistory]:
-    """Adam updates over epochs x batches, one update per batch of train pairs.
+    """Adam updates over epochs x batches, one update per batch of pairs.
 
-    Each epoch visits every training pair exactly once, in a fresh
-    permutation drawn from np.random.default_rng(model.seed) and cut
-    into batches of _BATCH_SIZE pairs (the last may be shorter); a
-    fixed chronological order ends every epoch pulled toward the last,
-    nearly identical frames.  Only the visiting order is shuffled: the
-    split itself stays chronological, so test windows still come after the
-    train windows.  Each batch takes one Adam step on the gradient of its
-    mean pair MSE, recorded before the update; an epoch's entry is the sum
-    of its pair losses over the pair count, the mean MSE the parameters of
-    that epoch actually saw.  Gradients are clipped to norm clip_norm
-    unless it is None.  Deterministic for a fixed model.seed; no dropout.
-    Every loss is taken before its update, so a forward pass over the
-    train windows checks the parameters the final update leaves; it raises
-    NonFiniteError naming that update rather than return weights that
-    overflow every later forward pass.
+    Each epoch visits every pair exactly once, in a fresh permutation
+    drawn from np.random.default_rng(model.seed) and cut into batches of
+    _BATCH_SIZE pairs (the last may be shorter); a fixed chronological
+    order ends every epoch pulled toward the last, nearly identical
+    frames.  Only the visiting order is shuffled, never the pairs: the
+    CLI passes the chronological train windows of its split.  Each batch
+    takes one Adam step on the gradient of its mean pair MSE, recorded
+    before the update; an epoch's entry is the sum of its pair losses
+    over the pair count, the mean MSE the parameters of that epoch
+    actually saw.  Gradients are clipped to norm clip_norm unless it is
+    None.  Deterministic for a fixed model.seed; no dropout.  Every loss
+    is taken before its update, so a forward pass over the pairs checks
+    the parameters the final update leaves; it raises NonFiniteError
+    naming that update rather than return weights that overflow every
+    later forward pass.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -424,7 +417,7 @@ def train(
         raise ValueError(f"lr must be >= 0, got {lr}")
     if clip_norm is not None and not clip_norm > 0:
         raise ValueError(f"clip_norm must be positive when set, got {clip_norm}")
-    n_pairs = len(data.train)
+    n_pairs = len(pairs)
     if n_pairs == 0:
         raise ValueError("training set is empty")
     work = SurrogateModel(model.input_dim, model.hidden_dim, model.seed)
@@ -441,8 +434,8 @@ def train(
         order = rng.permutation(n_pairs)
         for start in range(0, n_pairs, _BATCH_SIZE):
             batch = order[start : start + _BATCH_SIZE]
-            targets = data.train.targets[batch]
-            pred, tape = forward(work, data.train.inputs[batch])
+            targets = pairs.targets[batch]
+            pred, tape = forward(work, pairs.inputs[batch])
             loss = mse(pred, targets)
             if not np.isfinite(loss):
                 raise NonFiniteError(f"loss diverged at epoch {epoch + 1}, pairs {batch.tolist()}")
@@ -463,7 +456,7 @@ def train(
     try:
         # in training-sized batches, so the check needs no more memory than an update
         for start in range(0, n_pairs, _BATCH_SIZE):
-            forward(work, data.train.inputs[start : start + _BATCH_SIZE])
+            forward(work, pairs.inputs[start : start + _BATCH_SIZE])
     except NonFiniteError:
         raise NonFiniteError(
             f"non-finite activation in forward pass after the final update "
@@ -483,18 +476,22 @@ def predict_rollout(model: SurrogateModel, seed_window: np.ndarray, n_steps: int
     """Autoregressive rollout: each prediction is fed back as the newest frame.
 
     seed_window is (L, N); output is (n_steps, N) in scaled units; the
-    caller inverse-transforms.  Each step is one forward call on a batch
-    of one window.
+    caller inverse-transforms.  The seed and the predictions share one
+    (L + n_steps, N) buffer: step k forwards rows k to k + L - 1 as a
+    batch of one window and writes its prediction to row L + k.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    window = np.array(seed_window, dtype=float)[None]
-    out = []
-    for _ in range(n_steps):
-        pred, _ = forward(model, window)
-        out.append(pred[0])
-        window = np.concatenate([window[:, 1:], pred[:, None]], axis=1)
-    return np.stack(out)
+    seed_window = np.asarray(seed_window, dtype=float)
+    if seed_window.ndim != 2 or seed_window.shape[1] != model.input_dim:
+        raise ValueError(f"seed window shape {seed_window.shape} is not (lookback, {model.input_dim})")
+    lookback = len(seed_window)
+    frames = np.empty((lookback + n_steps, model.input_dim))
+    frames[:lookback] = seed_window
+    for k in range(n_steps):
+        pred, _ = forward(model, frames[None, k : k + lookback])
+        frames[lookback + k] = pred[0]
+    return frames[lookback:]
 
 
 def save_checkpoint(model: SurrogateModel, path) -> None:

@@ -87,7 +87,7 @@ def trained_default(default_config, default_split):
     )
     return sg.train(
         model,
-        split,
+        split.train,
         epochs=default_config.training_epochs,
         lr=default_config.training_lr,
         clip_norm=default_config.training_clip,

@@ -143,7 +143,7 @@ def test_07_gradient_gate():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(100 + seed)
         model = sg.init_model(3, 4, seed)
-        for k in model.params:  # nudge off the symmetric init
+        for k in sg.PARAM_KEYS:  # nudge off the symmetric init
             model.params[k] = model.params[k] + rng.normal(0.0, 0.1, model.params[k].shape)
         window = rng.uniform(size=(3, 3, 3))  # a batch of 3 windows
         target = rng.uniform(size=(3, 3))
@@ -188,7 +188,7 @@ def test_08_training_property(default_config, default_split, trained_default):
     )
     retrained, rehistory = sg.train(
         fresh,
-        split,
+        split.train,
         epochs=default_config.training_epochs,
         lr=default_config.training_lr,
         clip_norm=default_config.training_clip,
@@ -207,23 +207,32 @@ def test_08_training_property(default_config, default_split, trained_default):
     assert deterministic
 
 
-def _check_criterion_9(criterion: str, scaler, split, model) -> None:
-    preds = dsm.inverse_transform(scaler, sg.predict_one_step(model, split.test.inputs))
+def _frame_errors(scaler, split, scaled_preds) -> list[tuple[float, int]]:
+    """(max_abs_err / frame peak, peak offset in cells) per test frame, negatives clamped."""
+    preds = dsm.inverse_transform(scaler, scaled_preds)
     truth = dsm.inverse_transform(scaler, split.test.targets)
-    passing = 0
-    worst_frac = 0.0
+    errors = []
     for pred, true in zip(preds, truth):
         pred = np.clip(pred, 0.0, None)
         frac = float(np.max(np.abs(pred - true))) / float(true.max())
-        peak_err = abs(int(np.argmax(pred)) - int(np.argmax(true)))
-        worst_frac = max(worst_frac, frac)
-        if frac <= 0.05 and peak_err <= 2:
-            passing += 1
-    share = passing / len(preds)
+        errors.append((frac, abs(int(np.argmax(pred)) - int(np.argmax(true)))))
+    return errors
+
+
+def _in_band(errors) -> list[bool]:
+    """Criterion 9's band per frame: within 5% of the frame peak, peak within 2 cells."""
+    return [frac <= 0.05 and peak_err <= 2 for frac, peak_err in errors]
+
+
+def _check_criterion_9(criterion: str, scaler, split, model) -> None:
+    errors = _frame_errors(scaler, split, sg.predict_one_step(model, split.test.inputs))
+    passing = sum(_in_band(errors))
+    worst_frac = max(frac for frac, _ in errors)
+    share = passing / len(errors)
     ok = share >= 0.8
     _verdict(
         criterion, ok,
-        f"{passing}/{len(preds)} test frames within 5% of frame peak and 2 cells "
+        f"{passing}/{len(errors)} test frames within 5% of frame peak and 2 cells "
         f"({share:.0%}, need >= 80%; worst max_abs_err/peak {worst_frac:.3f})",
     )
     assert share >= 0.8
@@ -241,12 +250,45 @@ def test_09_surrogate_quality_other_seeds(default_config, default_split, seed):
     scaler, split = default_split
     model, _ = sg.train(
         sg.init_model(default_config.grid_n_points, default_config.training_hidden_dim, seed),
-        split,
+        split.train,
         epochs=default_config.training_epochs,
         lr=default_config.training_lr,
         clip_norm=default_config.training_clip,
     )
     _check_criterion_9(f"criterion 9, seed {seed}", scaler, split, model)
+
+
+# The rollout feeds each prediction back as the newest frame, and it keeps
+# criterion 9's band only for its first few test frames.  Measured at seed 42:
+# 5 of 20 frames in band, the first out at test frame 4 (t = 4.25), worst
+# max_abs_err/peak 0.097, peak within 1 cell.  Over the 25 seeds 0-23 and 42
+# the first frame out is 2-6 (README).  No claim sets these limits; they pin
+# seed 42's horizon and worst ratio so that a change that shortens it shows.
+ROLLOUT_MIN_HORIZON = 4
+ROLLOUT_MAX_WORST = 0.10
+
+
+def test_09_rollout_horizon(default_split, trained_default):
+    scaler, split = default_split
+    rollout = sg.predict_rollout(trained_default[0], split.test.inputs[0], len(split.test))
+    errors = _frame_errors(scaler, split, rollout)
+    in_band = _in_band(errors)
+    horizon = in_band.index(False) if not all(in_band) else len(in_band)
+    worst_frac = max(frac for frac, _ in errors)
+    first_out = (
+        f"test frame {horizon} (t = {split.test.target_times[horizon]:.2f})"
+        if horizon < len(in_band) else "none"
+    )
+    ok = horizon >= ROLLOUT_MIN_HORIZON and worst_frac <= ROLLOUT_MAX_WORST
+    _verdict(
+        "rollout horizon", ok,
+        f"{sum(in_band)}/{len(in_band)} rollout frames within 5% of frame peak and 2 cells; "
+        f"first out of band: {first_out}, need >= {ROLLOUT_MIN_HORIZON}; "
+        f"worst max_abs_err/peak {worst_frac:.3f}, need <= {ROLLOUT_MAX_WORST:.2f}; "
+        f"peak off by at most {max(peak for _, peak in errors)} cells",
+    )
+    assert horizon >= ROLLOUT_MIN_HORIZON
+    assert worst_frac <= ROLLOUT_MAX_WORST
 
 
 def test_10_pipeline_determinism(tmp_path):

@@ -84,23 +84,23 @@ class TestScaler:
 class TestWindowize:
     def test_enumeration(self):
         frames = np.arange(5.0)[:, None]  # 5 frames of width 1
-        ds = dsm.windowize(frames, 2)
+        ds = dsm.windowize(frames, 2, np.arange(5.0))
         assert len(ds) == 3
         assert np.array_equal(ds.inputs[:, :, 0], [[0, 1], [1, 2], [2, 3]])
         assert np.array_equal(ds.targets[:, 0], [2, 3, 4])
 
     def test_single_pair_boundary(self):
-        ds = dsm.windowize(np.zeros((5, 3)), 4)
+        ds = dsm.windowize(np.zeros((5, 3)), 4, np.arange(5.0))
         assert len(ds) == 1
 
     def test_default_run_arithmetic(self):
-        ds = dsm.windowize(np.zeros((101, 4)), 4)
+        ds = dsm.windowize(np.zeros((101, 4)), 4, np.arange(101.0))
         assert len(ds) == 97
 
     def test_values_bit_identical_to_source(self):
         rng = np.random.default_rng(12)
         frames = rng.uniform(size=(9, 6))
-        ds = dsm.windowize(frames, 3)
+        ds = dsm.windowize(frames, 3, np.arange(9.0))
         for k in range(len(ds)):
             assert np.array_equal(ds.inputs[k], frames[k : k + 3])
             assert np.array_equal(ds.targets[k], frames[k + 3])
@@ -108,7 +108,7 @@ class TestWindowize:
     def test_inputs_are_a_read_only_view_of_the_frames(self):
         frames = np.random.default_rng(21).uniform(size=(2001, 200))
         scaled = dsm.transform(dsm.Scaler(0.0, 2.0), frames)
-        ds = dsm.windowize(scaled, 4)
+        ds = dsm.windowize(scaled, 4, np.arange(2001.0))
         assert np.shares_memory(ds.inputs, scaled)
         assert not ds.inputs.flags.writeable
         with pytest.raises(ValueError):
@@ -124,9 +124,9 @@ class TestWindowize:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            dsm.windowize(np.zeros((3, 2)), 0)
+            dsm.windowize(np.zeros((3, 2)), 0, np.arange(3.0))
         with pytest.raises(ValueError):
-            dsm.windowize(np.zeros((3, 2)), 3)
+            dsm.windowize(np.zeros((3, 2)), 3, np.arange(3.0))
         with pytest.raises(ValueError):
             dsm.windowize(np.zeros((5, 2)), 2, times=np.zeros(4))
 
@@ -151,7 +151,7 @@ class TestSplit:
     def test_chronological_and_lossless(self):
         rng = np.random.default_rng(13)
         frames = rng.uniform(size=(15, 3))
-        ds = dsm.windowize(frames, 3)
+        ds = dsm.windowize(frames, 3, np.arange(15.0))
         sd = _split(frames, 3, 0.6)
         assert np.max(sd.train.target_times) < np.min(sd.test.target_times)
         rebuilt = np.concatenate([sd.train.targets, sd.test.targets])

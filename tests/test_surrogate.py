@@ -15,7 +15,7 @@ from conftest import small_frames
 
 def _zero_model(input_dim=3, hidden_dim=2):
     model = sg.init_model(input_dim, hidden_dim, 0)
-    for k in model.params:
+    for k in sg.PARAM_KEYS:
         model.params[k] = np.zeros_like(model.params[k])
     return model
 
@@ -261,6 +261,10 @@ def _ref_adam(state, params, grads):
     return new
 
 
+def _as_dict(params):
+    return {k: params[k] for k in sg.PARAM_KEYS}
+
+
 def _assert_close(got, want, rel=1e-12):
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) <= rel * scale
@@ -268,7 +272,7 @@ def _assert_close(got, want, rel=1e-12):
 
 def _random_model(rng, input_dim, hidden_dim, seed):
     model = sg.init_model(input_dim, hidden_dim, seed)
-    for k in model.params:  # nudge off the init so no block is trivially zero
+    for k in sg.PARAM_KEYS:  # nudge off the init so no block is trivially zero
         model.params[k] = model.params[k] + rng.normal(0.0, 0.3, model.params[k].shape)
     return model
 
@@ -288,7 +292,7 @@ class TestFusedAgainstReference:
         target = rng.uniform(size=input_dim)
         pred, tape = sg.forward(model, window[None])
         grads = sg.backward(model, tape, target[None])
-        ref_pred, ref_grads = _ref_backward(dict(model.params), window, target)
+        ref_pred, ref_grads = _ref_backward(_as_dict(model.params), window, target)
         _assert_close(pred[0], ref_pred)
         for k in sg.PARAM_KEYS:
             _assert_close(grads[k], ref_grads[k])
@@ -302,7 +306,7 @@ class TestFusedAgainstReference:
         targets = rng.uniform(size=(n_batch, input_dim))
         preds, tape = sg.forward(model, windows)
         grads = sg.backward(model, tape, targets)
-        refs = [_ref_backward(dict(model.params), w, y) for w, y in zip(windows, targets)]
+        refs = [_ref_backward(_as_dict(model.params), w, y) for w, y in zip(windows, targets)]
         _assert_close(preds, np.stack([pred for pred, _ in refs]))
         for k in sg.PARAM_KEYS:
             _assert_close(grads[k], np.mean([ref[k] for _, ref in refs], axis=0))
@@ -331,7 +335,7 @@ class TestFusedAgainstReference:
         input_dim, hidden_dim, n_steps, seed = dims
         rng = np.random.default_rng(seed)
         model = _random_model(rng, input_dim, hidden_dim, seed)
-        ref_params = {k: v.copy() for k, v in model.params.items()}
+        ref_params = {k: model.params[k].copy() for k in sg.PARAM_KEYS}
         ref_state = {
             "lr": 1e-2, "step": 0,
             "m": {k: np.zeros_like(v) for k, v in ref_params.items()},
@@ -368,7 +372,7 @@ class TestParams:
 
     def test_views_survive_train_and_load(self, tiny_split, tmp_path):
         _, split = tiny_split
-        trained, _ = sg.train(sg.init_model(12, 6, 5), split, epochs=2, lr=2e-3, clip_norm=None)
+        trained, _ = sg.train(sg.init_model(12, 6, 5), split.train, epochs=2, lr=2e-3, clip_norm=None)
         sg.save_checkpoint(trained, tmp_path / "model.ckpt")
         loaded = sg.load_checkpoint(tmp_path / "model.ckpt")
         for model in (trained, loaded):
@@ -421,7 +425,7 @@ class TestTrain:
         identity = dsm.Scaler(0.0, 1.0)
         split = dsm.prepare_split(frames, np.arange(6.0), 4, 0.5, identity)  # M=2 -> 1 train pair
         model = sg.init_model(4, 3, 0)
-        trained, history = sg.train(model, split, epochs=1, lr=0.0, clip_norm=None)
+        trained, history = sg.train(model, split.train, epochs=1, lr=0.0, clip_norm=None)
         for k in sg.PARAM_KEYS:
             assert np.array_equal(trained.params[k], model.params[k])
         initial_loss = sg.mse(sg.forward(model, split.train.inputs[:1])[0], split.train.targets[:1])
@@ -434,7 +438,7 @@ class TestTrain:
         assert len(split.train) > 1
         for seed in (3, 4):  # the model's seed also draws the pair order
             model = sg.init_model(12, 6, seed)
-            _, history = sg.train(model, split, epochs=4, lr=0.0, clip_norm=None)
+            _, history = sg.train(model, split.train, epochs=4, lr=0.0, clip_norm=None)
             mean_loss = sg.mse(sg.predict_one_step(model, split.train.inputs), split.train.targets)
             assert history.train_mse == pytest.approx([mean_loss] * 4, rel=1e-12), seed
 
@@ -446,7 +450,7 @@ class TestTrain:
         assert len(split.train) == 77
         model = sg.init_model(200, 64, 1)
         monkeypatch.setattr(sg, "_BATCH_SIZE", batch_size)
-        _, history = sg.train(model, split, epochs=2, lr=0.0, clip_norm=None)
+        _, history = sg.train(model, split.train, epochs=2, lr=0.0, clip_norm=None)
         mean_loss = sg.mse(sg.predict_one_step(model, split.train.inputs), split.train.targets)
         assert history.train_mse == pytest.approx([mean_loss] * 2, rel=1e-12)
 
@@ -463,14 +467,14 @@ class TestTrain:
         for batch_size, per_epoch in ((1, 28), (8, 4), (28, 1), (30, 1)):
             steps.clear()
             monkeypatch.setattr(sg, "_BATCH_SIZE", batch_size)
-            sg.train(sg.init_model(12, 6, 0), split, epochs=2, lr=1e-3, clip_norm=None)
+            sg.train(sg.init_model(12, 6, 0), split.train, epochs=2, lr=1e-3, clip_norm=None)
             assert len(steps) == 2 * per_epoch, batch_size
 
     def test_deterministic(self, tiny_split):
         _, split = tiny_split
         model = sg.init_model(12, 6, 7)
-        t1, h1 = sg.train(model, split, epochs=5, lr=1e-3, clip_norm=None)
-        t2, h2 = sg.train(model, split, epochs=5, lr=1e-3, clip_norm=None)
+        t1, h1 = sg.train(model, split.train, epochs=5, lr=1e-3, clip_norm=None)
+        t2, h2 = sg.train(model, split.train, epochs=5, lr=1e-3, clip_norm=None)
         assert h1.train_mse == h2.train_mse
         for k in sg.PARAM_KEYS:
             assert np.array_equal(t1.params[k], t2.params[k])
@@ -481,22 +485,22 @@ class TestTrain:
         model = sg.init_model(12, 6, 7)
         other = sg.SurrogateModel(12, 6, 8)
         other.params.flat[:] = model.params.flat
-        _, h1 = sg.train(model, split, epochs=1, lr=1e-3, clip_norm=None)
-        _, h2 = sg.train(other, split, epochs=1, lr=1e-3, clip_norm=None)
+        _, h1 = sg.train(model, split.train, epochs=1, lr=1e-3, clip_norm=None)
+        _, h2 = sg.train(other, split.train, epochs=1, lr=1e-3, clip_norm=None)
         assert h1.train_mse != h2.train_mse
 
     def test_loss_decreases_on_smooth_data(self, tiny_split):
         _, split = tiny_split
         model = sg.init_model(12, 16, 42)
-        _, history = sg.train(model, split, epochs=60, lr=1e-3, clip_norm=None)
+        _, history = sg.train(model, split.train, epochs=60, lr=1e-3, clip_norm=None)
         assert history.train_mse[-1] < history.train_mse[0] / 10.0
         assert all(np.isfinite(v) and v >= 0.0 for v in history.train_mse)
 
     def test_original_model_untouched(self, tiny_split):
         _, split = tiny_split
         model = sg.init_model(12, 6, 3)
-        before = {k: v.copy() for k, v in model.params.items()}
-        sg.train(model, split, epochs=1, lr=1e-3, clip_norm=None)
+        before = {k: model.params[k].copy() for k in sg.PARAM_KEYS}
+        sg.train(model, split.train, epochs=1, lr=1e-3, clip_norm=None)
         for k in sg.PARAM_KEYS:
             assert np.array_equal(model.params[k], before[k])
 
@@ -504,7 +508,7 @@ class TestTrain:
         _, split = tiny_split
         model = sg.init_model(12, 6, 0)
         with pytest.raises(NonFiniteError, match="epoch"):
-            sg.train(model, split, epochs=2, lr=1e160, clip_norm=None)
+            sg.train(model, split.train, epochs=2, lr=1e160, clip_norm=None)
 
     def test_nonfinite_gradient_names_its_parameter(self, tiny_split, monkeypatch):
         _, split = tiny_split
@@ -520,13 +524,13 @@ class TestTrain:
         # with clipping on too: the NaN must still be named where it arose
         for clip in (None, 1.0):
             with pytest.raises(NonFiniteError, match="U_o"):
-                sg.train(model, split, epochs=1, lr=2e-3, clip_norm=clip)
+                sg.train(model, split.train, epochs=1, lr=2e-3, clip_norm=clip)
 
     def test_clip_fires_and_is_logged(self, tiny_split, caplog):
         _, split = tiny_split
         model = sg.init_model(12, 6, 0)
         with caplog.at_level(logging.WARNING, logger="qwave.surrogate"):
-            sg.train(model, split, epochs=1, lr=1e-3, clip_norm=1e-6)
+            sg.train(model, split.train, epochs=1, lr=1e-3, clip_norm=1e-6)
         assert "clipping" in caplog.text
 
     def test_config_validation(self, tiny_split):
@@ -540,7 +544,7 @@ class TestTrain:
         ):
             settings = {"epochs": 1, "lr": 1e-3, "clip_norm": None, **bad}
             with pytest.raises(ValueError, match=match):
-                sg.train(model, split, **settings)
+                sg.train(model, split.train, **settings)
 
     def test_empty_train_set_rejected(self):
         frames = small_frames(14, 4)
@@ -548,7 +552,7 @@ class TestTrain:
         split = dsm.prepare_split(frames, np.arange(14.0), 4, 0.05, identity)  # floor(0.05 * 10) = 0 train pairs
         model = sg.init_model(4, 3, 0)
         with pytest.raises(ValueError):
-            sg.train(model, split, epochs=1, lr=2e-3, clip_norm=None)
+            sg.train(model, split.train, epochs=1, lr=2e-3, clip_norm=None)
 
 
 class TestPredict:
@@ -569,11 +573,33 @@ class TestPredict:
         p2, _ = sg.forward(model, np.vstack([window[1:], p1])[None])
         assert np.array_equal(roll[1], p2[0])
 
+    def test_rollout_past_its_lookback_matches_feedback_loop(self, tiny_split):
+        # 2L + 1 steps: the last L + 1 windows hold predictions only
+        _, split = tiny_split
+        model = sg.init_model(12, 6, 2)
+        window = split.test.inputs[0]
+        n_steps = 2 * len(window) + 1
+        roll = sg.predict_rollout(model, window, n_steps)
+        ref, current = [], window[None]
+        for _ in range(n_steps):
+            pred, _ = sg.forward(model, current)
+            ref.append(pred[0])
+            current = np.concatenate([current[:, 1:], pred[:, None]], axis=1)
+        assert roll.shape == (n_steps, 12)
+        assert np.array_equal(roll, np.stack(ref))
+
     def test_rollout_requires_positive_steps(self, tiny_split):
         _, split = tiny_split
         model = sg.init_model(12, 6, 2)
         with pytest.raises(ValueError):
             sg.predict_rollout(model, split.test.inputs[0], 0)
+
+    def test_rollout_rejects_a_seed_that_is_not_one_window(self, tiny_split):
+        _, split = tiny_split
+        model = sg.init_model(12, 6, 2)
+        for seed in (split.test.inputs[0][0], split.test.inputs[:1], np.zeros((4, 11))):
+            with pytest.raises(ValueError, match="seed window"):
+                sg.predict_rollout(model, seed, 3)
 
     def test_one_step_shape(self, tiny_split):
         _, split = tiny_split
