@@ -2,11 +2,14 @@
 
 The initial packet exp(-x^2) is narrower than the oscillator ground
 state, so it breathes: the density is periodic with period pi in natural
-units.  The loop steps in the eigenbasis of H: c = Q^T psi(0), and each
-step multiplies c by the propagator's phases exp(-i lam dt), which is
-exact and O(N).  So probability is conserved to rounding and the loop
-reproduces the direct evaluation psi(t) = Q exp(-i lam t) Q^T psi(0) at
-every recorded time.
+units.  The loop steps in the eigenblocks of H: psi(0) is folded into the
+blocks' coordinates, y = P^T psi(0), each block whose rows of y are not
+all zero takes c = V^T y, and each step multiplies c by the propagator's
+phases exp(-i lam dt), which is exact and O(N).  So probability is
+conserved to rounding and the loop reproduces the direct evaluation
+psi(t) = Q exp(-i lam t) Q^T psi(0) at every recorded time.  On a grid
+with a = -b the packet is even, so its odd-block part is exactly zero:
+only the even block steps, and every frame mirrors bitwise.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ NORMALIZATION_MODES = ("ell2", "dx_weighted")
 # hard-abort threshold; tests assert the tighter 1e-10 bound
 _DRIFT_ABORT = 1e-8
 # entries of one block of steps: the loop forms the states of
-# max(1, this // N) steps at a time
+# max(1, this // K) steps at a time, K the stepped eigenblocks' total size
 _STEP_BLOCK_ENTRIES = 1 << 15
 
 
@@ -95,28 +98,41 @@ def gaussian_initial(grid: Grid, mode: str = "ell2") -> np.ndarray:
 
 
 def _stepped_states(u: Propagator, psi0: np.ndarray, n_steps: int):
-    """Yield (k0, re, im) for steps 1..n_steps in blocks: row j of re and im
+    """Yield (k0, re, im) for steps 1..n_steps in chunks: row j of re and im
     holds Re psi and Im psi of step k0 + j.
 
-    The coefficients c = Q^T psi0 step as c <- exp(-i lam dt) c, and each
-    block of max(1, _STEP_BLOCK_ENTRIES // N) steps forms psi = Q c by two
-    real products in einsum's own loops, not a BLAS GEMM, which splits its
-    sums among threads and so would round by OPENBLAS_NUM_THREADS.  A block
+    psi0 is folded to y = P^T psi0, and only the eigenblocks whose rows of y
+    are not all zero step: their coefficients c = V^T y step as
+    c <- exp(-i lam dt) c.  Each chunk of max(1, _STEP_BLOCK_ENTRIES // K)
+    steps, K the stepped blocks' total size, forms each block's amplitudes
+    z = V c by two real products in einsum's own loops, not a BLAS GEMM,
+    which splits its sums among threads and so would round by
+    OPENBLAS_NUM_THREADS; the amplitudes then unfold to psi = P z.  A chunk
     is freed before the next one is formed as long as the caller drops its
     own references to re and im first.
     """
-    q, phases = u.eigenvectors, u.phases
-    steps = max(1, _STEP_BLOCK_ENTRIES // u.n)
-    c = q.T @ psi0
-    coeffs = np.empty((min(steps, n_steps), u.n), dtype=complex)
+    decomp = u.decomposition
+    y = decomp.fold(psi0)
+    active = [b for b in decomp.blocks if np.any(y[b.rows])]
+    c = np.concatenate([b.vectors.T @ y[b.rows] for b in active])
+    phases = u.phases[np.concatenate([b.columns for b in active])]
+    steps = max(1, _STEP_BLOCK_ENTRIES // c.size)
+    coeffs = np.empty((min(steps, n_steps), c.size), dtype=complex)
     for k0 in range(1, n_steps + 1, steps):
-        block = coeffs[: min(steps, n_steps + 1 - k0)]
-        for row in block:  # c is the step before: the row above, or the last block's last row
+        chunk = coeffs[: min(steps, n_steps + 1 - k0)]
+        for row in chunk:  # c is the step before: the row above, or the last chunk's last row
             np.multiply(c, phases, out=row)
             c = row
-        # contiguous copies halve einsum's time against the strided views
-        im = np.einsum("ij,kj->ik", block.imag.copy(), q)
-        re = np.einsum("ij,kj->ik", block.real.copy(), q)
+        re, im = np.zeros((len(chunk), decomp.n)), np.zeros((len(chunk), decomp.n))
+        k = 0
+        for b in active:
+            part = slice(k, k + b.values.size)
+            k = part.stop
+            # contiguous copies halve einsum's time against the strided views
+            im[:, b.rows] = np.einsum("ij,kj->ik", chunk.imag[:, part].copy(), b.vectors)
+            re[:, b.rows] = np.einsum("ij,kj->ik", chunk.real[:, part].copy(), b.vectors)
+        decomp.unfold(re.T)
+        decomp.unfold(im.T)
         yield k0, re, im
         del re, im
 
@@ -149,7 +165,7 @@ def run_evolution(config: EvolutionConfig, h: Hamiltonian) -> EvolutionRecord:
         dens, drifts = table[k0 : k0 + len(re)], log[k0 : k0 + len(re)]
         np.square(re, out=dens)
         dens += np.square(im, out=im)
-        del re, im  # so the generator frees this block before forming the next
+        del re, im  # so the generator frees this chunk before forming the next
         np.abs(np.sum(dens, axis=1) * weight - 1.0, out=drifts)
         bad = np.flatnonzero(~(drifts <= _DRIFT_ABORT))
         if bad.size:

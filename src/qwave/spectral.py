@@ -1,25 +1,28 @@
 """Real-symmetric eigendecomposition and the exact unitary propagator.
 
-H = Q diag(lam) Q^T is computed from the Hamiltonian's two bands.  A zero
-off-diagonal splits T into unreduced blocks, and each block is solved on
-its own rows by LAPACK through np.linalg.eigh, so a column is zero outside
-its block and columns of different blocks are orthogonal even where their
-eigenvalues coincide.  The blocks' eigenvalues merge ascending.  Every
-pair must meet |H q - lam q| <= 1e-10 max|H| for the H passed in, or
-ConvergenceError names the column.
+H = Q diag(lam) Q^T is computed from the Hamiltonian's two bands.  When
+both bands are palindromes, as on a grid symmetric about 0 with an even
+potential, H commutes with the row reflection J, and a short orthogonal
+similarity P first folds it into an even and an odd block of half the
+size.  A zero off-diagonal splits the (folded) bands into unreduced
+blocks, and each block is solved on its own rows by LAPACK through
+np.linalg.eigh.  Every block pair must meet |T v - lam v| <= 1e-10 max|H|
+against the block's own bands, or ConvergenceError names the eigenvector.
 
-When both bands are palindromes, as on a grid symmetric about 0 with an
-even potential, H commutes with the row reflection J.  A short orthogonal
-similarity then folds H into an even and an odd block of half the size,
-and the vectors unfold as [u; Ju]/sqrt 2 and [-Jw; w]/sqrt 2, so every
-eigenvector is exactly even or odd.  The near-degenerate even/odd pairs
-at the top of the default spectrum (5e-11 apart) fall into different
-blocks.
+The decomposition keeps these blocks: their eigenvalues, their
+block-sized vectors and where each pair sits in the ascending spectrum.
+The step loop of `evolve` works on them alone.  The dense N x N Q = P V,
+V the blocks' vectors on the diagonal, is formed only when
+`SpectralDecomposition.eigenvectors` is read (by --dump-eigen, the tests
+and the benchmark): its columns unfold as [u; Ju]/sqrt 2 and
+[-Jw; w]/sqrt 2, so every eigenvector of a mirror-symmetric H is exactly
+even or odd, and the near-degenerate even/odd pairs at the top of the
+default spectrum (5e-11 apart) fall into different blocks.  Q's columns
+are then signed and checked against H itself.
 
-The propagator is then exactly U(dt) = Q diag(exp(-i lam dt)) Q^T, so
-repeated stepping carries no splitting error and stays unitary to
-rounding.  It is kept as its factors, Q and the phases, which the step
-loop of `evolve` applies in the eigenbasis; the dense N x N complex U is
+The propagator is exactly U(dt) = Q diag(exp(-i lam dt)) Q^T, so repeated
+stepping carries no splitting error and stays unitary to rounding.  It is
+kept as the decomposition and the phases; the dense N x N complex U is
 built only when `Propagator.matrix` is read, by unitarity checks.
 """
 
@@ -41,36 +44,106 @@ _RESIDUAL_BOUND = 1e-10
 # eigenvector entries within this relative distance of their column's
 # largest magnitude tie for the sign anchor
 _SIGN_TIE = 1e-8
-# entries of one work array: the column sort, the sign anchor and the
-# residual check hold n x (this // n) values at a time
+# entries of one work array: the sign anchor and the residual check hold
+# n x (this // n) values at a time
 _BLOCK_ENTRIES = 1 << 18
 # largest |lam dt| accepted: floats are 0.125 rad apart there, 1 rad from 2^52 = 4.5e15
 _MAX_PHASE = 1e15
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthogonal eigenvector columns of H."""
+class EigenBlock:
+    """One unreduced block of the (folded) bands: the rows it spans, its
+    eigenvalues (ascending) and eigenvectors, and the index of each pair in
+    the ascending spectrum."""
 
+    rows: slice
+    values: np.ndarray
+    vectors: np.ndarray
+    columns: np.ndarray
+
+
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    """H's eigenpairs, kept as the blocks of its fold.
+
+    eigenvalues is the whole spectrum, ascending.  When folded, the blocks'
+    rows are coordinates of P^T H P; otherwise they are H's own rows.
+    """
+
+    hamiltonian: Hamiltonian
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    blocks: tuple[EigenBlock, ...]
+    folded: bool
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def fold(self, x: np.ndarray) -> np.ndarray:
+        """P^T x for an (N,) vector x: x in the blocks' coordinates, O(N).
+
+        With m = N // 2, row i < m is (x_i + x_{N-1-i}) / sqrt 2, the middle
+        row of odd N is x_m, and row i >= N - m is (x_i - x_{N-1-i}) / sqrt 2,
+        so an x that is a palindrome has its odd rows exactly zero.  x itself
+        when H was not folded.
+        """
+        if not self.folded:
+            return x
+        n, m = x.size, x.size // 2
+        y = x.copy()
+        y[:m] = (x[:m] + x[n - m :][::-1]) / math.sqrt(2.0)
+        y[n - m :] = (x[n - m :] - x[:m][::-1]) / math.sqrt(2.0)
+        return y
+
+    def unfold(self, z: np.ndarray) -> None:
+        """Overwrite z, in the blocks' coordinates along axis 0, with P z.
+
+        Row i < m becomes (z_i - z_{N-1-i}) / sqrt 2 and row i >= N - m
+        becomes (z_{N-1-i} + z_i) / sqrt 2, so where the odd rows are all
+        zero the result mirrors bitwise.  Nothing changes when H was not
+        folded.
+        """
+        if not self.folded:
+            return
+        n, m = z.shape[0], z.shape[0] // 2
+        lo, hi = z[:m].copy(), z[n - m :]
+        np.subtract(lo, hi[::-1], out=z[:m])
+        np.add(lo[::-1], hi, out=hi)
+        z[:m] /= math.sqrt(2.0)
+        hi /= math.sqrt(2.0)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The dense orthogonal Q, columns in eigenvalue order, built on first read.
+
+        Each column is signed so that the first entry within a relative
+        _SIGN_TIE of its largest magnitude is positive, which makes Q
+        reproducible across runs.  Raises ConvergenceError if a column
+        misses its residual bound against H.
+        """
+        q = np.zeros((self.n, self.n))
+        for block in self.blocks:
+            q[block.rows, block.columns] = block.vectors
+        self.unfold(q)
+        _anchor_signs(q)
+        d, e = self.hamiltonian.diagonal, self.hamiltonian.off_diagonal
+        _check_residuals(d, e, self.eigenvalues, q, _residual_bound(d, e), range(self.n))
+        q.setflags(write=False)
+        return q
+
 
 @dataclass(frozen=True)
 class Propagator:
     """One-timestep unitary U(dt) = Q exp(-i lam dt) Q^T, kept as its factors:
-    the eigenvector columns Q and the phases exp(-i lam dt)."""
+    the decomposition and the phases exp(-i lam dt), in eigenvalue order."""
 
-    eigenvectors: np.ndarray
+    decomposition: SpectralDecomposition
     phases: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.phases.shape[0]
+    def eigenvectors(self) -> np.ndarray:
+        return self.decomposition.eigenvectors
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -80,36 +153,23 @@ class Propagator:
         return u
 
 
-def _solve_blocks(d: np.ndarray, e: np.ndarray) -> tuple:
-    """Eigenvalues (ascending) and eigenvectors of T, one unreduced block at
-    a time.
+def _solve_blocks(d: np.ndarray, e: np.ndarray) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """(rows, lam, v) for each unreduced block of T, in row order, lam ascending.
 
     A zero e[i] splits T between rows i and i + 1.  Each block is solved on
-    its own rows by LAPACK through np.linalg.eigh, and its vectors go
-    straight into their rows and columns of q, so each column is zero
-    outside its block.  The blocks' eigenvalues merge ascending; equal ones
-    keep the blocks' row order.  Returns (lam, q, first), with first[j] the
-    first row of column j's block.
+    its own rows by LAPACK through np.linalg.eigh.
     """
-    n = d.size
-    bounds = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), n]
-    q = np.zeros((n, n))
-    lam = np.empty(n)
+    bounds = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), d.size]
+    solved = []
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         t = np.diag(d[r0:r1])
         k = np.arange(r1 - r0 - 1)
         t[k + 1, k] = t[k, k + 1] = e[r0 : r1 - 1]
         try:
-            lam[r0:r1], q[r0:r1, r0:r1] = np.linalg.eigh(t)
+            solved.append((slice(r0, r1), *np.linalg.eigh(t)))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"LAPACK eigh failed on the block of rows {r0}:{r1} ({exc})") from exc
-    order = np.argsort(lam, kind="stable")
-    # columns into ascending order in place, a few rows at a time
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for r0 in range(0, n, rows):
-        q[r0 : r0 + rows] = q[r0 : r0 + rows, order]
-    first = np.repeat(bounds[:-1], np.diff(bounds))[order]
-    return lam[order], q, first
+    return solved
 
 
 def _fold(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,20 +194,6 @@ def _fold(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _unfold(q: np.ndarray, odd: np.ndarray) -> None:
-    """Overwrite the eigenvectors q of _fold's bands with P q, the
-    eigenvectors of T; odd marks the odd block's columns.  An even column
-    [u; c] becomes [u; c; Ju] / sqrt 2 (c, for odd N only, unscaled) and an
-    odd column [0; w] becomes [-Jw; w] / sqrt 2, so |q[i]| == |q[N-1-i]|
-    holds bitwise."""
-    n, m = q.shape[0], q.shape[0] // 2
-    mirror = q[::-1]
-    q[n - m :, ~odd] = mirror[n - m :, ~odd]
-    q[:m, odd] = -mirror[:m, odd]
-    q[:m] /= math.sqrt(2.0)
-    q[n - m :] /= math.sqrt(2.0)
-
-
 def _anchor_signs(q: np.ndarray) -> None:
     """Sign each column so that its first entry within a relative _SIGN_TIE
     of its largest magnitude is positive.  Not argmax: every odd
@@ -164,13 +210,19 @@ def _anchor_signs(q: np.ndarray) -> None:
         block *= np.where(block[anchors, np.arange(block.shape[1])] < 0.0, -1.0, 1.0)
 
 
-def _check_residuals(h: Hamiltonian, lam: np.ndarray, q: np.ndarray, hmax: float) -> None:
-    """Raise ConvergenceError unless max_i |(H q_j - lam_j q_j)_i| is within
-    _RESIDUAL_BOUND * hmax for every column j.  Works on blocks of rows,
-    so it holds no N x N temporary."""
-    d, e = h.diagonal, h.off_diagonal
+def _residual_bound(d: np.ndarray, e: np.ndarray) -> float:
+    """_RESIDUAL_BOUND * max|T| for the bands d and e."""
+    return _RESIDUAL_BOUND * max(float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
+
+
+def _check_residuals(
+    d: np.ndarray, e: np.ndarray, lam: np.ndarray, q: np.ndarray, bound: float, columns
+) -> None:
+    """Raise ConvergenceError unless max_i |(T q_j - lam_j q_j)_i| <= bound
+    for every column j of q, T the tridiagonal with bands d and e; the
+    message names column j as eigenvector columns[j].  Works on blocks of
+    rows, so it holds no N x N temporary."""
     n = d.size
-    bound = _RESIDUAL_BOUND * hmax
     worst = np.zeros(n)
     rows = max(1, _BLOCK_ENTRIES // n)
     for r0 in range(0, n, rows):
@@ -184,40 +236,41 @@ def _check_residuals(h: Hamiltonian, lam: np.ndarray, q: np.ndarray, hmax: float
     if failed.size:
         j = int(failed[0])
         raise ConvergenceError(
-            f"eigenvector {j} (eigenvalue {lam[j]:.17g}) has residual |Hq - lam q| = "
+            f"eigenvector {columns[j]} (eigenvalue {lam[j]:.17g}) has residual |Hq - lam q| = "
             f"{worst[j]:.3e}, above {bound:.3e} ({_RESIDUAL_BOUND:g} max|H|)"
         )
 
 
 def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
-    """Factor the tridiagonal Hamiltonian as H = Q diag(lam) Q^T.
+    """Factor the tridiagonal Hamiltonian as H = Q diag(lam) Q^T, kept as blocks.
 
-    Eigenvalues are ascending, and each eigenvector column is signed so
-    that the first entry within a relative _SIGN_TIE of its largest
-    magnitude is positive, which makes the decomposition reproducible
-    across runs.  Palindromic bands are folded into their even and odd
-    blocks first, so every eigenvector of a mirror-symmetric H is exactly
-    even or odd.  Raises ConvergenceError if an eigenpair misses its
+    Palindromic bands are folded into their even and odd blocks first, so
+    every eigenvector of a mirror-symmetric H is exactly even or odd.  The
+    blocks' eigenvalues merge ascending; equal ones keep the blocks' row
+    order.  Raises ConvergenceError if a block's eigenpair misses its
     residual bound.
     """
     d, e = h.diagonal, h.off_diagonal
     n = d.size
-    hmax = max(float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
-    if hmax == 0.0:
-        lam, q = np.zeros(n), np.eye(n)
-    else:
-        folded = n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
-        if folded:
-            d, e = _fold(d, e)
-        lam, q, first = _solve_blocks(d, e)
-        if folded:
-            _unfold(q, first >= n - n // 2)
-        _anchor_signs(q)
-    _check_residuals(h, lam, q, hmax)
-
+    bound = _residual_bound(d, e)
+    folded = bound > 0.0 and n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
+    if folded:
+        d, e = _fold(d, e)
+    solved = _solve_blocks(d, e)
+    lam = np.concatenate([values for _, values, _ in solved])
+    order = np.argsort(lam, kind="stable")
+    columns = np.empty(n, dtype=np.intp)
+    columns[order] = np.arange(n)
+    columns.setflags(write=False)
+    blocks = []
+    for rows, values, vectors in solved:
+        _check_residuals(d[rows], e[rows.start : rows.stop - 1], values, vectors, bound, columns[rows])
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        blocks.append(EigenBlock(rows, values, vectors, columns[rows]))
+    lam = lam[order]
     lam.setflags(write=False)
-    q.setflags(write=False)
-    return SpectralDecomposition(lam, q)
+    return SpectralDecomposition(h, lam, tuple(blocks), folded)
 
 
 def build_propagator(decomp: SpectralDecomposition, dt: float) -> Propagator:
@@ -233,7 +286,7 @@ def build_propagator(decomp: SpectralDecomposition, dt: float) -> Propagator:
     phases = np.empty(decomp.n, dtype=complex)
     phases.real, phases.imag = np.cos(angle), -np.sin(angle)
     phases.setflags(write=False)
-    return Propagator(decomp.eigenvectors, phases)
+    return Propagator(decomp, phases)
 
 
 def write_eigen_csv(decomp: SpectralDecomposition, path) -> None:

@@ -103,6 +103,16 @@ def default_report(default_record, default_split, trained_default) -> cp.Compari
     return cp.build_report(default_record, preds, split.test.target_times, scaler)
 
 
+def dense(op) -> np.ndarray:
+    """The dense symmetric matrix of a tridiagonal operator, from its two bands."""
+    return np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
+
+
+def dense_unitary(q: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """U = Q diag(phases) Q^T, from a propagator's factors."""
+    return (q * phases) @ q.T
+
+
 def small_frames(n_frames: int = 40, width: int = 12, seed: int = 0) -> np.ndarray:
     """Smooth synthetic density movie for fast dataset/training tests."""
     rng = np.random.default_rng(seed)

@@ -20,6 +20,8 @@ from qwave import evolve as ev
 from qwave import spectral as sp
 from qwave import surrogate as sg
 
+from conftest import dense, dense_unitary
+
 # published density table: (index, x) rows by t columns, 3 significant figures
 TABLE_T0 = ["7.73e-24", "2.10e-23", "5.66e-23", "1.51e-22", "3.97e-22"]
 TABLE_T05 = ["1.27e-15", "5.33e-15", "1.30e-14", "2.62e-14", "4.83e-14"]
@@ -61,9 +63,9 @@ def test_04_unitarity_and_residual(default_hamiltonian, default_decomposition):
     # U from the factors the step loop applies: Q and build_propagator's phases
     q = default_decomposition.eigenvectors
     lam = default_decomposition.eigenvalues
-    u = (q * sp.build_propagator(default_decomposition, 0.05).phases) @ q.T
+    u = dense_unitary(q, sp.build_propagator(default_decomposition, 0.05).phases)
     unit = float(np.max(np.abs(u.conj().T @ u - np.eye(q.shape[0]))))
-    h = default_hamiltonian.matrix
+    h = dense(default_hamiltonian)
     resid = float(np.max(np.abs(h @ q - q * lam[None, :])))
     bound = 1e-8 * float(np.max(np.abs(h)))
     ok = unit <= 1e-10 and resid <= bound
@@ -79,7 +81,7 @@ def test_04_unitarity_and_residual(default_hamiltonian, default_decomposition):
 def test_05a_eigenvalues_near_continuum(default_grid, default_hamiltonian, default_decomposition):
     # the solver agrees with an independent dense eigensolve to 1e-9 ...
     lam = default_decomposition.eigenvalues[:6]
-    oracle = np.linalg.eigvalsh(default_hamiltonian.matrix)[:6]
+    oracle = np.linalg.eigvalsh(dense(default_hamiltonian))[:6]
     solver_vs_oracle = float(np.max(np.abs(lam - oracle)))
     assert solver_vs_oracle <= 1e-9 * float(np.abs(oracle).max())
     # ... so the gap to n + 1/2 is the 3-point stencil's bias, not solver error.

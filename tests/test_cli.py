@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -729,11 +730,27 @@ class TestDeterminism:
             })
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "n_points, digest",
+        [
+            ("200", "28b7902fc4841e6c7ffeb3829db3d9d85a6827744ddd25c47dc30bdaa2db8c0d"),
+            ("201", "e2ccce90ae7c039c64e571e3e1792ccd5091414d2b6fe45ecec0e084f428e445"),
+        ],
+    )
+    def test_asymmetric_grid_frames_pinned(self, tmp_path, n_points, digest):
+        # an H that is not a palindrome is one eigenblock whose vectors are Q
+        # up to column signs, so its frames are those of psi = Q c over the dense Q
+        out = tmp_path / "out"
+        argv = ["simulate", "--grid.a", "-6", "--grid.n_points", n_points, "--io.output_dir", str(out)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256((out / "frames.csv").read_bytes()).hexdigest() == digest
+
     def test_frames_bitwise_across_blas_threads(self, tmp_path):
         # LAPACK's eigh and the step loop's products are on the path; a
         # second OpenBLAS thread must not move a bit of the frames while
-        # every eigenblock has fewer than about 500 rows.  At N = 400, a = -5
-        # folds into two blocks of 200 rows and a = -6 is one block of 400.
+        # every stepped eigenblock has fewer than about 500 rows.  At N = 400,
+        # a = -5 steps only the even block of 200 rows and a = -6 the one
+        # block of 400.
         env = _child_env()
         env.pop("OPENBLAS_NUM_THREADS", None)
         for grid_a in ("-5", "-6"):

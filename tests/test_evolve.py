@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -117,7 +119,7 @@ class TestRunEvolution:
 
         def leaky(decomp, dt):
             u = build(decomp, dt)
-            return sp.Propagator(u.eigenvectors, u.phases * np.sqrt(1.0 - 3e-9))
+            return sp.Propagator(u.decomposition, u.phases * np.sqrt(1.0 - 3e-9))
 
         monkeypatch.setattr(ev, "build_propagator", leaky)
         with pytest.raises(ConservationError, match="at step 4 "):
@@ -145,6 +147,44 @@ class TestRunEvolution:
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=40), h)
         assert record.densities.shape == (41, grid.n_points)
 
+    @pytest.mark.parametrize("a", [-4.0, -6.0])
+    def test_never_builds_the_eigenvector_matrix(self, monkeypatch, a):
+        # the loop steps the blocks; the dense N x N Q is for readers only
+        def refuse(self):
+            raise AssertionError("run_evolution read SpectralDecomposition.eigenvectors")
+
+        monkeypatch.setattr(sp.SpectralDecomposition, "eigenvectors", property(refuse))
+        grid, h = _small_setup(a=a)
+        record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=40), h)
+        assert record.densities.shape == (41, grid.n_points)
+
+    def test_symmetric_grid_steps_the_even_block_alone(self, monkeypatch):
+        grid, h = _small_setup(n=201, a=-5.0, b=5.0)
+        decomp = sp.eigendecompose(h)
+        even, odd = decomp.blocks
+        assert (even.rows, odd.rows) == (slice(0, 101), slice(101, 201))
+        assert not np.any(decomp.fold(ev.gaussian_initial(grid))[odd.rows])
+        stepped = []
+        einsum = np.einsum
+        monkeypatch.setattr(ev.np, "einsum", lambda spec, a, b: stepped.append(b.shape) or einsum(spec, a, b))
+        ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=4), h)
+        assert stepped == [(101, 101)] * 2
+
+    def test_odd_grid_steps_match_direct(self):
+        # criterion 6's check at N = 201, where the middle node joins the even
+        # block through sqrt 2 e[m-1] and is not halved by the unfold
+        grid, h = _small_setup(n=201, a=-5.0, b=5.0)
+        psi0 = ev.gaussian_initial(grid)
+        decomp = sp.eigendecompose(h)
+        u = sp.build_propagator(decomp, 0.05)
+        q, lam = decomp.eigenvectors, decomp.eigenvalues
+        worst = 0.0
+        for k0, re, im in ev._stepped_states(u, psi0, 100):
+            for j, psi in enumerate(re + 1j * im):
+                direct = q @ (np.exp(-1j * lam * 0.05 * (k0 + j)) * (q.T @ psi0))
+                worst = max(worst, float(np.max(np.abs(psi - direct))))
+        assert worst <= 1e-9
+
     def test_density_matrix_is_the_table(self):
         grid, h = _small_setup()
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=4), h)
@@ -163,6 +203,30 @@ class TestRunEvolution:
         dt = np.pi / 100.0
         record = ev.run_evolution(ev.EvolutionConfig(grid, dt=dt, n_steps=100), h)
         assert np.max(np.abs(record.densities[-1] - record.densities[0])) < 1e-3
+
+
+class TestMirrorSymmetry:
+    """On a grid with a = -b the packet is even, so only the even block steps
+    and every frame equals its mirror image bitwise."""
+
+    @pytest.mark.parametrize("mode", ev.NORMALIZATION_MODES)
+    @pytest.mark.parametrize("n", [200, 201, 400, 800])
+    def test_frames_mirror_bitwise(self, n, mode):
+        grid, h = _small_setup(n=n, a=-5.0, b=5.0)
+        record = ev.run_evolution(ev.EvolutionConfig(grid, 0.05, 100, normalization_mode=mode), h)
+        assert all(np.array_equal(row, row[::-1]) for row in record.densities)
+
+    @given(
+        st.integers(2, 40),
+        st.booleans(),
+        st.floats(0.5, 10.0),
+        st.sampled_from(ev.NORMALIZATION_MODES),
+    )
+    def test_small_grids_mirror_bitwise(self, half, odd, b, mode):
+        grid, h = _small_setup(n=2 * half + odd, a=-b, b=b)
+        record = ev.run_evolution(ev.EvolutionConfig(grid, 0.05, 20, normalization_mode=mode), h)
+        assert all(np.array_equal(row, row[::-1]) for row in record.densities)
+        assert np.max(record.conservation_log) <= 1e-10
 
 
 class TestFrameCsv:
@@ -316,7 +380,8 @@ class TestBulkFormatting:
     def test_eigen_rows(self, tmp_path, rows):
         table = np.array(rows)
         path = tmp_path / "eigen.csv"
-        sp.write_eigen_csv(sp.SpectralDecomposition(table[0], table[1:]), path)
+        decomp = types.SimpleNamespace(n=len(table[0]), eigenvalues=table[0], eigenvectors=table[1:])
+        sp.write_eigen_csv(decomp, path)
         header = ",".join(f"eig_{k}" for k in range(len(table[0])))
         lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
         assert path.read_text() == "\n".join([header, *lines]) + "\n"

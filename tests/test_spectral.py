@@ -12,6 +12,8 @@ from qwave import spectral as sp
 from qwave.discretize import Hamiltonian, assemble_hamiltonian, harmonic_potential, laplacian, make_grid
 from qwave.errors import ConvergenceError
 
+from conftest import dense, dense_unitary
+
 # 6 lowest eigenvalues of the default 200-point Hamiltonian, frozen from an
 # independent dense eigensolve (LAPACK) before this module was built
 DEFAULT_LOW_EIGENVALUES = [
@@ -35,7 +37,8 @@ class TestEigendecompose:
             h = _random_symmetric(n, seed)
             d = sp.eigendecompose(h)
             rebuilt = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.T
-            assert np.allclose(rebuilt, h.matrix, atol=1e-12 * max(1.0, np.abs(h.matrix).max()))
+            hm = dense(h)
+            assert np.allclose(rebuilt, hm, atol=1e-12 * max(1.0, np.abs(hm).max()))
 
     def test_orthogonal_eigenvectors(self):
         d = sp.eigendecompose(_random_symmetric(25, 3))
@@ -46,11 +49,11 @@ class TestEigendecompose:
         # dual route: the block solver on the bands against LAPACK on the dense form
         h = _random_symmetric(30, 4)
         d = sp.eigendecompose(h)
-        lam_ref = np.linalg.eigvalsh(h.matrix)
+        lam_ref = np.linalg.eigvalsh(dense(h))
         assert np.max(np.abs(d.eigenvalues - lam_ref)) < 1e-12 * max(1.0, np.abs(lam_ref).max())
 
     def test_matches_lapack_tridiagonal_path(self, default_hamiltonian, default_decomposition):
-        lam_ref = np.linalg.eigvalsh(default_hamiltonian.matrix)
+        lam_ref = np.linalg.eigvalsh(dense(default_hamiltonian))
         scale = np.abs(lam_ref).max()
         assert np.max(np.abs(default_decomposition.eigenvalues - lam_ref)) < 1e-9 * scale
 
@@ -64,7 +67,7 @@ class TestEigendecompose:
         assert np.allclose(got, DEFAULT_LOW_EIGENVALUES, atol=1e-9)
 
     def test_spectral_residual_default(self, default_hamiltonian, default_decomposition):
-        h = default_hamiltonian.matrix
+        h = dense(default_hamiltonian)
         q = default_decomposition.eigenvectors
         lam = default_decomposition.eigenvalues
         resid = np.max(np.abs(h @ q - q * lam[None, :]))
@@ -82,7 +85,7 @@ class TestEigendecompose:
         # where any rotation within the pair is an eigenbasis
         lam = default_decomposition.eigenvalues
         q = default_decomposition.eigenvectors
-        _, q_ref = np.linalg.eigh(default_hamiltonian.matrix)
+        _, q_ref = np.linalg.eigh(dense(default_hamiltonian))
         mags = np.abs(q_ref)
         first = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=0), axis=0)
         q_ref = q_ref * np.where(q_ref[first, np.arange(lam.size)] < 0.0, -1.0, 1.0)
@@ -114,9 +117,9 @@ class TestEigendecompose:
         solve = sp._solve_blocks
 
         def perturbed(d, e):
-            lam, q, first = solve(d, e)
-            q[:, 3] += 1e-6
-            return lam, q, first
+            blocks = solve(d, e)
+            blocks[0][2][:, 3] += 1e-6
+            return blocks
 
         monkeypatch.setattr(sp, "_solve_blocks", perturbed)
         with pytest.raises(ConvergenceError, match=r"eigenvector 3 .* residual"):
@@ -139,7 +142,7 @@ class TestEigendecompose:
 
 
 def _assert_solves(h, lam, q, tol):
-    hm = h.matrix
+    hm = dense(h)
     scale = max(1.0, float(np.max(np.abs(hm))))
     # eigh, not eigvalsh: the values-only LAPACK path misses by 7.5e-4 on the
     # "eigvalsh_misses" band below
@@ -177,7 +180,7 @@ class TestSolverProperties:
         lam = default_decomposition.eigenvalues[-20:]
         q = default_decomposition.eigenvectors[:, -20:]
         assert np.min(np.diff(lam)) < 1e-9
-        hm = default_hamiltonian.matrix
+        hm = dense(default_hamiltonian)
         assert np.max(np.abs(hm @ q - q * lam[None, :])) <= 1e-12 * np.max(np.abs(hm))
         assert np.max(np.abs(q.T @ q - np.eye(20))) <= 1e-13
 
@@ -271,12 +274,21 @@ class TestParityFold:
     @given(data=st.data())
     def test_palindromic_bands(self, sizes, data):
         h = data.draw(_palindromes(sizes))
-        assume(np.max(np.abs(h.matrix)) > 0.0)
+        assume(np.max(np.abs(dense(h))) > 0.0)
         out = sp.eigendecompose(h)
         q = out.eigenvectors
         _assert_solves(h, out.eigenvalues, q, 1e-10)
         # every column exactly even or odd
         assert np.array_equal(np.abs(q), np.abs(q[::-1]))
+        # fold is P^T and the blocks are Q's columns in its coordinates, up to sign
+        x = np.linspace(-1.0, 2.0, h.n) ** 3
+        y = out.fold(x)
+        back = y.copy()
+        out.unfold(back)
+        assert np.allclose(back, x, rtol=0.0, atol=1e-14 * np.abs(x).max())
+        coefficients = np.abs(q.T @ x)
+        for b in out.blocks:
+            assert np.allclose(np.abs(b.vectors.T @ y[b.rows]), coefficients[b.columns], rtol=0.0, atol=1e-12)
 
     def test_default_grid_folds_into_two_blocks(self, default_hamiltonian, monkeypatch):
         solved = []
@@ -285,6 +297,8 @@ class TestParityFold:
         out = sp.eigendecompose(default_hamiltonian)
         n = default_hamiltonian.n
         assert solved == [(n // 2, n // 2)] * 2  # the even and the odd block, unreduced
+        assert out.folded and [b.rows for b in out.blocks] == [slice(0, n // 2), slice(n // 2, n)]
+        assert "eigenvectors" not in vars(out)  # the dense Q waits for its first read
         q = out.eigenvectors
         even = np.all(q == q[::-1], axis=0)
         odd = np.all(q == -q[::-1], axis=0)
@@ -301,7 +315,7 @@ class TestParityFold:
         monkeypatch.setattr(sp, "_fold", refuse)
         out = sp.eigendecompose(h)
         _assert_solves(h, out.eigenvalues, out.eigenvectors, 1e-10)
-        u = sp.build_propagator(out, 0.05).matrix
+        u = dense_unitary(out.eigenvectors, sp.build_propagator(out, 0.05).phases)
         assert np.max(np.abs(u.conj().T @ u - np.eye(h.n))) <= 1e-10
 
 
@@ -337,19 +351,19 @@ class TestSplitBlocks:
 
 class TestPropagator:
     def test_unitary(self, default_decomposition):
-        u = sp.build_propagator(default_decomposition, 0.05)
-        gram = u.matrix.conj().T @ u.matrix
-        assert np.max(np.abs(gram - np.eye(u.n))) <= 1e-10
+        d = default_decomposition
+        u = dense_unitary(d.eigenvectors, sp.build_propagator(d, 0.05).phases)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d.n))) <= 1e-10
 
     def test_zero_step_is_identity(self, default_decomposition):
-        u = sp.build_propagator(default_decomposition, 0.0)
-        assert np.max(np.abs(u.matrix - np.eye(u.n))) < 1e-12
+        d = default_decomposition
+        u = dense_unitary(d.eigenvectors, sp.build_propagator(d, 0.0).phases)
+        assert np.max(np.abs(u - np.eye(d.n))) < 1e-12
 
     def test_forward_backward_cancel(self):
         d = sp.eigendecompose(_random_symmetric(10, 7))
-        uf = sp.build_propagator(d, 0.3)
-        ub = sp.build_propagator(d, -0.3)
-        assert np.max(np.abs(ub.matrix @ uf.matrix - np.eye(10))) < 1e-12
+        uf, ub = (dense_unitary(d.eigenvectors, sp.build_propagator(d, dt).phases) for dt in (0.3, -0.3))
+        assert np.max(np.abs(ub @ uf - np.eye(10))) < 1e-12
 
     def test_nonfinite_dt_rejected(self, default_decomposition):
         with pytest.raises(ValueError):
@@ -358,11 +372,11 @@ class TestPropagator:
     def test_factors_and_lazy_matrix(self):
         d = sp.eigendecompose(_random_symmetric(10, 11))
         u = sp.build_propagator(d, 0.3)
-        assert u.eigenvectors is d.eigenvectors
+        assert u.decomposition is d and u.eigenvectors is d.eigenvectors
         assert np.array_equal(u.phases, np.exp(-0.3j * d.eigenvalues))
         assert "matrix" not in vars(u)  # not built until read
         q = d.eigenvectors
-        assert np.max(np.abs(u.matrix - (q * u.phases) @ q.T)) < 1e-14
+        assert np.max(np.abs(u.matrix - dense_unitary(q, u.phases))) < 1e-14
         assert u.matrix is u.matrix
 
 
@@ -384,7 +398,7 @@ class TestHarmonicOracle:
         grid = make_grid(-4.0, 4.0, 80)
         h = assemble_hamiltonian(laplacian(grid), harmonic_potential(grid))
         d = sp.eigendecompose(h)
-        lam_ref = np.linalg.eigvalsh(h.matrix)
+        lam_ref = np.linalg.eigvalsh(dense(h))
         assert np.max(np.abs(d.eigenvalues - lam_ref)) < 1e-9 * np.abs(lam_ref).max()
 
 
