@@ -174,11 +174,13 @@ def _n_frames(cfg: RunConfig) -> int:
 def _n_fit(cfg: RunConfig) -> int:
     """Leading frames of the train windows; frames n_fit onward are the test targets."""
     from . import dataset as dsm
-    n_fit = dsm.train_frame_count(_n_frames(cfg), cfg.dataset_lookback, cfg.dataset_split_fraction)
+    n_pairs = max(_n_frames(cfg) - cfg.dataset_lookback, 0)
+    fraction = cfg.dataset_split_fraction
+    n_fit = dsm.train_frame_count(_n_frames(cfg), cfg.dataset_lookback, fraction) if n_pairs else 0
     if n_fit - cfg.dataset_lookback < 1:
         raise ConfigError(
-            f"dataset.split_fraction={cfg.dataset_split_fraction!r} leaves no train pair of the "
-            f"{_n_frames(cfg) - cfg.dataset_lookback} pairs that evolution.n_steps="
+            f"dataset.split_fraction={fraction!r} leaves no train pair of the "
+            f"{n_pairs} pairs that evolution.n_steps="
             f"{cfg.evolution_n_steps} and dataset.lookback={cfg.dataset_lookback} give"
         )
     return n_fit
@@ -269,7 +271,7 @@ def _load_split(cfg: RunConfig, lo: int, hi: int) -> dsm.SplitDataset:
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
     record = _simulate(cfg)
     ev.write_frames_csv(record.times, record.densities, _out_path(cfg, FRAMES_FILE))
-    ev.write_conservation_csv(record, _out_path(cfg, CONSERVATION_FILE))
+    ev.write_conservation_csv(record.times, record.conservation_log, _out_path(cfg, CONSERVATION_FILE))
     if args.dump_eigen:
         sp.write_eigen_csv(record.decomposition, _out_path(cfg, EIGEN_FILE))
     drift = float(np.max(record.conservation_log))

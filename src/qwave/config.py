@@ -150,12 +150,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(
             f"dataset.split_fraction must lie in (0, 1), got {cfg.dataset_split_fraction}"
         )
-    n_frames = cfg.evolution_n_steps + 1
-    if n_frames < cfg.dataset_lookback + 1:
-        raise ConfigError(
-            f"evolution produces {n_frames} frames but lookback {cfg.dataset_lookback} "
-            f"needs at least {cfg.dataset_lookback + 1}"
-        )
     if cfg.training_epochs < 1:
         raise ConfigError(f"training.epochs must be >= 1, got {cfg.training_epochs}")
     if not cfg.training_lr >= 0:

@@ -2,14 +2,13 @@
 
 The initial packet exp(-x^2) is narrower than the oscillator ground
 state, so it breathes: the density is periodic with period pi in natural
-units.  The loop steps in the eigenblocks of H: psi(0) is folded into the
-blocks' coordinates, y = P^T psi(0), each block whose rows of y are not
-all zero takes c = V^T y, and each step multiplies c by the propagator's
-phases exp(-i lam dt), which is exact and O(N).  So probability is
-conserved to rounding and the loop reproduces the direct evaluation
-psi(t) = Q exp(-i lam t) Q^T psi(0) at every recorded time.  On a grid
-with a = -b the packet is even, so its odd-block part is exactly zero:
-only the even block steps, and every frame mirrors bitwise.
+units.  The decomposition of H steps the state
+(`SpectralDecomposition.states`): each step multiplies the packet's
+coefficients in H's eigenbasis by the propagator's phases exp(-i lam dt),
+which is exact and O(N).  So probability is conserved to rounding and
+the loop reproduces the direct evaluation psi(t) = Q exp(-i lam t) Q^T
+psi(0) at every recorded time.  This module squares each step into a
+density frame and checks its norm.
 """
 
 from __future__ import annotations
@@ -22,15 +21,12 @@ import numpy as np
 from .artifacts import write_csv
 from .discretize import Grid, Hamiltonian
 from .errors import ConservationError, FrameCountError
-from .spectral import Propagator, SpectralDecomposition, build_propagator, eigendecompose
+from .spectral import SpectralDecomposition, build_propagator, eigendecompose
 
 NORMALIZATION_MODES = ("ell2", "dx_weighted")
 
 # hard-abort threshold; tests assert the tighter 1e-10 bound
 _DRIFT_ABORT = 1e-8
-# entries of one block of steps: the loop forms the states of
-# max(1, this // K) steps at a time, K the stepped eigenblocks' total size
-_STEP_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -97,55 +93,15 @@ def gaussian_initial(grid: Grid, mode: str = "ell2") -> np.ndarray:
     return psi
 
 
-def _stepped_states(u: Propagator, psi0: np.ndarray, n_steps: int):
-    """Yield (k0, re, im) for steps 1..n_steps in chunks: row j of re and im
-    holds Re psi and Im psi of step k0 + j.
-
-    psi0 is folded to y = P^T psi0, and only the eigenblocks whose rows of y
-    are not all zero step: their coefficients c = V^T y step as
-    c <- exp(-i lam dt) c.  Each chunk of max(1, _STEP_BLOCK_ENTRIES // K)
-    steps, K the stepped blocks' total size, forms each block's amplitudes
-    z = V c by two real products in einsum's own loops, not a BLAS GEMM,
-    which splits its sums among threads and so would round by
-    OPENBLAS_NUM_THREADS; the amplitudes then unfold to psi = P z.  A chunk
-    is freed before the next one is formed as long as the caller drops its
-    own references to re and im first.
-    """
-    decomp = u.decomposition
-    y = decomp.fold(psi0)
-    active = [b for b in decomp.blocks if np.any(y[b.rows])]
-    c = np.concatenate([b.vectors.T @ y[b.rows] for b in active])
-    phases = u.phases[np.concatenate([b.columns for b in active])]
-    steps = max(1, _STEP_BLOCK_ENTRIES // c.size)
-    coeffs = np.empty((min(steps, n_steps), c.size), dtype=complex)
-    for k0 in range(1, n_steps + 1, steps):
-        chunk = coeffs[: min(steps, n_steps + 1 - k0)]
-        for row in chunk:  # c is the step before: the row above, or the last chunk's last row
-            np.multiply(c, phases, out=row)
-            c = row
-        re, im = np.zeros((len(chunk), decomp.n)), np.zeros((len(chunk), decomp.n))
-        k = 0
-        for b in active:
-            part = slice(k, k + b.values.size)
-            k = part.stop
-            # contiguous copies halve einsum's time against the strided views
-            im[:, b.rows] = np.einsum("ij,kj->ik", chunk.imag[:, part].copy(), b.vectors)
-            re[:, b.rows] = np.einsum("ij,kj->ik", chunk.real[:, part].copy(), b.vectors)
-        decomp.unfold(re.T)
-        decomp.unfold(im.T)
-        yield k0, re, im
-        del re, im
-
-
 def run_evolution(config: EvolutionConfig, h: Hamiltonian) -> EvolutionRecord:
     """Step the Gaussian packet n_steps times, recording a density frame per step.
 
     The initial state is the Gaussian packet in the configured
-    normalization.  _stepped_states forms every step's psi, and each
-    step's density and norm drift go straight into the record.  Aborts
-    with ConservationError at the first step whose norm drifts by more
-    than 1e-8 or is not finite, which signals a broken decomposition, not
-    rounding.
+    normalization.  The decomposition steps it by the propagator's
+    phases, and each step's density and norm drift go straight into the
+    record.  Aborts with ConservationError at the first step whose norm
+    drifts by more than 1e-8 or is not finite, which signals a broken
+    decomposition, not rounding.
     """
     if h.n != config.grid.n_points:
         raise ValueError(f"Hamiltonian order {h.n} does not match grid size {config.grid.n_points}")
@@ -161,7 +117,7 @@ def run_evolution(config: EvolutionConfig, h: Hamiltonian) -> EvolutionRecord:
     np.square(psi0, out=table[0])
     log[0] = abs(float(np.sum(table[0])) * weight - 1.0)
 
-    for k0, re, im in _stepped_states(u, psi0, config.n_steps):
+    for k0, re, im in decomp.states(psi0, u.phases, config.n_steps):
         dens, drifts = table[k0 : k0 + len(re)], log[k0 : k0 + len(re)]
         np.square(re, out=dens)
         dens += np.square(im, out=im)
@@ -241,15 +197,9 @@ def read_frames_csv(
     return data[:, 0], data[:, 1:]
 
 
-def write_conservation_csv(record: EvolutionRecord, path) -> None:
-    """Conservation CSV: header t,norm_drift, one row per recorded frame.
-
-    Raises ValueError for a record without a conservation log (one rebuilt
-    from a frame table).
-    """
-    if record.conservation_log is None:
-        raise ValueError("the record has no conservation log; it was rebuilt from a frame table")
-    write_csv(path, ("t", "norm_drift"), zip(record.times.tolist(), record.conservation_log.tolist()))
+def write_conservation_csv(times: np.ndarray, drift: np.ndarray, path) -> None:
+    """Conservation CSV: header t,norm_drift, then one row per time, 17 digits."""
+    write_csv(path, ("t", "norm_drift"), zip(times.tolist(), drift.tolist(), strict=True))
 
 
 def record_from_frames_csv(grid: Grid, dt: float, normalization_mode: str, path) -> EvolutionRecord:

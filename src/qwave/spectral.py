@@ -11,7 +11,9 @@ against the block's own bands, or ConvergenceError names the eigenvector.
 
 The decomposition keeps these blocks: their eigenvalues, their
 block-sized vectors and where each pair sits in the ascending spectrum.
-The step loop of `evolve` works on them alone.  The dense N x N Q = P V,
+It steps a state on them alone (`SpectralDecomposition.states`), and only
+in the blocks the state occupies: on a grid with a = -b the even packet
+steps in the even block, and every frame mirrors bitwise.  The dense Q = P V,
 V the blocks' vectors on the diagonal, is formed only when
 `SpectralDecomposition.eigenvectors` is read (by --dump-eigen, the tests
 and the benchmark): its columns unfold as [u; Ju]/sqrt 2 and
@@ -47,6 +49,9 @@ _SIGN_TIE = 1e-8
 # entries of one work array: the sign anchor and the residual check hold
 # n x (this // n) values at a time
 _BLOCK_ENTRIES = 1 << 18
+# entries of one block of steps: `states` forms the states of
+# max(1, this // K) steps at a time, K the stepped eigenblocks' total size
+_STEP_BLOCK_ENTRIES = 1 << 15
 # largest |lam dt| accepted: floats are 0.125 rad apart there, 1 rad from 2^52 = 4.5e15
 _MAX_PHASE = 1e15
 
@@ -80,38 +85,71 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def fold(self, x: np.ndarray) -> np.ndarray:
-        """P^T x for an (N,) vector x: x in the blocks' coordinates, O(N).
-
-        With m = N // 2, row i < m is (x_i + x_{N-1-i}) / sqrt 2, the middle
-        row of odd N is x_m, and row i >= N - m is (x_i - x_{N-1-i}) / sqrt 2,
-        so an x that is a palindrome has its odd rows exactly zero.  x itself
-        when H was not folded.
-        """
-        if not self.folded:
-            return x
-        n, m = x.size, x.size // 2
-        y = x.copy()
-        y[:m] = (x[:m] + x[n - m :][::-1]) / math.sqrt(2.0)
-        y[n - m :] = (x[n - m :] - x[:m][::-1]) / math.sqrt(2.0)
-        return y
+    def fold(self, z: np.ndarray) -> None:
+        """Overwrite z with P^T z along axis 0; a palindrome's odd rows become exactly 0."""
+        self._butterfly(z, fold=True)
 
     def unfold(self, z: np.ndarray) -> None:
-        """Overwrite z, in the blocks' coordinates along axis 0, with P z.
+        """Overwrite z with P z along axis 0; where the odd rows are 0, z mirrors bitwise."""
+        self._butterfly(z, fold=False)
 
-        Row i < m becomes (z_i - z_{N-1-i}) / sqrt 2 and row i >= N - m
-        becomes (z_{N-1-i} + z_i) / sqrt 2, so where the odd rows are all
-        zero the result mirrors bitwise.  Nothing changes when H was not
-        folded.
-        """
+    def _butterfly(self, z: np.ndarray, fold: bool) -> None:
+        """With m = N // 2, rows i < m of z become (z_i +- z_{N-1-i}) / sqrt 2 and
+        rows i >= N - m become (z_i -+ z_{N-1-i}) / sqrt 2, the upper signs for
+        P^T; the middle row of odd N stays.  Nothing changes when H was not
+        folded.  The one new array is a copy of z's first m rows."""
         if not self.folded:
             return
         n, m = z.shape[0], z.shape[0] // 2
         lo, hi = z[:m].copy(), z[n - m :]
-        np.subtract(lo, hi[::-1], out=z[:m])
-        np.add(lo[::-1], hi, out=hi)
+        if fold:
+            np.add(lo, hi[::-1], out=z[:m])
+            np.subtract(hi, lo[::-1], out=hi)
+        else:
+            np.subtract(lo, hi[::-1], out=z[:m])
+            np.add(lo[::-1], hi, out=hi)
         z[:m] /= math.sqrt(2.0)
         hi /= math.sqrt(2.0)
+
+    def states(self, psi0: np.ndarray, phases: np.ndarray, n_steps: int):
+        """Yield (k0, re, im) for steps 1..n_steps in chunks: row j of re and im
+        holds Re psi and Im psi of step k0 + j, where one step multiplies
+        psi by U = Q diag(phases) Q^T, phases in eigenvalue order.
+
+        psi0 is folded to y = P^T psi0, and only the blocks whose rows of y
+        are not all zero step: their coefficients c = V^T y step as
+        c <- phases c.  Each chunk of max(1, _STEP_BLOCK_ENTRIES // K) steps,
+        K the stepped blocks' total size, forms each block's amplitudes
+        z = V c by two real products in einsum's own loops, not a BLAS GEMM,
+        which splits its sums among threads and so would round by
+        OPENBLAS_NUM_THREADS; the amplitudes then unfold to psi = P z.  A
+        chunk is freed before the next one is formed as long as the caller
+        drops its own references to re and im first.
+        """
+        y = psi0.copy()
+        self.fold(y)
+        active = [b for b in self.blocks if np.any(y[b.rows])]
+        c = np.concatenate([b.vectors.T @ y[b.rows] for b in active])
+        phases = phases[np.concatenate([b.columns for b in active])]
+        steps = max(1, _STEP_BLOCK_ENTRIES // c.size)
+        coeffs = np.empty((min(steps, n_steps), c.size), dtype=complex)
+        for k0 in range(1, n_steps + 1, steps):
+            chunk = coeffs[: min(steps, n_steps + 1 - k0)]
+            for row in chunk:  # c is the step before: the row above, or the last chunk's last row
+                np.multiply(c, phases, out=row)
+                c = row
+            re, im = np.zeros((len(chunk), self.n)), np.zeros((len(chunk), self.n))
+            k = 0
+            for b in active:
+                part = slice(k, k + b.values.size)
+                k = part.stop
+                # contiguous copies halve einsum's time against the strided views
+                im[:, b.rows] = np.einsum("ij,kj->ik", chunk.imag[:, part].copy(), b.vectors)
+                re[:, b.rows] = np.einsum("ij,kj->ik", chunk.real[:, part].copy(), b.vectors)
+            self.unfold(re.T)
+            self.unfold(im.T)
+            yield k0, re, im
+            del re, im
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -141,14 +179,11 @@ class Propagator:
     decomposition: SpectralDecomposition
     phases: np.ndarray
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self.decomposition.eigenvectors
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense U = (Q diag(phases)) Q^T, built on first use."""
-        u = (self.eigenvectors * self.phases) @ self.eigenvectors.T
+        q = self.decomposition.eigenvectors
+        u = (q * self.phases) @ q.T
         u.setflags(write=False)
         return u
 

@@ -187,10 +187,19 @@ class TestConfigFile:
                 validate_config(apply_overrides(RunConfig(), bad))
         validate_config(apply_overrides(RunConfig(), {"training.epochs": 2**63 - 1}))
 
-    def test_lookback_versus_frames(self):
-        cfg = apply_overrides(RunConfig(), {"evolution.n_steps": 3, "dataset.lookback": 4})
-        with pytest.raises(ConfigError, match="lookback"):
-            validate_config(cfg)
+    def test_lookback_versus_frames(self, tmp_path, capsys):
+        # 4 frames and lookback 4 give no pair: the stages that window the
+        # frames refuse, naming the keys; simulate and table do not window
+        argv = ["--evolution.n_steps", "3", "--dataset.lookback", "4", "--io.output_dir", str(tmp_path)]
+        assert cli.main(["simulate", *argv]) == 0
+        assert cli.main(["table", "--times", "0,0.1", *argv]) == 0
+        capsys.readouterr()
+        for stage in ("export-dataset", "train", "predict", "compare"):
+            assert cli.main([stage, *argv]) == 1
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: config:") and "of the 0 pairs" in line, stage
+            for key in ("dataset.split_fraction", "evolution.n_steps", "dataset.lookback"):
+                assert key in line, (stage, key)
 
 
 def test_simulate_loads_no_surrogate_dataset_or_compare(tmp_path):
@@ -714,6 +723,13 @@ class TestDashValues:
         assert "--times: expected one argument" in capsys.readouterr().err
 
 
+def _frames_digest(tmp_path, *argv) -> str:
+    """SHA-256 of the frames.csv that `simulate` writes with argv."""
+    out = tmp_path / "out"
+    assert cli.main(["simulate", *argv, "--io.output_dir", str(out)]) == 0
+    return hashlib.sha256((out / "frames.csv").read_bytes()).hexdigest()
+
+
 class TestDeterminism:
     def test_small_pipeline_bitwise(self, tmp_path):
         outputs = []
@@ -740,10 +756,19 @@ class TestDeterminism:
     def test_asymmetric_grid_frames_pinned(self, tmp_path, n_points, digest):
         # an H that is not a palindrome is one eigenblock whose vectors are Q
         # up to column signs, so its frames are those of psi = Q c over the dense Q
-        out = tmp_path / "out"
-        argv = ["simulate", "--grid.a", "-6", "--grid.n_points", n_points, "--io.output_dir", str(out)]
-        assert cli.main(argv) == 0
-        assert hashlib.sha256((out / "frames.csv").read_bytes()).hexdigest() == digest
+        assert _frames_digest(tmp_path, "--grid.a", "-6", "--grid.n_points", n_points) == digest
+
+    @pytest.mark.parametrize(
+        "n_points, digest",
+        [
+            ("200", "f339bf40c0e77fe571e41fb11de233d7bc3eb10561aad36bb5f55d3d9888ae74"),
+            ("201", "6b684d5c6e0e3e2ba65d4e6262d828828e3f4f30a9368a7ebffbc6e36177f639"),
+        ],
+    )
+    def test_symmetric_grid_frames_pinned(self, tmp_path, n_points, digest):
+        # the default [-5, 5] folds: the packet is folded, steps in the even
+        # block alone, and its amplitudes unfold
+        assert _frames_digest(tmp_path, "--grid.n_points", n_points) == digest
 
     def test_frames_bitwise_across_blas_threads(self, tmp_path):
         # LAPACK's eigh and the step loop's products are on the path; a

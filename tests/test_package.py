@@ -1,5 +1,6 @@
 """The package's import surface and the README's code."""
 
+import ast
 import os
 import re
 import subprocess
@@ -12,15 +13,31 @@ from qwave.config import RunConfig, config_keys, key_type
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _child_stdout(code: str) -> list[str]:
+    """The lines a fresh interpreter prints running code, with this qwave first on its path."""
+    src = os.path.dirname(os.path.dirname(qwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return run.stdout.splitlines()
+
+
 def test_import_loads_no_submodule():
     code = (
         "import sys, qwave; print(qwave.__version__); "
         "print(sorted(m for m in sys.modules if m.startswith('qwave.')))"
     )
-    src = os.path.dirname(os.path.dirname(qwave.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines() == [qwave.__version__, "[]"]
+    assert _child_stdout(code) == [qwave.__version__, "[]"]
+
+
+def test_cli_import_loads_only_the_simulate_chain():
+    # every CLI stage pays for this import in a fresh process; the dataset,
+    # surrogate and compare modules load inside the stages that use them
+    code = "import sys, qwave.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'qwave'))"
+    (line,) = _child_stdout(code)
+    assert ast.literal_eval(line) == [
+        "qwave", "qwave.artifacts", "qwave.cli", "qwave.config",
+        "qwave.discretize", "qwave.errors", "qwave.evolve", "qwave.spectral",
+    ]
 
 
 def test_readme_quick_start_runs(capsys):

@@ -282,7 +282,8 @@ class TestParityFold:
         assert np.array_equal(np.abs(q), np.abs(q[::-1]))
         # fold is P^T and the blocks are Q's columns in its coordinates, up to sign
         x = np.linspace(-1.0, 2.0, h.n) ** 3
-        y = out.fold(x)
+        y = x.copy()
+        out.fold(y)
         back = y.copy()
         out.unfold(back)
         assert np.allclose(back, x, rtol=0.0, atol=1e-14 * np.abs(x).max())
@@ -372,7 +373,7 @@ class TestPropagator:
     def test_factors_and_lazy_matrix(self):
         d = sp.eigendecompose(_random_symmetric(10, 11))
         u = sp.build_propagator(d, 0.3)
-        assert u.decomposition is d and u.eigenvectors is d.eigenvectors
+        assert u.decomposition is d
         assert np.array_equal(u.phases, np.exp(-0.3j * d.eigenvalues))
         assert "matrix" not in vars(u)  # not built until read
         q = d.eigenvectors
