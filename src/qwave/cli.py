@@ -270,10 +270,10 @@ def _load_split(cfg: RunConfig, lo: int, hi: int) -> dsm.SplitDataset:
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
     record = _simulate(cfg)
+    if args.dump_eigen:  # first: a block the run left unsolved fails before any file is written
+        sp.write_eigen_csv(record.decomposition, _out_path(cfg, EIGEN_FILE))
     ev.write_frames_csv(record.times, record.densities, _out_path(cfg, FRAMES_FILE))
     ev.write_conservation_csv(record.times, record.conservation_log, _out_path(cfg, CONSERVATION_FILE))
-    if args.dump_eigen:
-        sp.write_eigen_csv(record.decomposition, _out_path(cfg, EIGEN_FILE))
     drift = float(np.max(record.conservation_log))
     print(
         f"simulate: wrote {len(record.times)} frames to "

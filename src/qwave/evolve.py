@@ -2,8 +2,8 @@
 
 The initial packet exp(-x^2) is narrower than the oscillator ground
 state, so it breathes: the density is periodic with period pi in natural
-units.  The decomposition of H steps the state
-(`SpectralDecomposition.states`): each step multiplies the packet's
+units.  The propagator steps the state on the eigenblocks of H
+(`Propagator.states`): each step multiplies the packet's
 coefficients in H's eigenbasis by the propagator's phases exp(-i lam dt),
 which is exact and O(N).  So probability is conserved to rounding and
 the loop reproduces the direct evaluation psi(t) = Q exp(-i lam t) Q^T
@@ -97,9 +97,9 @@ def run_evolution(config: EvolutionConfig, h: Hamiltonian) -> EvolutionRecord:
     """Step the Gaussian packet n_steps times, recording a density frame per step.
 
     The initial state is the Gaussian packet in the configured
-    normalization.  The decomposition steps it by the propagator's
-    phases, and each step's density and norm drift go straight into the
-    record.  Aborts with ConservationError at the first step whose norm
+    normalization.  The propagator steps it, solving only the eigenblocks
+    it occupies, and each step's density and norm drift go straight into
+    the record.  Aborts with ConservationError at the first step whose norm
     drifts by more than 1e-8 or is not finite, which signals a broken
     decomposition, not rounding.
     """
@@ -108,7 +108,7 @@ def run_evolution(config: EvolutionConfig, h: Hamiltonian) -> EvolutionRecord:
 
     psi0 = gaussian_initial(config.grid, config.normalization_mode)
     decomp = eigendecompose(h)
-    u = build_propagator(decomp, config.dt)
+    states = build_propagator(decomp, config.dt).states(psi0, config.n_steps)  # refuses dt first
     weight = config.grid.dx if config.normalization_mode == "dx_weighted" else 1.0
 
     times = config.dt * np.arange(config.n_steps + 1)
@@ -117,7 +117,7 @@ def run_evolution(config: EvolutionConfig, h: Hamiltonian) -> EvolutionRecord:
     np.square(psi0, out=table[0])
     log[0] = abs(float(np.sum(table[0])) * weight - 1.0)
 
-    for k0, re, im in decomp.states(psi0, u.phases, config.n_steps):
+    for k0, re, im in states:
         dens, drifts = table[k0 : k0 + len(re)], log[k0 : k0 + len(re)]
         np.square(re, out=dens)
         dens += np.square(im, out=im)

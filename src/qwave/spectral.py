@@ -1,31 +1,24 @@
 """Real-symmetric eigendecomposition and the exact unitary propagator.
 
-H = Q diag(lam) Q^T is computed from the Hamiltonian's two bands.  When
-both bands are palindromes, as on a grid symmetric about 0 with an even
-potential, H commutes with the row reflection J, and a short orthogonal
-similarity P first folds it into an even and an odd block of half the
-size.  A zero off-diagonal splits the (folded) bands into unreduced
-blocks, and each block is solved on its own rows by LAPACK through
-np.linalg.eigh.  Every block pair must meet |T v - lam v| <= 1e-10 max|H|
-against the block's own bands, or ConvergenceError names the eigenvector.
+H = Q diag(lam) Q^T is factored from H's two bands.  When both are
+palindromes (a grid symmetric about 0, an even potential), H commutes
+with the row reflection J, and an orthogonal P folds it into an even and
+an odd block of half the size.  A zero off-diagonal splits the (folded)
+bands into unreduced blocks.  Each is solved by LAPACK through
+np.linalg.eigh when first read, and its pairs must meet
+|T v - lam v| <= 1e-10 max|H| against its own bands, or ConvergenceError
+names its rows and the eigenvector.
 
-The decomposition keeps these blocks: their eigenvalues, their
-block-sized vectors and where each pair sits in the ascending spectrum.
-It steps a state on them alone (`SpectralDecomposition.states`), and only
-in the blocks the state occupies: on a grid with a = -b the even packet
-steps in the even block, and every frame mirrors bitwise.  The dense Q = P V,
-V the blocks' vectors on the diagonal, is formed only when
-`SpectralDecomposition.eigenvectors` is read (by --dump-eigen, the tests
-and the benchmark): its columns unfold as [u; Ju]/sqrt 2 and
-[-Jw; w]/sqrt 2, so every eigenvector of a mirror-symmetric H is exactly
-even or odd, and the near-degenerate even/odd pairs at the top of the
-default spectrum (5e-11 apart) fall into different blocks.  Q's columns
-are then signed and checked against H itself.
-
-The propagator is exactly U(dt) = Q diag(exp(-i lam dt)) Q^T, so repeated
-stepping carries no splitting error and stays unitary to rounding.  It is
-kept as the decomposition and the phases; the dense N x N complex U is
-built only when `Propagator.matrix` is read, by unitarity checks.
+U(dt) = Q diag(exp(-i lam dt)) Q^T is exact, so stepping carries no
+splitting error and stays unitary to rounding.  `Propagator.states` steps
+a state in the blocks it occupies, and solves only those: on a grid with
+a = -b the even packet steps in the even block, every frame mirrors
+bitwise, and the odd block is never solved.  The whole spectrum, the
+dense Q = P V (V the blocks' vectors on the diagonal) and the dense U are
+formed only when read, by --dump-eigen, the tests and the benchmark.
+Q's columns unfold as [u; Ju]/sqrt 2 and [-Jw; w]/sqrt 2, so each is
+exactly even or odd, even the near-degenerate pairs at the top of the
+default spectrum; they are then signed and checked against H itself.
 """
 
 from __future__ import annotations
@@ -48,7 +41,7 @@ _RESIDUAL_BOUND = 1e-10
 _SIGN_TIE = 1e-8
 # entries of one work array: the sign anchor and the residual check hold
 # n x (this // n) values at a time
-_BLOCK_ENTRIES = 1 << 18
+_BLOCK_ENTRIES = 1 << 17
 # entries of one block of steps: `states` forms the states of
 # max(1, this // K) steps at a time, K the stepped eigenblocks' total size
 _STEP_BLOCK_ENTRIES = 1 << 15
@@ -58,32 +51,47 @@ _MAX_PHASE = 1e15
 
 @dataclass(frozen=True)
 class EigenBlock:
-    """One unreduced block of the (folded) bands: the rows it spans, its
-    eigenvalues (ascending) and eigenvectors, and the index of each pair in
-    the ascending spectrum."""
+    """One unreduced block of the (folded) bands, solved on the first read of its pairs."""
 
     rows: slice
-    values: np.ndarray
-    vectors: np.ndarray
-    columns: np.ndarray
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
+    bound: float
+
+    values = property(lambda self: self._pairs[0], doc="The eigenvalues, ascending.")
+    vectors = property(lambda self: self._pairs[1], doc="The block-sized eigenvectors, by column.")
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, v) by np.linalg.eigh; ConvergenceError if LAPACK fails or a pair misses bound."""
+        d, e = self.diagonal, self.off_diagonal
+        where = f"the block of rows {self.rows.start}:{self.rows.stop}"
+        t = np.diag(d)
+        k = np.arange(d.size - 1)
+        t[k + 1, k] = t[k, k + 1] = e
+        try:
+            lam, v = np.linalg.eigh(t)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LAPACK eigh failed on {where} ({exc})") from exc
+        del t  # the residual check reuses its memory
+        _check_residuals(d, e, lam, v, self.bound, f" of {where}")
+        lam.setflags(write=False)
+        v.setflags(write=False)
+        return lam, v
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """H's eigenpairs, kept as the blocks of its fold.
-
-    eigenvalues is the whole spectrum, ascending.  When folded, the blocks'
-    rows are coordinates of P^T H P; otherwise they are H's own rows.
-    """
+    """H's eigenpairs, kept as the blocks of its fold, each solved on first use.
+    When folded, the blocks' rows are coordinates of P^T H P, else H's own."""
 
     hamiltonian: Hamiltonian
-    eigenvalues: np.ndarray
     blocks: tuple[EigenBlock, ...]
     folded: bool
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.hamiltonian.n
 
     def fold(self, z: np.ndarray) -> None:
         """Overwrite z with P^T z along axis 0; a palindrome's odd rows become exactly 0."""
@@ -111,45 +119,20 @@ class SpectralDecomposition:
         z[:m] /= math.sqrt(2.0)
         hi /= math.sqrt(2.0)
 
-    def states(self, psi0: np.ndarray, phases: np.ndarray, n_steps: int):
-        """Yield (k0, re, im) for steps 1..n_steps in chunks: row j of re and im
-        holds Re psi and Im psi of step k0 + j, where one step multiplies
-        psi by U = Q diag(phases) Q^T, phases in eigenvalue order.
+    eigenvalues = property(lambda self: self._spectrum[0], doc="The whole spectrum, ascending.")
+    columns = property(lambda self: self._spectrum[1], doc="Each pair's index in it, by row.")
 
-        psi0 is folded to y = P^T psi0, and only the blocks whose rows of y
-        are not all zero step: their coefficients c = V^T y step as
-        c <- phases c.  Each chunk of max(1, _STEP_BLOCK_ENTRIES // K) steps,
-        K the stepped blocks' total size, forms each block's amplitudes
-        z = V c by two real products in einsum's own loops, not a BLAS GEMM,
-        which splits its sums among threads and so would round by
-        OPENBLAS_NUM_THREADS; the amplitudes then unfold to psi = P z.  A
-        chunk is freed before the next one is formed as long as the caller
-        drops its own references to re and im first.
-        """
-        y = psi0.copy()
-        self.fold(y)
-        active = [b for b in self.blocks if np.any(y[b.rows])]
-        c = np.concatenate([b.vectors.T @ y[b.rows] for b in active])
-        phases = phases[np.concatenate([b.columns for b in active])]
-        steps = max(1, _STEP_BLOCK_ENTRIES // c.size)
-        coeffs = np.empty((min(steps, n_steps), c.size), dtype=complex)
-        for k0 in range(1, n_steps + 1, steps):
-            chunk = coeffs[: min(steps, n_steps + 1 - k0)]
-            for row in chunk:  # c is the step before: the row above, or the last chunk's last row
-                np.multiply(c, phases, out=row)
-                c = row
-            re, im = np.zeros((len(chunk), self.n)), np.zeros((len(chunk), self.n))
-            k = 0
-            for b in active:
-                part = slice(k, k + b.values.size)
-                k = part.stop
-                # contiguous copies halve einsum's time against the strided views
-                im[:, b.rows] = np.einsum("ij,kj->ik", chunk.imag[:, part].copy(), b.vectors)
-                re[:, b.rows] = np.einsum("ij,kj->ik", chunk.real[:, part].copy(), b.vectors)
-            self.unfold(re.T)
-            self.unfold(im.T)
-            yield k0, re, im
-            del re, im
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, columns): the blocks' eigenvalues merged ascending, and where
+        each pair, in row order, sits among them (block b's at columns[b.rows]).
+        Equal eigenvalues keep the blocks' row order.  Solves every block."""
+        lam = np.concatenate([b.values for b in self.blocks])
+        order = np.argsort(lam, kind="stable")
+        lam, columns = lam[order], np.argsort(order)  # columns inverts order
+        lam.setflags(write=False)
+        columns.setflags(write=False)
+        return lam, columns
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -162,22 +145,24 @@ class SpectralDecomposition:
         """
         q = np.zeros((self.n, self.n))
         for block in self.blocks:
-            q[block.rows, block.columns] = block.vectors
+            q[block.rows, self.columns[block.rows]] = block.vectors
         self.unfold(q)
         _anchor_signs(q)
         d, e = self.hamiltonian.diagonal, self.hamiltonian.off_diagonal
-        _check_residuals(d, e, self.eigenvalues, q, _residual_bound(d, e), range(self.n))
+        _check_residuals(d, e, self.eigenvalues, q, _residual_bound(d, e), "")
         q.setflags(write=False)
         return q
 
 
 @dataclass(frozen=True)
 class Propagator:
-    """One-timestep unitary U(dt) = Q exp(-i lam dt) Q^T, kept as its factors:
-    the decomposition and the phases exp(-i lam dt), in eigenvalue order."""
+    """One-timestep unitary U(dt) = Q exp(-i lam dt) Q^T, kept as the decomposition and dt."""
 
     decomposition: SpectralDecomposition
-    phases: np.ndarray
+    dt: float
+
+    # exp(-i lam dt) in eigenvalue order; solves every block
+    phases = cached_property(lambda self: _phases(self.decomposition.eigenvalues, self.dt))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -187,24 +172,61 @@ class Propagator:
         u.setflags(write=False)
         return u
 
+    def states(self, psi0: np.ndarray, n_steps: int):
+        """Steps 1..n_steps of psi0 in chunks (k0, re, im): row j of re and im
+        holds Re psi and Im psi of step k0 + j, one step multiplying psi by U.
+        Only the blocks that y = P^T psi0 occupies are solved, and their phases
+        formed (so dt is refused), before this returns; their coefficients
+        c = V^T y step as c <- exp(-i lam dt) c.  Each chunk of
+        max(1, _STEP_BLOCK_ENTRIES // K) steps, K their total size, forms the
+        amplitudes z = V c by two real products in einsum's own loops, not a
+        BLAS GEMM, whose sums would round by OPENBLAS_NUM_THREADS, and unfolds
+        them to psi = P z.  A chunk is freed before the next one is formed
+        once the caller drops re and im."""
+        decomp = self.decomposition
+        y = psi0.copy()
+        decomp.fold(y)
+        active = [b for b in decomp.blocks if np.any(y[b.rows])]
+        phases = _phases(np.concatenate([b.values for b in active]), self.dt)
+        c = np.concatenate([b.vectors.T @ y[b.rows] for b in active])
+        steps = max(1, _STEP_BLOCK_ENTRIES // c.size)
 
-def _solve_blocks(d: np.ndarray, e: np.ndarray) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-    """(rows, lam, v) for each unreduced block of T, in row order, lam ascending.
+        def chunks(c):
+            coeffs = np.empty((min(steps, n_steps), c.size), dtype=complex)
+            for k0 in range(1, n_steps + 1, steps):
+                chunk = coeffs[: min(steps, n_steps + 1 - k0)]
+                for row in chunk:  # c is the step before: the row above, or the last chunk's last row
+                    np.multiply(c, phases, out=row)
+                    c = row
+                re, im = np.zeros((len(chunk), decomp.n)), np.zeros((len(chunk), decomp.n))
+                k = 0
+                for b in active:
+                    part = slice(k, k + b.values.size)
+                    k = part.stop
+                    # contiguous copies halve einsum's time against the strided views
+                    im[:, b.rows] = np.einsum("ij,kj->ik", chunk.imag[:, part].copy(), b.vectors)
+                    re[:, b.rows] = np.einsum("ij,kj->ik", chunk.real[:, part].copy(), b.vectors)
+                decomp.unfold(re.T)
+                decomp.unfold(im.T)
+                yield k0, re, im
+                del re, im
 
-    A zero e[i] splits T between rows i and i + 1.  Each block is solved on
-    its own rows by LAPACK through np.linalg.eigh.
-    """
-    bounds = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), d.size]
-    solved = []
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        t = np.diag(d[r0:r1])
-        k = np.arange(r1 - r0 - 1)
-        t[k + 1, k] = t[k, k + 1] = e[r0 : r1 - 1]
-        try:
-            solved.append((slice(r0, r1), *np.linalg.eigh(t)))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK eigh failed on the block of rows {r0}:{r1} ({exc})") from exc
-    return solved
+        return chunks(c)
+
+
+def _phases(lam: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i lam dt) as cos - i sin; ValueError if a |lam dt| exceeds _MAX_PHASE."""
+    with np.errstate(over="ignore"):  # refused below
+        angle = lam * dt
+    turn = float(np.max(np.abs(angle), initial=0.0))
+    if not turn <= _MAX_PHASE:
+        raise ValueError(
+            f"time step {dt!r} turns a phase by {turn:.3g} rad per step; the bound is {_MAX_PHASE:.0e}"
+        )
+    phases = np.empty(lam.size, dtype=complex)
+    phases.real, phases.imag = np.cos(angle), -np.sin(angle)
+    phases.setflags(write=False)
+    return phases
 
 
 def _fold(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,77 +273,54 @@ def _residual_bound(d: np.ndarray, e: np.ndarray) -> float:
 
 
 def _check_residuals(
-    d: np.ndarray, e: np.ndarray, lam: np.ndarray, q: np.ndarray, bound: float, columns
+    d: np.ndarray, e: np.ndarray, lam: np.ndarray, q: np.ndarray, bound: float, where: str
 ) -> None:
     """Raise ConvergenceError unless max_i |(T q_j - lam_j q_j)_i| <= bound
     for every column j of q, T the tridiagonal with bands d and e; the
-    message names column j as eigenvector columns[j].  Works on blocks of
-    rows, so it holds no N x N temporary."""
+    message names column j as eigenvector j, followed by where.  Works on
+    blocks of rows, so it holds no N x N temporary."""
     n = d.size
     worst = np.zeros(n)
     rows = max(1, _BLOCK_ENTRIES // n)
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        r = (d[r0:r1, None] - lam) * q[r0:r1]
+        r = d[r0:r1, None] - lam
+        r *= q[r0:r1]
         lo, hi = max(r0, 1), min(r1, n - 1)
         r[lo - r0 :] += e[lo - 1 : r1 - 1, None] * q[lo - 1 : r1 - 1]
         r[: hi - r0] += e[r0:hi, None] * q[r0 + 1 : hi + 1]
-        np.maximum(worst, np.max(np.abs(r), axis=0), out=worst)
+        np.maximum(worst, np.max(np.abs(r, out=r), axis=0), out=worst)
     failed = np.flatnonzero(~(worst <= bound))
     if failed.size:
         j = int(failed[0])
         raise ConvergenceError(
-            f"eigenvector {columns[j]} (eigenvalue {lam[j]:.17g}) has residual |Hq - lam q| = "
+            f"eigenvector {j}{where} (eigenvalue {lam[j]:.17g}) has residual |Hq - lam q| = "
             f"{worst[j]:.3e}, above {bound:.3e} ({_RESIDUAL_BOUND:g} max|H|)"
         )
 
 
 def eigendecompose(h: Hamiltonian) -> SpectralDecomposition:
-    """Factor the tridiagonal Hamiltonian as H = Q diag(lam) Q^T, kept as blocks.
-
-    Palindromic bands are folded into their even and odd blocks first, so
-    every eigenvector of a mirror-symmetric H is exactly even or odd.  The
-    blocks' eigenvalues merge ascending; equal ones keep the blocks' row
-    order.  Raises ConvergenceError if a block's eigenpair misses its
-    residual bound.
-    """
+    """Fold and split the tridiagonal Hamiltonian into the unreduced blocks
+    that factor H = Q diag(lam) Q^T; no block is solved here.  Palindromic
+    bands are folded into an even and an odd block first, so every
+    eigenvector of a mirror-symmetric H is exactly even or odd."""
     d, e = h.diagonal, h.off_diagonal
-    n = d.size
     bound = _residual_bound(d, e)
-    folded = bound > 0.0 and n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
+    folded = bound > 0.0 and h.n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
     if folded:
         d, e = _fold(d, e)
-    solved = _solve_blocks(d, e)
-    lam = np.concatenate([values for _, values, _ in solved])
-    order = np.argsort(lam, kind="stable")
-    columns = np.empty(n, dtype=np.intp)
-    columns[order] = np.arange(n)
-    columns.setflags(write=False)
-    blocks = []
-    for rows, values, vectors in solved:
-        _check_residuals(d[rows], e[rows.start : rows.stop - 1], values, vectors, bound, columns[rows])
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        blocks.append(EigenBlock(rows, values, vectors, columns[rows]))
-    lam = lam[order]
-    lam.setflags(write=False)
-    return SpectralDecomposition(h, lam, tuple(blocks), folded)
+    cuts = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), h.n]
+    blocks = tuple(EigenBlock(slice(i, j), d[i:j], e[i : j - 1], bound) for i, j in zip(cuts, cuts[1:]))
+    return SpectralDecomposition(h, blocks, folded)
 
 
 def build_propagator(decomp: SpectralDecomposition, dt: float) -> Propagator:
     """U(dt) = Q diag(exp(-i lam dt)) Q^T as its factors; dt may be zero or
-    negative, and max|lam dt| at most _MAX_PHASE.  O(N) new memory: the phases."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with a dt not finite
-        angle = decomp.eigenvalues * dt
-    turn = float(np.max(np.abs(angle), initial=0.0))
-    if not turn <= _MAX_PHASE:
-        raise ValueError(
-            f"time step {dt!r} turns a phase by {turn:.3g} rad per step; the bound is {_MAX_PHASE:.0e}"
-        )
-    phases = np.empty(decomp.n, dtype=complex)
-    phases.real, phases.imag = np.cos(angle), -np.sin(angle)
-    phases.setflags(write=False)
-    return Propagator(decomp, phases)
+    negative but must be finite, and the phases it forms, when read or
+    stepped, refuse max|lam dt| above _MAX_PHASE.  Nothing is solved here."""
+    if not math.isfinite(dt):
+        raise ValueError(f"time step {dt!r} is not finite")
+    return Propagator(decomp, dt)
 
 
 def write_eigen_csv(decomp: SpectralDecomposition, path) -> None:

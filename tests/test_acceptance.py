@@ -125,7 +125,7 @@ def test_06_stepping_vs_direct(default_grid, default_decomposition):
     psi0 = ev.gaussian_initial(default_grid)
     u = sp.build_propagator(default_decomposition, 0.05)
     stepped = {}
-    for k0, re, im in default_decomposition.states(psi0, u.phases, 100):
+    for k0, re, im in u.states(psi0, 100):
         for step in (20, 100):
             if k0 <= step < k0 + len(re):
                 stepped[step] = re[step - k0] + 1j * im[step - k0]

@@ -408,6 +408,27 @@ class TestExitCodes:
         assert code == 2
         assert "error: numerical:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, failing, rows", [([], 0, "0:20"), (["--dump-eigen"], 1, "20:40")])
+    def test_block_that_misses_its_residual_bound(self, tmp_path, capsys, monkeypatch, argv, failing, rows):
+        # the run solves the even block; --dump-eigen solves the odd one, and
+        # fails on it before any file is written
+        solves = []
+        eigh = np.linalg.eigh
+
+        def perturbed(t):
+            lam, v = eigh(t)
+            if len(solves) == failing:
+                v[:, 3] += 1e-6
+            solves.append(t.shape)
+            return lam, v
+
+        monkeypatch.setattr(sp.np.linalg, "eigh", perturbed)
+        out = tmp_path / "out"
+        assert _cli(out, "simulate", *argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: numerical: eigenvector 3 of the block of rows {rows} (eigenvalue ")
+        assert solves == [(20, 20)] * (failing + 1) and not os.path.exists(out / "frames.csv")
+
     def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
         def fail(t):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -723,11 +744,11 @@ class TestDashValues:
         assert "--times: expected one argument" in capsys.readouterr().err
 
 
-def _frames_digest(tmp_path, *argv) -> str:
-    """SHA-256 of the frames.csv that `simulate` writes with argv."""
+def _frames_digest(tmp_path, *argv, file="frames.csv") -> str:
+    """SHA-256 of the file (default frames.csv) that `simulate` writes with argv."""
     out = tmp_path / "out"
     assert cli.main(["simulate", *argv, "--io.output_dir", str(out)]) == 0
-    return hashlib.sha256((out / "frames.csv").read_bytes()).hexdigest()
+    return hashlib.sha256((out / file).read_bytes()).hexdigest()
 
 
 class TestDeterminism:
@@ -769,6 +790,21 @@ class TestDeterminism:
         # the default [-5, 5] folds: the packet is folded, steps in the even
         # block alone, and its amplitudes unfold
         assert _frames_digest(tmp_path, "--grid.n_points", n_points) == digest
+
+    @pytest.mark.parametrize(
+        "grid_a, n_points, digest",
+        [
+            ("-5", "200", "39a02b0f2abdff0ac6a477aef6898bc36408b762fdfbae42cba3145cb7836f22"),
+            ("-5", "201", "fb3101fbb8cb8e2513c8a75343984c5789a62e6ca9f6629d62028a43a2cd3cce"),
+            ("-6", "200", "5e72f1c01566630082847984bae79163cfe2151034a1edddeb752a69e55eb644"),
+            ("-6", "201", "0d52f85732e2793dc261f11587a03a19db7ef0c200e376410c472ab8cf8309b2"),
+        ],
+    )
+    def test_eigen_csv_pinned(self, tmp_path, grid_a, n_points, digest):
+        # on [-5, 5] the run solves the even block alone and --dump-eigen the
+        # odd one after it; lambda and Q keep every bit either way
+        argv = ["--dump-eigen", "--grid.a", grid_a, "--grid.n_points", n_points]
+        assert _frames_digest(tmp_path, *argv, file="eigen.csv") == digest
 
     def test_frames_bitwise_across_blas_threads(self, tmp_path):
         # LAPACK's eigh and the step loop's products are on the path; a

@@ -20,11 +20,11 @@ def _small_setup(n=40, a=-4.0, b=4.0):
 
 
 def _step_vs_direct(decomp, psi0, dt=0.05, n_steps=100):
-    """Largest |psi_k - Q exp(-i lam k dt) Q^T psi0| over the n_steps states decomp.states forms."""
+    """Largest |psi_k - Q exp(-i lam k dt) Q^T psi0| over the n_steps states Propagator.states forms."""
     q, lam = decomp.eigenvectors, decomp.eigenvalues
     u = sp.build_propagator(decomp, dt)
     worst = 0.0
-    for k0, re, im in decomp.states(psi0, u.phases, n_steps):
+    for k0, re, im in u.states(psi0, n_steps):
         for j, psi in enumerate(re + 1j * im):
             direct = q @ (np.exp(-1j * lam * dt * (k0 + j)) * (q.T @ psi0))
             worst = max(worst, float(np.max(np.abs(psi - direct))))
@@ -127,13 +127,8 @@ class TestRunEvolution:
         # phases that lose 3e-9 of the norm per step cross the 1e-8 abort at
         # step 4, mid-block, on a state that starts normalized
         grid, h = _small_setup()
-        build = sp.build_propagator
-
-        def leaky(decomp, dt):
-            u = build(decomp, dt)
-            return sp.Propagator(u.decomposition, u.phases * np.sqrt(1.0 - 3e-9))
-
-        monkeypatch.setattr(ev, "build_propagator", leaky)
+        phases = sp._phases
+        monkeypatch.setattr(sp, "_phases", lambda lam, dt: phases(lam, dt) * np.sqrt(1.0 - 3e-9))
         with pytest.raises(ConservationError, match="at step 4 "):
             ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=30), h)
 
@@ -202,6 +197,34 @@ class TestRunEvolution:
         decomp.fold(y)
         assert len(decomp.blocks) == 2 and all(np.any(y[b.rows]) for b in decomp.blocks)
         assert _step_vs_direct(decomp, psi0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n, a, shapes",
+        [
+            (200, -5.0, [(100, 100)]), (201, -5.0, [(101, 101)]),
+            (200, -6.0, [(200, 200)]), (201, -6.0, [(201, 201)]),
+        ],
+    )
+    def test_run_solves_only_the_stepped_blocks(self, monkeypatch, n, a, shapes):
+        # on [-5, 5] the even packet occupies the even block alone, so the odd
+        # block is never solved; an H that is not a palindrome is one block
+        solved = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(sp.np.linalg, "eigh", lambda t: solved.append(t.shape) or eigh(t))
+        grid, h = _small_setup(n=n, a=a, b=5.0)
+        ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=4), h)
+        assert solved == shapes
+
+    @pytest.mark.parametrize("n", [200, 201])
+    def test_off_centre_packet_solves_both_blocks(self, monkeypatch, n):
+        solved = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(sp.np.linalg, "eigh", lambda t: solved.append(t.shape) or eigh(t))
+        grid, h = _small_setup(n=n, a=-5.0, b=5.0)
+        raw = np.exp(-((grid.nodes - 1.0) ** 2))
+        monkeypatch.setattr(ev, "gaussian_initial", lambda grid, mode: raw / np.sqrt(np.sum(raw**2)))
+        ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=4), h)
+        assert solved == [((n + 1) // 2,) * 2, (n // 2,) * 2]
 
     def test_density_matrix_is_the_table(self):
         grid, h = _small_setup()

@@ -113,17 +113,20 @@ class TestEigendecompose:
                 sp.eigendecompose(Hamiltonian(np.ones(3), wrong))
 
     def test_convergence_error_surfaces(self, monkeypatch):
-        # a perturbed column must fail the residual check, which names it
-        solve = sp._solve_blocks
+        # a perturbed column must fail the residual check when its block is
+        # solved, on first read, and the message names it
+        eigh = np.linalg.eigh
 
-        def perturbed(d, e):
-            blocks = solve(d, e)
-            blocks[0][2][:, 3] += 1e-6
-            return blocks
+        def perturbed(t):
+            lam, v = eigh(t)
+            v[:, 3] += 1e-6
+            return lam, v
 
-        monkeypatch.setattr(sp, "_solve_blocks", perturbed)
-        with pytest.raises(ConvergenceError, match=r"eigenvector 3 .* residual"):
-            sp.eigendecompose(_random_symmetric(8, 6))
+        monkeypatch.setattr(sp.np.linalg, "eigh", perturbed)
+        d = sp.eigendecompose(_random_symmetric(8, 6))
+        with pytest.raises(ConvergenceError, match=r"eigenvector 3 .* residual") as caught:
+            d.eigenvalues
+        assert "of the block of rows 0:8" in str(caught.value)
 
     def test_single_point(self):
         d = sp.eigendecompose(Hamiltonian(np.array([-3.5]), np.zeros(0)))
@@ -289,7 +292,8 @@ class TestParityFold:
         assert np.allclose(back, x, rtol=0.0, atol=1e-14 * np.abs(x).max())
         coefficients = np.abs(q.T @ x)
         for b in out.blocks:
-            assert np.allclose(np.abs(b.vectors.T @ y[b.rows]), coefficients[b.columns], rtol=0.0, atol=1e-12)
+            got = np.abs(b.vectors.T @ y[b.rows])
+            assert np.allclose(got, coefficients[out.columns[b.rows]], rtol=0.0, atol=1e-12)
 
     def test_default_grid_folds_into_two_blocks(self, default_hamiltonian, monkeypatch):
         solved = []
@@ -297,10 +301,11 @@ class TestParityFold:
         monkeypatch.setattr(sp.np.linalg, "eigh", lambda t: solved.append(t.shape) or eigh(t))
         out = sp.eigendecompose(default_hamiltonian)
         n = default_hamiltonian.n
-        assert solved == [(n // 2, n // 2)] * 2  # the even and the odd block, unreduced
+        assert solved == []  # each block waits for its first read
         assert out.folded and [b.rows for b in out.blocks] == [slice(0, n // 2), slice(n // 2, n)]
         assert "eigenvectors" not in vars(out)  # the dense Q waits for its first read
         q = out.eigenvectors
+        assert solved == [(n // 2, n // 2)] * 2  # the even and the odd block, unreduced
         even = np.all(q == q[::-1], axis=0)
         odd = np.all(q == -q[::-1], axis=0)
         assert np.all(even ^ odd)
@@ -348,6 +353,29 @@ class TestSplitBlocks:
         block = np.cumsum(np.r_[0, e == 0.0])  # each row's block number
         for j in range(h.n):
             assert np.unique(block[q[:, j] != 0.0]).size == 1
+
+
+class TestLazySolve:
+    """Each block is solved on its first read, so stepping solves only the
+    blocks the packet occupies; the order of reads must not move a bit."""
+
+    @given(st.one_of(_split_bands(), _palindromes(st.integers(1, 30))), st.data())
+    def test_reads_before_and_after_stepping_agree(self, h, data):
+        psi0 = np.array(data.draw(st.lists(_band_entries, min_size=h.n, max_size=h.n)))
+        y = psi0.copy()
+        read_first, step_first = sp.eigendecompose(h), sp.eigendecompose(h)
+        read_first.fold(y)
+        assume(np.any(y))
+        read = (read_first.eigenvalues, read_first.columns, read_first.eigenvectors)
+        stepped = [
+            [np.r_[re, im] for _, re, im in sp.build_propagator(d, 0.05).states(psi0, 3)]
+            for d in (read_first, step_first)
+        ]
+        solved = [("_pairs" in vars(b)) for b in step_first.blocks]
+        assert solved == [np.any(y[b.rows]) for b in step_first.blocks]  # the packet's blocks alone
+        for before, after in zip(read, (step_first.eigenvalues, step_first.columns, step_first.eigenvectors)):
+            assert np.array_equal(before, after) and np.array_equal(np.signbit(before), np.signbit(after))
+        assert all(np.array_equal(a, b) for a, b in zip(*stepped, strict=True))
 
 
 class TestPropagator:
