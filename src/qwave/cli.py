@@ -133,7 +133,7 @@ def _list_of(cast: type) -> Callable[[str], list]:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     cfg = load_config(config_path) if config_path else RunConfig()
-    # an unset flag leaves no attribute; a set one may hold None (clip "none")
+    # an unset flag leaves no attribute
     overrides = {key: getattr(args, key) for key in config_keys() if key in args}
     return validate_config(apply_overrides(cfg, overrides))
 
@@ -310,9 +310,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import surrogate as sg
     split = _load_split(cfg, 0, _n_fit(cfg))  # holds the train windows only
     model = sg.init_model(cfg.grid_n_points, cfg.training_hidden_dim, cfg.training_rng_seed)
-    trained, history = sg.train(
-        model, split.train, epochs=cfg.training_epochs, lr=cfg.training_lr, clip_norm=cfg.training_clip
-    )
+    trained, history = sg.train(model, split.train, epochs=cfg.training_epochs, lr=cfg.training_lr)
     sg.save_checkpoint(trained, _out_path(cfg, CHECKPOINT_FILE))
     sg.write_loss_csv(history, _out_path(cfg, LOSS_FILE))
     print(

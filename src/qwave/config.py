@@ -15,11 +15,6 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError
 
 
-def float_or_none(text: str) -> float | None:
-    """A float, or None for the sentinel `none` in any letter case."""
-    return None if text.strip().lower() == "none" else float(text)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Defaults reproduce the shipped reference setup end to end."""
@@ -36,13 +31,12 @@ class RunConfig:
     training_lr: float = 5e-3
     training_hidden_dim: int = 64
     training_rng_seed: int = 42
-    training_clip: float | None = None  # max gradient norm; None disables clipping
     io_output_dir: str = "out"
 
 
 # key -> (field name, parser): the key is the field's section, a dot, then the
 # rest of its name; the file format and the flags are untyped text
-_PARSERS = {"float": float, "int": int, "str": str, "float | None": float_or_none}
+_PARSERS = {"float": float, "int": int, "str": str}
 _SCHEMA = {f.name.replace("_", ".", 1): (f.name, _PARSERS[f.type]) for f in fields(RunConfig)}
 
 
@@ -89,9 +83,7 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for key, (field_name, _) in _SCHEMA.items():
         value = getattr(cfg, field_name)
-        if value is None:
-            text = "none"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             text = repr(value)  # shortest exact round-trip form
         else:
             text = str(value)
@@ -111,9 +103,9 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, object]) -> RunConfig:
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     """Range-check every field before any computation; fail fast."""
-    for key in ("grid.a", "grid.b", "evolution.dt", "training.lr", "training.clip"):
+    for key in ("grid.a", "grid.b", "evolution.dt", "training.lr"):
         value = getattr(cfg, _SCHEMA[key][0])
-        if value is not None and not math.isfinite(value):
+        if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
     # numpy sizes an array by a signed 64-bit int, and dx needs n_points as a float
     sizes = ("grid.n_points", "evolution.n_steps", "dataset.lookback", "training.epochs", "training.hidden_dim")
@@ -156,8 +148,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"training.lr must be >= 0, got {cfg.training_lr}")
     if cfg.training_hidden_dim < 1:
         raise ConfigError(f"training.hidden_dim must be >= 1, got {cfg.training_hidden_dim}")
-    if cfg.training_clip is not None and not cfg.training_clip > 0:
-        raise ConfigError(f"training.clip must be positive or none, got {cfg.training_clip}")
     if not cfg.io_output_dir:
         raise ConfigError("io.output_dir must be non-empty")
     return cfg

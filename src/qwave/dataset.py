@@ -174,9 +174,11 @@ def load_scaler(path) -> Scaler:
             line = line.strip()
             if not line:
                 continue
-            key, _, raw = line.partition("=")
+            key, _, raw = (part.strip() for part in line.partition("="))
+            if key in values:
+                raise ValueError(f"{path} is not a scaler sidecar (key {key!r} repeats)")
             try:
-                values[key.strip()] = float(raw)
+                values[key] = float(raw)
             except ValueError as exc:
                 raise ValueError(
                     f"{path} is not a scaler sidecar (line {line!r} is not key=float)"

@@ -27,14 +27,13 @@ dW = D^T X, dU = D^T H_prev and db = sum D once over all L B rows.
 
 Every parameter of a model lives in one contiguous float64 vector
 (`Params.flat`); W, U, b, W_out, b_out and the per-gate blocks named in
-PARAM_KEYS are views into it, and gradients share the layout.  Adam,
-clipping and the finiteness check are therefore a few vector operations
-over the whole parameter set, taken once per batch.
+PARAM_KEYS are views into it, and gradients share the layout.  Adam and
+the finiteness check are therefore a few vector operations over the
+whole parameter set, taken once per batch.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -43,8 +42,6 @@ import numpy as np
 from .artifacts import atomic_text, write_csv
 from .dataset import WindowedDataset
 from .errors import NonFiniteError
-
-log = logging.getLogger(__name__)
 
 GATES = ("i", "f", "c", "o")
 
@@ -353,8 +350,7 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     and eps_k = eps sqrt(1 - beta2^k), which folds both bias corrections
     into two scalars (Kingma & Ba 2015, section 2).  The passes run chunk
     by chunk; every entry sees the same operations as in whole-vector form.
-    grad must be finite: `train` checks it, naming the parameter, before
-    clipping.
+    grad must be finite: `train` checks it first, naming the parameter.
     """
     if grad.shape != theta.shape or theta.shape != state.m.shape:
         raise ValueError(
@@ -382,16 +378,8 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
         theta[lo:hi] -= tmp
 
 
-def _clip_gradients(grad: np.ndarray, max_norm: float) -> bool:
-    total = np.sqrt(grad @ grad)
-    if total <= max_norm:
-        return False
-    grad *= max_norm / total
-    return True
-
-
 def train(
-    model: SurrogateModel, pairs: WindowedDataset, *, epochs: int, lr: float, clip_norm: float | None
+    model: SurrogateModel, pairs: WindowedDataset, *, epochs: int, lr: float
 ) -> tuple[SurrogateModel, LossHistory]:
     """Adam updates over epochs x batches, one update per batch of pairs.
 
@@ -404,19 +392,16 @@ def train(
     takes one Adam step on the gradient of its mean pair MSE, recorded
     before the update; an epoch's entry is the sum of its pair losses
     over the pair count, the mean MSE the parameters of that epoch
-    actually saw.  Gradients are clipped to norm clip_norm unless it is
-    None.  Deterministic for a fixed model.seed; no dropout.  Every loss
-    is taken before its update, so a forward pass over the pairs checks
-    the parameters the final update leaves; it raises NonFiniteError
-    naming that update rather than return weights that overflow every
-    later forward pass.
+    actually saw.  Deterministic for a fixed model.seed; no dropout.
+    Every loss is taken before its update, so a forward pass over the
+    pairs checks the parameters the final update leaves; it raises
+    NonFiniteError naming that update rather than return weights that
+    overflow every later forward pass.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if not lr >= 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    if clip_norm is not None and not clip_norm > 0:
-        raise ValueError(f"clip_norm must be positive when set, got {clip_norm}")
     n_pairs = len(pairs)
     if n_pairs == 0:
         raise ValueError("training set is empty")
@@ -426,7 +411,6 @@ def train(
     state = init_adam(theta, lr)
     history = LossHistory()
     grads = Params(np.empty_like(theta), model.input_dim, model.hidden_dim)
-    clipped = 0
     rng = np.random.default_rng(model.seed)
 
     for epoch in range(epochs):
@@ -441,15 +425,13 @@ def train(
                 raise NonFiniteError(f"loss diverged at epoch {epoch + 1}, pairs {batch.tolist()}")
             total += loss * len(batch)
             grads = backward(work, tape, targets, out=grads)
-            # checked before clipping, which would spread one NaN over every parameter
+            # adam_step needs a finite gradient; checked here, where the parameter can be named
             bad = _first_nonfinite(grads.flat)
             if bad is not None:
                 raise NonFiniteError(
                     f"non-finite gradient for parameter {grads.key_at(bad)} "
                     f"at epoch {epoch + 1}, pairs {batch.tolist()}"
                 )
-            if clip_norm is not None and _clip_gradients(grads.flat, clip_norm):
-                clipped += 1
             adam_step(state, theta, grads.flat)
         history.train_mse.append(total / n_pairs)
 
@@ -462,8 +444,6 @@ def train(
             f"non-finite activation in forward pass after the final update "
             f"(update {state.step}, epoch {epochs})"
         ) from None
-    if clipped:
-        log.warning("gradient clipping fired on %d of %d updates", clipped, state.step)
     return work, history
 
 
@@ -526,9 +506,13 @@ def load_checkpoint(path) -> SurrogateModel:
                 name = line[1:-1]
                 current = sections.setdefault(name, [])
             elif current is None:
-                key, _, raw = line.partition("=")
+                key, _, raw = (part.strip() for part in line.partition("="))
+                if key in header:
+                    raise ValueError(f"checkpoint {path} repeats header field {key!r}")
+                if key not in ("input_dim", "hidden_dim", "seed"):
+                    raise ValueError(f"checkpoint {path} has unknown header field {key!r}")
                 try:
-                    header[key.strip()] = int(raw)
+                    header[key] = int(raw)
                 except ValueError as exc:
                     raise ValueError(f"checkpoint {path} header line {line!r} is not name=int") from exc
             else:

@@ -90,7 +90,6 @@ def trained_default(default_config, default_split):
         split.train,
         epochs=default_config.training_epochs,
         lr=default_config.training_lr,
-        clip_norm=default_config.training_clip,
     )
 
 

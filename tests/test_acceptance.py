@@ -193,7 +193,6 @@ def test_08_training_property(default_config, default_split, trained_default):
         split.train,
         epochs=default_config.training_epochs,
         lr=default_config.training_lr,
-        clip_norm=default_config.training_clip,
     )
     deterministic = rehistory.train_mse == history.train_mse and all(
         np.array_equal(retrained.params[k], model.params[k]) for k in sg.PARAM_KEYS
@@ -255,7 +254,6 @@ def test_09_surrogate_quality_other_seeds(default_config, default_split, seed):
         split.train,
         epochs=default_config.training_epochs,
         lr=default_config.training_lr,
-        clip_norm=default_config.training_clip,
     )
     _check_criterion_9(f"criterion 9, seed {seed}", scaler, split, model)
 

@@ -83,14 +83,13 @@ _CONFIGS = st.builds(
     training_lr=_FLOATS,
     training_hidden_dim=st.integers(),
     training_rng_seed=st.integers(),
-    training_clip=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     io_output_dir=st.text("abcXYZ019._-/", min_size=1),
 )
 
 
 class TestConfigFile:
     def test_parse_serialize_round_trip(self):
-        cfg = RunConfig(grid_a=-3.5, training_clip=2.0, io_output_dir="results")
+        cfg = RunConfig(grid_a=-3.5, training_lr=2e-3, io_output_dir="results")
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_default_round_trip(self):
@@ -116,26 +115,24 @@ class TestConfigFile:
         cfg = parse_config("# comment\n\ngrid.a=-2.5\n")
         assert cfg.grid_a == -2.5
 
-    def test_clip_none_sentinel(self):
-        assert parse_config("training.clip=none\n").training_clip is None
-        assert parse_config("training.clip=0.5\n").training_clip == 0.5
-
     @given(_CONFIGS)
     def test_parse_inverts_serialize(self, cfg):
         assert parse_config(serialize_config(cfg)) == cfg
 
-    def test_clip_flag_none_wins_over_the_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("training.clip=0.5\n")
-        parser = cli._build_parser()
-        args = parser.parse_args(["--config", str(path), "train"])
-        assert cli._resolve_config(args).training_clip == 0.5
-        args = parser.parse_args(["--config", str(path), "train", "--training.clip", "none"])
-        assert cli._resolve_config(args).training_clip is None
-
     def test_bad_flag_value_names_the_flag(self, capsys):
-        assert cli.main(["--training.clip", "tight", "train"]) == 1
-        assert "--training.clip" in capsys.readouterr().err
+        assert cli.main(["--training.lr", "tight", "train"]) == 1
+        assert "--training.lr" in capsys.readouterr().err
+
+    def test_clip_is_refused_as_flag_and_key(self, tmp_path, capsys):
+        # training has no clip; naming one is an error, not a silent no-op
+        assert cli.main(["train", "--training.clip", "1"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: config:") and "--training.clip" in line
+        path = tmp_path / "run.cfg"
+        path.write_text("training.clip=1\n")
+        assert cli.main(["--config", str(path), "train"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: config:") and "'training.clip'" in line
 
     def test_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -165,7 +162,6 @@ class TestConfigFile:
             {"training.epochs": 0},
             {"training.lr": -1.0},
             {"training.hidden_dim": 0},
-            {"training.clip": -1.0},
             {"io.output_dir": ""},
             {"grid.a": -np.inf},
             {"grid.a": np.nan},
@@ -173,7 +169,6 @@ class TestConfigFile:
             {"evolution.dt": np.inf},
             {"training.lr": np.inf},
             {"training.lr": np.nan},
-            {"training.clip": np.inf},
             {"grid.n_points": 2**63},
             {"grid.n_points": 10**400},
             {"evolution.n_steps": 2**63},
@@ -568,8 +563,12 @@ class TestExitCodes:
         ("model.ckpt", lambda text: text.replace("hidden_dim=8", "hidden_dim=four"), "'hidden_dim=four'"),
         # one extra value on the second row of a section
         ("model.ckpt", lambda text: re.sub(r"(\[W_f\]\n.*\n.*)", r"\1 0", text, count=1), "[W_f]"),
+        ("scaler.txt", lambda text: text + "min=0.5\n", "key 'min' repeats"),
+        ("model.ckpt", lambda text: re.sub(r"(seed=\d+\n)", r"\1seed=9\n", text), "repeats header field 'seed'"),
+        ("model.ckpt", lambda text: "foo=3\n" + text, "unknown header field 'foo'"),
     ], ids=[
         "scaler-line-without-value", "scaler-bounds-not-finite", "checkpoint-header", "checkpoint-row-width",
+        "scaler-repeated-key", "checkpoint-repeated-field", "checkpoint-unknown-field",
     ])
     def test_bad_scaler_or_checkpoint_names_the_file(
         self, predicted_run, tmp_path, capsys, name, edit, detail
@@ -645,17 +644,16 @@ _CHAIN_FLAGS = st.fixed_dictionaries({
     "grid.b": st.floats(0.1, 8.0),
     "evolution.dt": st.floats(1e-3, 1.0),
     "training.lr": st.floats(0.0, 0.1),
-    "training.clip": st.floats(1e-3, 10.0),
 })
 _CHAIN_OVERRIDES = st.dictionaries(
-    st.sampled_from(["grid.a", "grid.b", "evolution.dt", "training.lr", "training.clip"]),
+    st.sampled_from(["grid.a", "grid.b", "evolution.dt", "training.lr"]),
     _FLOATS,
     max_size=2,
 )
 _PINNED = {
     "grid.n_points": 8, "evolution.n_steps": 4, "dataset.lookback": 2, "training.epochs": 1,
     "training.hidden_dim": 1, "evolution.normalization_mode": "ell2", "grid.a": -5.0,
-    "grid.b": 5.0, "evolution.dt": 0.05, "training.lr": 2e-3, "training.clip": 1.0,
+    "grid.b": 5.0, "evolution.dt": 0.05, "training.lr": 2e-3,
 }
 _CHAIN = [
     ["simulate"], ["table", "--times", "0", "--indices", "0,1,2"], ["export-dataset"], ["train"],
@@ -708,6 +706,12 @@ class TestExitContract:
                 prefix = {1: "error: config:", 2: "error: numerical:", 3: "error: missing-artifact:"}
                 assert lines[0].startswith(prefix[code]), (stage, lines)
                 break
+
+    def test_pinned_chain_exits_0(self, tmp_path):
+        # the property test accepts a chain that stops at once; its base must run
+        argv = [arg for key, value in _PINNED.items() for arg in (f"--{key}", str(value))]
+        for stage in _CHAIN:
+            assert cli.main([*stage, *argv, "--io.output_dir", str(tmp_path)]) == 0, stage
 
     def test_train_saves_no_weights_its_final_update_overflows(self, tmp_path, capsys):
         flags = {**_PINNED, "grid.n_points": 4, "training.lr": 1.7976931348623157e308}

@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -372,7 +371,7 @@ class TestParams:
 
     def test_views_survive_train_and_load(self, tiny_split, tmp_path):
         _, split = tiny_split
-        trained, _ = sg.train(sg.init_model(12, 6, 5), split.train, epochs=2, lr=2e-3, clip_norm=None)
+        trained, _ = sg.train(sg.init_model(12, 6, 5), split.train, epochs=2, lr=2e-3)
         sg.save_checkpoint(trained, tmp_path / "model.ckpt")
         loaded = sg.load_checkpoint(tmp_path / "model.ckpt")
         for model in (trained, loaded):
@@ -425,7 +424,7 @@ class TestTrain:
         identity = dsm.Scaler(0.0, 1.0)
         split = dsm.prepare_split(frames, np.arange(6.0), 4, 0.5, identity)  # M=2 -> 1 train pair
         model = sg.init_model(4, 3, 0)
-        trained, history = sg.train(model, split.train, epochs=1, lr=0.0, clip_norm=None)
+        trained, history = sg.train(model, split.train, epochs=1, lr=0.0)
         for k in sg.PARAM_KEYS:
             assert np.array_equal(trained.params[k], model.params[k])
         initial_loss = sg.mse(sg.forward(model, split.train.inputs[:1])[0], split.train.targets[:1])
@@ -438,7 +437,7 @@ class TestTrain:
         assert len(split.train) > 1
         for seed in (3, 4):  # the model's seed also draws the pair order
             model = sg.init_model(12, 6, seed)
-            _, history = sg.train(model, split.train, epochs=4, lr=0.0, clip_norm=None)
+            _, history = sg.train(model, split.train, epochs=4, lr=0.0)
             mean_loss = sg.mse(sg.predict_one_step(model, split.train.inputs), split.train.targets)
             assert history.train_mse == pytest.approx([mean_loss] * 4, rel=1e-12), seed
 
@@ -450,7 +449,7 @@ class TestTrain:
         assert len(split.train) == 77
         model = sg.init_model(200, 64, 1)
         monkeypatch.setattr(sg, "_BATCH_SIZE", batch_size)
-        _, history = sg.train(model, split.train, epochs=2, lr=0.0, clip_norm=None)
+        _, history = sg.train(model, split.train, epochs=2, lr=0.0)
         mean_loss = sg.mse(sg.predict_one_step(model, split.train.inputs), split.train.targets)
         assert history.train_mse == pytest.approx([mean_loss] * 2, rel=1e-12)
 
@@ -467,14 +466,14 @@ class TestTrain:
         for batch_size, per_epoch in ((1, 28), (8, 4), (28, 1), (30, 1)):
             steps.clear()
             monkeypatch.setattr(sg, "_BATCH_SIZE", batch_size)
-            sg.train(sg.init_model(12, 6, 0), split.train, epochs=2, lr=1e-3, clip_norm=None)
+            sg.train(sg.init_model(12, 6, 0), split.train, epochs=2, lr=1e-3)
             assert len(steps) == 2 * per_epoch, batch_size
 
     def test_deterministic(self, tiny_split):
         _, split = tiny_split
         model = sg.init_model(12, 6, 7)
-        t1, h1 = sg.train(model, split.train, epochs=5, lr=1e-3, clip_norm=None)
-        t2, h2 = sg.train(model, split.train, epochs=5, lr=1e-3, clip_norm=None)
+        t1, h1 = sg.train(model, split.train, epochs=5, lr=1e-3)
+        t2, h2 = sg.train(model, split.train, epochs=5, lr=1e-3)
         assert h1.train_mse == h2.train_mse
         for k in sg.PARAM_KEYS:
             assert np.array_equal(t1.params[k], t2.params[k])
@@ -485,14 +484,14 @@ class TestTrain:
         model = sg.init_model(12, 6, 7)
         other = sg.SurrogateModel(12, 6, 8)
         other.params.flat[:] = model.params.flat
-        _, h1 = sg.train(model, split.train, epochs=1, lr=1e-3, clip_norm=None)
-        _, h2 = sg.train(other, split.train, epochs=1, lr=1e-3, clip_norm=None)
+        _, h1 = sg.train(model, split.train, epochs=1, lr=1e-3)
+        _, h2 = sg.train(other, split.train, epochs=1, lr=1e-3)
         assert h1.train_mse != h2.train_mse
 
     def test_loss_decreases_on_smooth_data(self, tiny_split):
         _, split = tiny_split
         model = sg.init_model(12, 16, 42)
-        _, history = sg.train(model, split.train, epochs=60, lr=1e-3, clip_norm=None)
+        _, history = sg.train(model, split.train, epochs=60, lr=1e-3)
         assert history.train_mse[-1] < history.train_mse[0] / 10.0
         assert all(np.isfinite(v) and v >= 0.0 for v in history.train_mse)
 
@@ -500,7 +499,7 @@ class TestTrain:
         _, split = tiny_split
         model = sg.init_model(12, 6, 3)
         before = {k: model.params[k].copy() for k in sg.PARAM_KEYS}
-        sg.train(model, split.train, epochs=1, lr=1e-3, clip_norm=None)
+        sg.train(model, split.train, epochs=1, lr=1e-3)
         for k in sg.PARAM_KEYS:
             assert np.array_equal(model.params[k], before[k])
 
@@ -508,7 +507,7 @@ class TestTrain:
         _, split = tiny_split
         model = sg.init_model(12, 6, 0)
         with pytest.raises(NonFiniteError, match="epoch"):
-            sg.train(model, split.train, epochs=2, lr=1e160, clip_norm=None)
+            sg.train(model, split.train, epochs=2, lr=1e160)
 
     def test_nonfinite_gradient_names_its_parameter(self, tiny_split, monkeypatch):
         _, split = tiny_split
@@ -521,17 +520,8 @@ class TestTrain:
 
         monkeypatch.setattr(sg, "backward", poisoned)
         model = sg.init_model(12, 6, 0)
-        # with clipping on too: the NaN must still be named where it arose
-        for clip in (None, 1.0):
-            with pytest.raises(NonFiniteError, match="U_o"):
-                sg.train(model, split.train, epochs=1, lr=2e-3, clip_norm=clip)
-
-    def test_clip_fires_and_is_logged(self, tiny_split, caplog):
-        _, split = tiny_split
-        model = sg.init_model(12, 6, 0)
-        with caplog.at_level(logging.WARNING, logger="qwave.surrogate"):
-            sg.train(model, split.train, epochs=1, lr=1e-3, clip_norm=1e-6)
-        assert "clipping" in caplog.text
+        with pytest.raises(NonFiniteError, match="U_o"):
+            sg.train(model, split.train, epochs=1, lr=2e-3)
 
     def test_config_validation(self, tiny_split):
         _, split = tiny_split
@@ -540,9 +530,8 @@ class TestTrain:
             ({"epochs": 0}, "epochs must be >= 1"),
             ({"lr": -1.0}, "lr must be >= 0"),
             ({"lr": float("nan")}, "lr must be >= 0"),
-            ({"clip_norm": 0.0}, "clip_norm must be positive"),
         ):
-            settings = {"epochs": 1, "lr": 1e-3, "clip_norm": None, **bad}
+            settings = {"epochs": 1, "lr": 1e-3, **bad}
             with pytest.raises(ValueError, match=match):
                 sg.train(model, split.train, **settings)
 
@@ -552,7 +541,7 @@ class TestTrain:
         split = dsm.prepare_split(frames, np.arange(14.0), 4, 0.05, identity)  # floor(0.05 * 10) = 0 train pairs
         model = sg.init_model(4, 3, 0)
         with pytest.raises(ValueError):
-            sg.train(model, split.train, epochs=1, lr=2e-3, clip_norm=None)
+            sg.train(model, split.train, epochs=1, lr=2e-3)
 
 
 class TestPredict:
