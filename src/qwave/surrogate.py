@@ -25,11 +25,12 @@ the gradient of the batch mean of the per-window MSE: it collects the
 gate deltas of every step and window in one (L, B, 4H) array D and forms
 dW = D^T X, dU = D^T H_prev and db = sum D once over all L B rows.
 
-Every parameter of a model lives in one contiguous float64 vector
+Every parameter of a model lives in one contiguous float32 vector
 (`Params.flat`); W, U, b, W_out, b_out and the per-gate blocks named in
 PARAM_KEYS are views into it, and gradients share the layout.  Adam and
 the finiteness check are therefore a few vector operations over the
-whole parameter set, taken once per batch.
+whole parameter set, taken once per batch.  Every function follows the
+vector's dtype, so a float64 vector (tests build one) runs in float64.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ PARAM_KEYS = tuple(f"{kind}_{g}" for g in GATES for kind in ("W", "U", "b")) + (
 
 # the stacked blocks, back to back in the flat vector
 _BLOCKS = ("W", "U", "b", "W_out", "b_out")
+# a checkpoint's header fields, in the order save_checkpoint writes them
+_HEADER = ("input_dim", "hidden_dim", "seed", "dtype")
 
-# entries per Adam chunk: the scratch is one chunk instead of a whole
-# parameter vector, which keeps train's peak RSS 0.3-0.5 MB lower at the
-# defaults; chunked and whole-vector steps run at the same speed (CHANGES.md)
+# entries per Adam chunk: the scratch is one chunk, not a whole parameter
+# vector, which lowers train's peak RSS at the same speed (CHANGES.md)
 _ADAM_CHUNK = 16384
 # Adam's moment decay rates and denominator guard, Kingma & Ba's defaults
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -78,7 +80,7 @@ class Params:
     def __init__(self, flat: np.ndarray, input_dim: int, hidden_dim: int):
         n, h = input_dim, hidden_dim
         shapes = {"W": (4 * h, n), "U": (4 * h, h), "b": (4 * h,), "W_out": (n, h), "b_out": (n,)}
-        if flat.shape != (_param_count(n, h),) or flat.dtype != np.float64:
+        if flat.shape != (_param_count(n, h),) or flat.dtype not in (np.float32, np.float64):
             raise ValueError(f"flat vector {flat.dtype}{flat.shape} does not fit N={n}, H={h}")
         self.flat = flat
         offset = 0
@@ -98,7 +100,7 @@ class Params:
 
     def __setitem__(self, key: str, value) -> None:
         view = self._views[key]
-        value = np.asarray(value, dtype=float)
+        value = np.asarray(value)
         if value.shape != view.shape:
             raise ValueError(f"parameter {key} has shape {value.shape}, expected {view.shape}")
         view[...] = value
@@ -123,7 +125,7 @@ def _param_count(input_dim: int, hidden_dim: int) -> int:
 class SurrogateModel:
     """LSTM gate parameters plus the dense output head.
 
-    params holds views into one zero-initialised flat vector:
+    params holds views into one zero-initialised float32 vector:
     W_g is (hidden, input), U_g is (hidden, hidden), b_g is (hidden,),
     W_out is (input, hidden), b_out is (input,).
     """
@@ -134,9 +136,8 @@ class SurrogateModel:
     params: Params = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.params = Params(
-            np.zeros(_param_count(self.input_dim, self.hidden_dim)), self.input_dim, self.hidden_dim
-        )
+        n, h = self.input_dim, self.hidden_dim
+        self.params = Params(np.zeros(_param_count(n, h), np.float32), n, h)
 
 
 @dataclass
@@ -151,7 +152,7 @@ class AdamState:
     _work: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._work = np.empty(min(self.m.size, _ADAM_CHUNK))
+        self._work = np.empty(min(self.m.size, _ADAM_CHUNK), dtype=self.m.dtype)
 
 
 @dataclass
@@ -202,7 +203,7 @@ def init_model(input_dim: int, hidden_dim: int, rng_seed: int) -> SurrogateModel
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in the non-finite check below
 def forward(model: SurrogateModel, windows: np.ndarray) -> tuple[np.ndarray, Tape]:
     """Run the recurrence over a (B, L, input_dim) batch; return (B, N) predictions and tape."""
-    windows = np.asarray(windows, dtype=float)
+    windows = np.asarray(windows, dtype=model.params.flat.dtype)
     if windows.ndim != 3 or windows.shape[2] != model.input_dim:
         raise ValueError(
             f"windows shape {windows.shape} is not (batch, lookback, {model.input_dim})"
@@ -217,9 +218,9 @@ def forward(model: SurrogateModel, windows: np.ndarray) -> tuple[np.ndarray, Tap
     # every step's input projection at once
     gates = (inputs.reshape(n_steps * n_batch, n) @ p.W.T).reshape(n_steps, n_batch, 4 * h)
     gates += p.b
-    cells = np.empty((n_steps, n_batch, h))
-    hiddens = np.zeros((n_steps + 1, n_batch, h))
-    c_prev = np.zeros((n_batch, h))
+    cells = np.empty((n_steps, n_batch, h), dtype=gates.dtype)
+    hiddens = np.zeros((n_steps + 1, n_batch, h), dtype=gates.dtype)
+    c_prev = hiddens[0]  # c_0 = h_0 = 0
     for t in range(n_steps):
         z = gates[t]
         z += hiddens[t] @ p.U.T
@@ -257,10 +258,11 @@ def backward(
     """Exact gradients of mse(prediction, targets), the batch mean, laid out like model.params.
 
     They are written into out when given, else into a new Params.  Reuse
-    pays: a fresh 650 kB vector (N = 200, H = 64) is mapped anew, and its
-    pages fault on first write, which costs about as much as the arithmetic.
+    pays: a fresh 325 kB float32 vector (N = 200, H = 64) is mapped anew,
+    and its pages fault on first write, which costs about as much as the
+    arithmetic.
     """
-    targets = np.asarray(targets, dtype=float)
+    targets = np.asarray(targets, dtype=model.params.flat.dtype)
     n, h = model.input_dim, model.hidden_dim
     n_steps, n_batch = tape.inputs.shape[:2]
     if n_steps == 0 or tape.hiddens.shape != (n_steps + 1, n_batch, h):
@@ -303,7 +305,7 @@ def backward(
     partner4 = partner.reshape(n_steps, n_batch, 4, h)
     deltas4 = deltas.reshape(n_steps, n_batch, 4, h)
     dh = d_pred @ p.W_out
-    dc_carry = np.zeros((n_batch, h))
+    dc_carry = np.zeros_like(dh)
     for t in range(n_steps - 1, -1, -1):
         dc = dh * dc_dh[t]
         dc += dc_carry
@@ -327,8 +329,8 @@ def _first_nonfinite(vector: np.ndarray) -> int | None:
 
     One dot product is the whole check when every entry is finite: NaN
     and infinities propagate into it.  Only a non-finite result, which
-    entries above 1e154 also give by overflow, pays for the elementwise
-    search.
+    entries above the square root of the dtype's largest value also give
+    by overflow, pays for the elementwise search.  Callers silence that overflow.
     """
     if np.isfinite(vector @ vector):
         return None
@@ -378,6 +380,8 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
         theta[lo:hi] -= tmp
 
 
+# an overflow anywhere in an update ends in the loss, gradient or final check
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: SurrogateModel, pairs: WindowedDataset, *, epochs: int, lr: float
 ) -> tuple[SurrogateModel, LossHistory]:
@@ -393,10 +397,11 @@ def train(
     before the update; an epoch's entry is the sum of its pair losses
     over the pair count, the mean MSE the parameters of that epoch
     actually saw.  Deterministic for a fixed model.seed; no dropout.
-    Every loss is taken before its update, so a forward pass over the
-    pairs checks the parameters the final update leaves; it raises
-    NonFiniteError naming that update rather than return weights that
-    overflow every later forward pass.
+    Windows and targets are cast to the model's dtype once; losses take
+    the targets as given.  Every loss is taken before its update, so a
+    forward pass over the pairs checks the parameters the final update
+    leaves; it raises NonFiniteError naming that update rather than
+    return weights that overflow every later forward pass.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -406,8 +411,9 @@ def train(
     if n_pairs == 0:
         raise ValueError("training set is empty")
     work = SurrogateModel(model.input_dim, model.hidden_dim, model.seed)
-    theta = work.params.flat
-    theta[:] = model.params.flat
+    theta = model.params.flat.copy()
+    work.params = Params(theta, model.input_dim, model.hidden_dim)
+    inputs, targets = pairs.inputs.astype(theta.dtype), pairs.targets.astype(theta.dtype)
     state = init_adam(theta, lr)
     history = LossHistory()
     grads = Params(np.empty_like(theta), model.input_dim, model.hidden_dim)
@@ -418,13 +424,15 @@ def train(
         order = rng.permutation(n_pairs)
         for start in range(0, n_pairs, _BATCH_SIZE):
             batch = order[start : start + _BATCH_SIZE]
-            targets = pairs.targets[batch]
-            pred, tape = forward(work, pairs.inputs[batch])
-            loss = mse(pred, targets)
+            try:
+                pred, tape = forward(work, inputs[batch])
+                loss = mse(pred, pairs.targets[batch])
+            except NonFiniteError:
+                loss = math.inf
             if not np.isfinite(loss):
                 raise NonFiniteError(f"loss diverged at epoch {epoch + 1}, pairs {batch.tolist()}")
             total += loss * len(batch)
-            grads = backward(work, tape, targets, out=grads)
+            grads = backward(work, tape, targets[batch], out=grads)
             # adam_step needs a finite gradient; checked here, where the parameter can be named
             bad = _first_nonfinite(grads.flat)
             if bad is not None:
@@ -438,7 +446,7 @@ def train(
     try:
         # in training-sized batches, so the check needs no more memory than an update
         for start in range(0, n_pairs, _BATCH_SIZE):
-            forward(work, pairs.inputs[start : start + _BATCH_SIZE])
+            forward(work, inputs[start : start + _BATCH_SIZE])
     except NonFiniteError:
         raise NonFiniteError(
             f"non-finite activation in forward pass after the final update "
@@ -452,21 +460,23 @@ def predict_one_step(model: SurrogateModel, windows: np.ndarray) -> np.ndarray:
     return forward(model, windows)[0]
 
 
+@np.errstate(over="ignore")  # a seed value past the model's dtype reads as inf, which forward refuses
 def predict_rollout(model: SurrogateModel, seed_window: np.ndarray, n_steps: int) -> np.ndarray:
     """Autoregressive rollout: each prediction is fed back as the newest frame.
 
-    seed_window is (L, N); output is (n_steps, N) in scaled units; the
-    caller inverse-transforms.  The seed and the predictions share one
-    (L + n_steps, N) buffer: step k forwards rows k to k + L - 1 as a
-    batch of one window and writes its prediction to row L + k.
+    seed_window is (L, N); output is (n_steps, N) in scaled units and
+    the model's dtype; the caller inverse-transforms.  The seed and the
+    predictions share one (L + n_steps, N) buffer: step k forwards rows
+    k to k + L - 1 as a batch of one window and writes its prediction to
+    row L + k.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    seed_window = np.asarray(seed_window, dtype=float)
+    seed_window = np.asarray(seed_window, dtype=model.params.flat.dtype)
     if seed_window.ndim != 2 or seed_window.shape[1] != model.input_dim:
         raise ValueError(f"seed window shape {seed_window.shape} is not (lookback, {model.input_dim})")
     lookback = len(seed_window)
-    frames = np.empty((lookback + n_steps, model.input_dim))
+    frames = np.empty((lookback + n_steps, model.input_dim), dtype=seed_window.dtype)
     frames[:lookback] = seed_window
     for k in range(n_steps):
         pred, _ = forward(model, frames[None, k : k + lookback])
@@ -475,26 +485,28 @@ def predict_rollout(model: SurrogateModel, seed_window: np.ndarray, n_steps: int
 
 
 def save_checkpoint(model: SurrogateModel, path) -> None:
-    """Self-describing text checkpoint; round-trips bitwise via 17-digit floats.
+    """Self-describing text checkpoint of a float32 model; round-trips bitwise via 9-digit floats.
 
     Each row is one %-format of all its values, byte for byte the
-    per-value f"{v:.17g}" join.
+    per-value f"{v:.9g}" join.
     """
+    if model.params.flat.dtype != np.float32:
+        raise ValueError(f"a checkpoint holds float32 weights, not {model.params.flat.dtype}")
     with atomic_text(path) as fh:
-        fh.write(f"input_dim={model.input_dim}\n")
-        fh.write(f"hidden_dim={model.hidden_dim}\n")
-        fh.write(f"seed={model.seed}\n")
+        for key, value in zip(_HEADER, (model.input_dim, model.hidden_dim, model.seed, "float32")):
+            fh.write(f"{key}={value}\n")
         for key in PARAM_KEYS:
             tensor = np.atleast_2d(model.params[key])
             fh.write(f"[{key}]\n")
-            fmt = " ".join(["%.17g"] * tensor.shape[1]) + "\n"
+            fmt = " ".join(["%.9g"] * tensor.shape[1]) + "\n"
             for row in tensor:
                 fh.write(fmt % tuple(row.tolist()))
 
 
 def load_checkpoint(path) -> SurrogateModel:
-    """Read a save_checkpoint file; every section must match its parameter's shape."""
-    header: dict[str, int] = {}
+    """Read a save_checkpoint file into a float32 model; every section must match its
+    parameter's shape and be finite, as train leaves it (past float32's range reads as inf)."""
+    header: dict[str, int | str] = {}
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -509,17 +521,19 @@ def load_checkpoint(path) -> SurrogateModel:
                 key, _, raw = (part.strip() for part in line.partition("="))
                 if key in header:
                     raise ValueError(f"checkpoint {path} repeats header field {key!r}")
-                if key not in ("input_dim", "hidden_dim", "seed"):
+                if key not in _HEADER:
                     raise ValueError(f"checkpoint {path} has unknown header field {key!r}")
                 try:
-                    header[key] = int(raw)
+                    header[key] = raw if key == "dtype" else int(raw)
                 except ValueError as exc:
                     raise ValueError(f"checkpoint {path} header line {line!r} is not name=int") from exc
             else:
                 current.append(line)
-    missing = {"input_dim", "hidden_dim", "seed"} - set(header)
+    missing = set(_HEADER) - set(header)
     if missing:
         raise ValueError(f"checkpoint {path} is missing header fields {sorted(missing)}")
+    if header["dtype"] != "float32":
+        raise ValueError(f"checkpoint {path} has dtype={header['dtype']}, expected float32")
     if set(sections) != set(PARAM_KEYS):
         raise ValueError(
             f"checkpoint {path} has parameter sections {sorted(sections)}, "
@@ -528,7 +542,9 @@ def load_checkpoint(path) -> SurrogateModel:
     model = SurrogateModel(header["input_dim"], header["hidden_dim"], header["seed"])
     for key, rows in sections.items():
         try:
-            tensor = np.loadtxt(rows, ndmin=2)
+            tensor = np.loadtxt(rows, dtype=np.float32, ndmin=2)
+            if not np.all(np.isfinite(tensor)):
+                raise ValueError("a value is not finite in float32")
             model.params[key] = tensor.reshape(-1) if key.startswith("b_") else tensor
         except ValueError as exc:
             raise ValueError(f"checkpoint {path} section [{key}]: {exc}") from exc

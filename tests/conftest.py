@@ -102,6 +102,14 @@ def default_report(default_record, default_split, trained_default) -> cp.Compari
     return cp.build_report(default_record, preds, split.test.target_times, scaler)
 
 
+def float64_model(model: sg.SurrogateModel) -> sg.SurrogateModel:
+    """The same weights widened into a float64 model; every surrogate function
+    follows the dtype of the parameter vector, so this one runs in float64."""
+    wide = sg.SurrogateModel(model.input_dim, model.hidden_dim, model.seed)
+    wide.params = sg.Params(model.params.flat.astype(np.float64), model.input_dim, model.hidden_dim)
+    return wide
+
+
 def dense(op) -> np.ndarray:
     """The dense symmetric matrix of a tridiagonal operator, from its two bands."""
     return np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)

@@ -566,9 +566,18 @@ class TestExitCodes:
         ("scaler.txt", lambda text: text + "min=0.5\n", "key 'min' repeats"),
         ("model.ckpt", lambda text: re.sub(r"(seed=\d+\n)", r"\1seed=9\n", text), "repeats header field 'seed'"),
         ("model.ckpt", lambda text: "foo=3\n" + text, "unknown header field 'foo'"),
+        # train never saves a non-finite weight; 1e39 is past float32's range
+        *(
+            ("model.ckpt", lambda text, v=value: re.sub(r"(\[U_c\]\n)\S+", rf"\g<1>{v}", text), "[U_c]")
+            for value in ("nan", "inf", "1e39")
+        ),
+        ("model.ckpt", lambda text: text.replace("dtype=float32", "dtype=float64"), "dtype=float64"),
+        ("model.ckpt", lambda text: text.replace("dtype=float32\n", ""), "missing header fields ['dtype']"),
     ], ids=[
         "scaler-line-without-value", "scaler-bounds-not-finite", "checkpoint-header", "checkpoint-row-width",
         "scaler-repeated-key", "checkpoint-repeated-field", "checkpoint-unknown-field",
+        "checkpoint-nan", "checkpoint-inf", "checkpoint-past-float32", "checkpoint-float64",
+        "checkpoint-without-dtype",
     ])
     def test_bad_scaler_or_checkpoint_names_the_file(
         self, predicted_run, tmp_path, capsys, name, edit, detail
@@ -576,11 +585,15 @@ class TestExitCodes:
         out = tmp_path / "out"
         shutil.copytree(predicted_run, out)
         path = out / name
-        path.write_text(edit(path.read_text()))
+        text = path.read_text()
+        path.write_text(edit(text))
+        assert path.read_text() != text
         capsys.readouterr()
-        assert _cli(out, "predict") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config:") and str(path) in err and detail in err
+        for mode in ("one-step", "rollout"):
+            assert _cli(out, "predict", "--mode", mode) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: config:") and str(path) in err and detail in err
+            assert len(err.splitlines()) == 1
 
     def test_config_path_naming_a_directory(self, tmp_path, capsys):
         assert cli.main(["--config", str(tmp_path), "simulate"]) == 1
@@ -829,6 +842,36 @@ class TestDeterminism:
                 subprocess.run([sys.executable, "-c", code], env={**env, **threads}, check=True)
                 frames.append((out / "frames.csv").read_bytes())
             assert frames[0] == frames[1], f"grid.a {grid_a}"
+
+    def test_surrogate_bitwise_across_blas_threads(self, tmp_path):
+        # train and predict at the default sizes run float32 GEMMs; a second
+        # OpenBLAS thread must not move a bit of the weights or predictions
+        env = _child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        base = tmp_path / "base"
+        for stage in ("simulate", "export-dataset"):
+            assert cli.main([stage, "--io.output_dir", str(base)]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            shutil.copytree(base, out)
+            stages = [["train", "--training.epochs", "3"], ["predict", "--mode", "one-step"],
+                      ["predict", "--mode", "rollout"]]
+            code = (
+                "from qwave.cli import main\n"
+                f"for stage in {stages!r}:\n"
+                f"    assert main([*stage, '--io.output_dir', {str(out)!r}]) == 0, stage\n"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append({
+                name: (out / name).read_bytes()
+                for name in ("model.ckpt", "pred_onestep.csv", "pred_rollout.csv")
+            })
+        assert outputs[0] == outputs[1]
 
 
 class TestPredCsv:

@@ -10,7 +10,8 @@ from pathlib import Path
 import qwave
 from qwave.config import RunConfig, config_keys, key_type
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _child_stdout(code: str) -> list[str]:
@@ -63,3 +64,22 @@ def test_readme_config_table_matches_the_schema():
     assert tuple(keys) == config_keys()
     for key, text in zip(keys, defaults):
         assert key_type(key)(text) == getattr(RunConfig(), key.replace(".", "_", 1)), key
+
+
+def test_a_failing_property_example_leaves_the_run_going(tmp_path):
+    # hypothesis's failure report imports libcst, which warns on import; with
+    # pytest's warnings as errors, that warning once ended the whole run in
+    # INTERNALERROR before any later test ran
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    argv = [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "-p", "no:cacheprovider"]
+    run = subprocess.run([*argv, "test_two.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

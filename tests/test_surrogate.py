@@ -9,7 +9,7 @@ from qwave import dataset as dsm
 from qwave import surrogate as sg
 from qwave.errors import NonFiniteError
 
-from conftest import small_frames
+from conftest import float64_model, small_frames
 
 
 def _zero_model(input_dim=3, hidden_dim=2):
@@ -66,7 +66,8 @@ class TestForward:
     def test_single_unit_hand_computation(self):
         # 1 input, 1 hidden unit, 1 step: the whole recurrence collapses to
         # scalar gate arithmetic, checked against independent scalar math
-        model = sg.init_model(1, 1, 0)
+        # (in float64, which that math is in)
+        model = float64_model(sg.init_model(1, 1, 0))
         values = {
             "W_i": 0.5, "U_i": 0.3, "b_i": 0.1,
             "W_f": 0.7, "U_f": 0.2, "b_f": 1.0,
@@ -113,8 +114,8 @@ class TestForward:
 
     def test_batch_rows_match_single_windows(self):
         # B = 1 runs the same code; a window's prediction does not depend on
-        # the other windows of its batch beyond rounding
-        model = sg.init_model(200, 64, 8)
+        # the other windows of its batch beyond float64 rounding
+        model = float64_model(sg.init_model(200, 64, 8))
         windows = np.random.default_rng(22).uniform(size=(20, 4, 200))
         batched, _ = sg.forward(model, windows)
         for k, window in enumerate(windows):
@@ -154,7 +155,8 @@ class TestBackward:
         assert np.allclose(grads["b_out"], np.sum(2.0 * (pred - target) / 12.0, axis=0), atol=1e-16)
 
     def test_matches_finite_differences(self):
-        model = sg.init_model(3, 4, 5)
+        # central differences at step 1e-5 need float64 to resolve the loss
+        model = float64_model(sg.init_model(3, 4, 5))
         rng = np.random.default_rng(19)
         window = rng.uniform(size=(2, 3, 3))
         target = rng.uniform(size=(2, 3))
@@ -270,7 +272,8 @@ def _assert_close(got, want, rel=1e-12):
 
 
 def _random_model(rng, input_dim, hidden_dim, seed):
-    model = sg.init_model(input_dim, hidden_dim, seed)
+    """A float64 model, so the reference's float64 arithmetic matches to 1e-12."""
+    model = float64_model(sg.init_model(input_dim, hidden_dim, seed))
     for k in sg.PARAM_KEYS:  # nudge off the init so no block is trivially zero
         model.params[k] = model.params[k] + rng.normal(0.0, 0.3, model.params[k].shape)
     return model
@@ -351,6 +354,47 @@ class TestFusedAgainstReference:
             _assert_close(model.params[k], ref_params[k])
             _assert_close(m[k], ref_state["m"][k])
             _assert_close(v[k], ref_state["v"][k])
+
+
+# float32's machine epsilon; the float32 pass stays within 64 of it of the
+# float64 pass (measured worst: 13 for predictions, 24 for gradients, over
+# 3000 random models of the sizes below)
+_F32_TOL = 64 * float(np.finfo(np.float32).eps)
+
+
+class TestFloat32:
+    """The shipped dtype: init_model and load_checkpoint give float32 models."""
+
+    @given(_dims, st.integers(1, 6))
+    def test_agrees_with_the_same_model_in_float64(self, dims, n_batch):
+        input_dim, hidden_dim, n_steps, seed = dims
+        rng = np.random.default_rng(seed)
+        model = sg.init_model(input_dim, hidden_dim, seed)
+        for k in sg.PARAM_KEYS:
+            model.params[k] = model.params[k] + rng.normal(0.0, 0.3, model.params[k].shape)
+        wide = float64_model(model)
+        windows = rng.uniform(size=(n_batch, n_steps, input_dim))
+        targets = rng.uniform(size=(n_batch, input_dim))
+        (pred, tape), (pred64, tape64) = sg.forward(model, windows), sg.forward(wide, windows)
+        grads, grads64 = sg.backward(model, tape, targets), sg.backward(wide, tape64, targets)
+        assert pred.dtype == grads.flat.dtype == np.float32
+        assert pred64.dtype == grads64.flat.dtype == np.float64
+        _assert_close(pred, pred64, rel=_F32_TOL)
+        _assert_close(grads.flat, grads64.flat, rel=_F32_TOL)
+
+    def test_every_array_of_the_pipeline_is_float32(self, tiny_split, tmp_path):
+        _, split = tiny_split
+        model = sg.init_model(12, 6, 5)
+        trained, history = sg.train(model, split.train, epochs=2, lr=2e-3)
+        state = sg.init_adam(trained.params.flat, lr=1e-3)
+        sg.save_checkpoint(trained, tmp_path / "model.ckpt")
+        loaded = sg.load_checkpoint(tmp_path / "model.ckpt")
+        one_step = sg.predict_one_step(loaded, split.test.inputs)
+        rollout = sg.predict_rollout(loaded, split.test.inputs[0], 3)
+        for array in (model.params.flat, trained.params.flat, state.m, state.v, state._work,
+                      loaded.params.flat, one_step, rollout):
+            assert array.dtype == np.float32
+        assert all(type(v) is float for v in history.train_mse)
 
 
 class TestParams:
@@ -445,9 +489,10 @@ class TestTrain:
     def test_epoch_loss_is_the_all_pairs_mean(self, default_split, batch_size, monkeypatch):
         # 77 default pairs: a short last batch must weigh its pairs, not count
         # as a whole batch mean beside the full ones
+        # in float64, where batching moves each prediction by rounding only
         _, split = default_split
         assert len(split.train) == 77
-        model = sg.init_model(200, 64, 1)
+        model = float64_model(sg.init_model(200, 64, 1))
         monkeypatch.setattr(sg, "_BATCH_SIZE", batch_size)
         _, history = sg.train(model, split.train, epochs=2, lr=0.0)
         mean_loss = sg.mse(sg.predict_one_step(model, split.train.inputs), split.train.targets)
@@ -597,12 +642,13 @@ class TestPredict:
         assert out.shape == (len(split.test), 12)
 
 
-# one value per parameter of a (2, 1) model, the edges of the 17-digit format drawn explicitly
+# one float32 value per parameter of a (2, 1) model, the edges of the 9-digit
+# format drawn explicitly: the smallest subnormal and the largest finite float32
 _PARAM_VALUES = st.lists(
     st.one_of(
-        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
-                         -1.7976931348623157e308]),
-        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 1.401298464324817e-45, -1.401298464324817e-45,
+                         3.4028234663852886e38, -3.4028234663852886e38]),
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
     ),
     min_size=sg._param_count(2, 1), max_size=sg._param_count(2, 1),
 )
@@ -627,10 +673,10 @@ class TestCheckpoint:
         model.params.flat[:] = values
         path = tmp_path / "model.ckpt"
         sg.save_checkpoint(model, path)
-        expected = ["input_dim=2", "hidden_dim=1", "seed=0"]
+        expected = ["input_dim=2", "hidden_dim=1", "seed=0", "dtype=float32"]
         for key in sg.PARAM_KEYS:
             expected.append(f"[{key}]")
-            expected += [" ".join(f"{v:.17g}" for v in row) for row in np.atleast_2d(model.params[key])]
+            expected += [" ".join(f"{v:.9g}" for v in row) for row in np.atleast_2d(model.params[key])]
         assert path.read_text().splitlines() == expected
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -641,6 +687,11 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         sg.save_checkpoint(model, path)
         assert sg.load_checkpoint(path).params.flat.tobytes() == model.params.flat.tobytes()
+
+    def test_float64_model_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="float32"):
+            sg.save_checkpoint(float64_model(sg.init_model(3, 2, 0)), tmp_path / "model.ckpt")
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_missing_section_rejected(self, tmp_path):
         model = sg.init_model(3, 2, 0)
