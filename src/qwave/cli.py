@@ -186,12 +186,15 @@ def _n_fit(cfg: RunConfig) -> int:
     return n_fit
 
 
+@np.errstate(over="ignore")
 def _frames_near(cfg: RunConfig, times: list[float]) -> tuple[float, float]:
     """Frames [lo, hi) that span the frames nearest to times.
 
     Frame k is at t = k dt, so the frame nearest t is floor(t/dt) or the
     next; one more frame on either side keeps the pick the whole table's
-    when t/dt rounds across an integer.
+    when t/dt rounds across an integer.  A t/dt past the float range is
+    infinite: the read is clamped into the table, and the dt/2 rule of
+    compare._nearest_frame then refuses that time.
     """
     steps = np.floor(np.asarray(times, dtype=float) / cfg.evolution_dt)
     if np.isnan(steps).any():

@@ -92,8 +92,7 @@ class Params:
         for k, g in enumerate(GATES):
             for kind in ("W", "U", "b"):
                 self._views[f"{kind}_{g}"] = getattr(self, kind)[k * h : (k + 1) * h]
-        self._views["W_out"] = self.W_out
-        self._views["b_out"] = self.b_out
+        self._views.update(W_out=self.W_out, b_out=self.b_out)
 
     def __getitem__(self, key: str) -> np.ndarray:
         return self._views[key]
@@ -104,15 +103,6 @@ class Params:
         if value.shape != view.shape:
             raise ValueError(f"parameter {key} has shape {value.shape}, expected {view.shape}")
         view[...] = value
-
-    def key_at(self, index: int) -> str:
-        """The PARAM_KEYS entry that holds flat[index]."""
-        for name in _BLOCKS:
-            block = getattr(self, name)
-            if index < block.size:
-                return name if name.endswith("_out") else f"{name}_{GATES[index * 4 // block.size]}"
-            index -= block.size
-        raise IndexError(f"index {index} is past the parameter vector")
 
 
 def _param_count(input_dim: int, hidden_dim: int) -> int:
@@ -324,20 +314,6 @@ def backward(
     return grads
 
 
-def _first_nonfinite(vector: np.ndarray) -> int | None:
-    """Index of the first NaN or infinity in vector, or None.
-
-    One dot product is the whole check when every entry is finite: NaN
-    and infinities propagate into it.  Only a non-finite result, which
-    entries above the square root of the dtype's largest value also give
-    by overflow, pays for the elementwise search.  Callers silence that overflow.
-    """
-    if np.isfinite(vector @ vector):
-        return None
-    bad = np.flatnonzero(~np.isfinite(vector))
-    return int(bad[0]) if bad.size else None
-
-
 def init_adam(theta: np.ndarray, lr: float) -> AdamState:
     """Zero moments for the flat parameter vector theta."""
     return AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta), lr=lr)
@@ -397,8 +373,8 @@ def train(
     before the update; an epoch's entry is the sum of its pair losses
     over the pair count, the mean MSE the parameters of that epoch
     actually saw.  Deterministic for a fixed model.seed; no dropout.
-    Windows and targets are cast to the model's dtype once; losses take
-    the targets as given.  Every loss is taken before its update, so a
+    `forward` and `backward` cast each batch to the model's dtype; losses
+    take the targets as given.  Every loss is taken before its update, so a
     forward pass over the pairs checks the parameters the final update
     leaves; it raises NonFiniteError naming that update rather than
     return weights that overflow every later forward pass.
@@ -413,7 +389,6 @@ def train(
     work = SurrogateModel(model.input_dim, model.hidden_dim, model.seed)
     theta = model.params.flat.copy()
     work.params = Params(theta, model.input_dim, model.hidden_dim)
-    inputs, targets = pairs.inputs.astype(theta.dtype), pairs.targets.astype(theta.dtype)
     state = init_adam(theta, lr)
     history = LossHistory()
     grads = Params(np.empty_like(theta), model.input_dim, model.hidden_dim)
@@ -424,29 +399,31 @@ def train(
         order = rng.permutation(n_pairs)
         for start in range(0, n_pairs, _BATCH_SIZE):
             batch = order[start : start + _BATCH_SIZE]
+            inputs, targets = pairs.inputs[batch], pairs.targets[batch]
             try:
-                pred, tape = forward(work, inputs[batch])
-                loss = mse(pred, pairs.targets[batch])
+                pred, tape = forward(work, inputs)
+                loss = mse(pred, targets)
             except NonFiniteError:
                 loss = math.inf
             if not np.isfinite(loss):
                 raise NonFiniteError(f"loss diverged at epoch {epoch + 1}, pairs {batch.tolist()}")
             total += loss * len(batch)
-            grads = backward(work, tape, targets[batch], out=grads)
-            # adam_step needs a finite gradient; checked here, where the parameter can be named
-            bad = _first_nonfinite(grads.flat)
-            if bad is not None:
-                raise NonFiniteError(
-                    f"non-finite gradient for parameter {grads.key_at(bad)} "
-                    f"at epoch {epoch + 1}, pairs {batch.tolist()}"
-                )
+            grads = backward(work, tape, targets, out=grads)
+            # adam_step needs a finite gradient; NaN, inf or an entry past sqrt(max) make this non-finite
+            if not np.isfinite(grads.flat @ grads.flat):
+                bad = [key for key in PARAM_KEYS if not np.isfinite(grads[key]).all()]
+                if bad:
+                    raise NonFiniteError(
+                        f"non-finite gradient for parameter {bad[0]} "
+                        f"at epoch {epoch + 1}, pairs {batch.tolist()}"
+                    )
             adam_step(state, theta, grads.flat)
         history.train_mse.append(total / n_pairs)
 
     try:
         # in training-sized batches, so the check needs no more memory than an update
         for start in range(0, n_pairs, _BATCH_SIZE):
-            forward(work, inputs[start : start + _BATCH_SIZE])
+            forward(work, pairs.inputs[start : start + _BATCH_SIZE])
     except NonFiniteError:
         raise NonFiniteError(
             f"non-finite activation in forward pass after the final update "
@@ -504,8 +481,8 @@ def save_checkpoint(model: SurrogateModel, path) -> None:
 
 
 def load_checkpoint(path) -> SurrogateModel:
-    """Read a save_checkpoint file into a float32 model; every section must match its
-    parameter's shape and be finite, as train leaves it (past float32's range reads as inf)."""
+    """Read a save_checkpoint file into a float32 model; sizes must be >= 1 and sections match
+    their parameters' shapes and be finite, as train leaves them (past float32 reads as inf)."""
     header: dict[str, int | str] = {}
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None
@@ -539,7 +516,14 @@ def load_checkpoint(path) -> SurrogateModel:
             f"checkpoint {path} has parameter sections {sorted(sections)}, "
             f"expected {sorted(PARAM_KEYS)}"
         )
-    model = SurrogateModel(header["input_dim"], header["hidden_dim"], header["seed"])
+    n, h = header["input_dim"], header["hidden_dim"]
+    if n < 1 or h < 1:
+        raise ValueError(f"checkpoint {path} has input_dim={n} and hidden_dim={h}; each must be >= 1")
+    for key, rows in sections.items():  # before allocating: W_g and U_g have H rows, W_out N, a bias 1
+        expected = 1 if key.startswith("b_") else n if key == "W_out" else h
+        if len(rows) != expected:
+            raise ValueError(f"checkpoint {path} section [{key}] has {len(rows)} rows, expected {expected}")
+    model = SurrogateModel(n, h, header["seed"])
     for key, rows in sections.items():
         try:
             tensor = np.loadtxt(rows, dtype=np.float32, ndmin=2)

@@ -538,6 +538,14 @@ class TestExitCodes:
         assert "1e+15" in line
         assert cli.main([*argv, "--evolution.dt", "1e12"]) == 0
 
+    @pytest.mark.parametrize("argv", [["table", "--times", "1e308"], ["snapshot", "--times", "-1e308"]])
+    def test_time_whose_step_is_past_the_float_range(self, predicted_run, capsys, argv):
+        # t/dt overflows; the time is refused by the dt/2 rule, with no numpy warning
+        capsys.readouterr()
+        assert _cli(predicted_run, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: no recorded frame within dt/2") and len(err.splitlines()) == 1
+
     def test_bad_times_syntax(self, tmp_path):
         out = tmp_path / "out"
         _cli(out, "simulate")
@@ -573,11 +581,14 @@ class TestExitCodes:
         ),
         ("model.ckpt", lambda text: text.replace("dtype=float32", "dtype=float64"), "dtype=float64"),
         ("model.ckpt", lambda text: text.replace("dtype=float32\n", ""), "missing header fields ['dtype']"),
+        # refused before the model is allocated, not as numpy's allocation error
+        ("model.ckpt", lambda text: text.replace("hidden_dim=8", "hidden_dim=-1"), "hidden_dim=-1"),
+        ("model.ckpt", lambda text: text.replace("input_dim=40", "input_dim=10000000000000"), "[W_out] has 40 rows"),
     ], ids=[
         "scaler-line-without-value", "scaler-bounds-not-finite", "checkpoint-header", "checkpoint-row-width",
         "scaler-repeated-key", "checkpoint-repeated-field", "checkpoint-unknown-field",
         "checkpoint-nan", "checkpoint-inf", "checkpoint-past-float32", "checkpoint-float64",
-        "checkpoint-without-dtype",
+        "checkpoint-without-dtype", "checkpoint-negative-dim", "checkpoint-huge-dim",
     ])
     def test_bad_scaler_or_checkpoint_names_the_file(
         self, predicted_run, tmp_path, capsys, name, edit, detail
@@ -671,6 +682,7 @@ _PINNED = {
 _CHAIN = [
     ["simulate"], ["table", "--times", "0", "--indices", "0,1,2"], ["export-dataset"], ["train"],
     ["predict", "--mode", "one-step"], ["predict", "--mode", "rollout"], ["compare"],
+    ["snapshot", "--times", "0.2"],
 ]
 
 
@@ -689,6 +701,8 @@ class TestExitContract:
     @example(flags=_PINNED, overrides={"evolution.dt": 1e15})
     @example(flags=_PINNED, overrides={"evolution.dt": 1.7976931348623157e308})
     @example(flags={**_PINNED, "grid.n_points": 4}, overrides={"training.lr": 1.7976931348623157e308})
+    # every time over the least subnormal dt is past the float range in steps
+    @example(flags=_PINNED, overrides={"evolution.dt": 5e-324})
     # sizes no machine holds, refused at a first allocation beyond any address
     # space: make_grid's first array is 4 PB, the times 8 PB and the LSTM's
     # parameters 3.2e17 bytes.  Then counts past 2**63 - 1 and a negative seed

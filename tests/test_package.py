@@ -83,3 +83,25 @@ def test_a_failing_property_example_leaves_the_run_going(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
     assert "INTERNALERROR" not in run.stdout + run.stderr
+
+
+def test_every_private_helper_is_referenced():
+    # a module-level _name that no other statement of the package reads is dead
+    # code, kept only by its own tests
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "qwave").glob("*.py"))]
+    statements = [node for tree in trees for node in tree.body]
+    read = [
+        {n.id if isinstance(n, ast.Name) else n.attr
+         for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+        for node in statements
+    ]
+    helpers = [
+        node for node in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    assert helpers
+    dead = [
+        helper.name for helper in helpers
+        if not any(helper.name in names for node, names in zip(statements, read) if node is not helper)
+    ]
+    assert dead == []
