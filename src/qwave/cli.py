@@ -13,11 +13,19 @@ that use them, so `simulate`, which every run starts with, loads none.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from collections.abc import Callable
 from typing import TYPE_CHECKING
+
+# One OpenBLAS thread unless the user set a count: a second one only spins
+# beside each stage's small GEMMs and eigh, and with one thread eigh's bits do
+# not depend on the machine's core count.  OpenBLAS reads these variables, in
+# this order, when numpy loads it; a caller that loaded numpy keeps its own.
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -350,10 +358,12 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> None:
     _, pred_times, preds = _read_frames(cfg, n_fit, n, args.mode)
     report = cp.build_report(record, preds, pred_times, scaler)
     cp.write_report_csv(report, _out_path(cfg, REPORT_FILE))
-    # logged once report.csv is written, so that a failed write prints only its error line
+    # printed once report.csv is written, so that a failed write prints only its error line
     if report.clamped_values:
-        logging.getLogger(cp.__name__).info(
-            "clamped %d negative predicted values to 0 for metrics", report.clamped_values
+        print(
+            f"INFO {cp.__name__}: clamped {report.clamped_values} "
+            "negative predicted values to 0 for metrics",
+            file=sys.stderr,
         )
     print(
         f"compare ({args.mode}, {len(report.frames)} frames): "
@@ -393,7 +403,6 @@ def cmd_snapshot(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

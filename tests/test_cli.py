@@ -40,6 +40,9 @@ FAST = [
     "--training.hidden_dim", "8",
 ]
 
+# the variables OpenBLAS reads its thread count from, in its order
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def _cli(out_dir, *argv):
     return cli.main([*FAST, "--io.output_dir", str(out_dir), *argv])
@@ -837,25 +840,38 @@ class TestDeterminism:
         argv = ["--dump-eigen", "--grid.a", grid_a, "--grid.n_points", n_points]
         assert _frames_digest(tmp_path, *argv, file="eigen.csv") == digest
 
+    @staticmethod
+    def _frames_at(out, threads, *argv):
+        """frames.csv of `simulate` in a child with OPENBLAS_NUM_THREADS=threads, or with
+        no thread variable set when threads is None."""
+        env = {k: v for k, v in _child_env().items() if k not in _THREAD_VARIABLES}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        code = f"from qwave.cli import main; main(['simulate', *{argv!r}, '--io.output_dir', {str(out)!r}])"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        return (out / "frames.csv").read_bytes()
+
     def test_frames_bitwise_across_blas_threads(self, tmp_path):
         # LAPACK's eigh and the step loop's products are on the path; a
-        # second OpenBLAS thread must not move a bit of the frames while
-        # every stepped eigenblock has fewer than about 500 rows.  At N = 400,
-        # a = -5 steps only the even block of 200 rows and a = -6 the one
-        # block of 400.
-        env = _child_env()
-        env.pop("OPENBLAS_NUM_THREADS", None)
+        # second OpenBLAS thread, which a user may set, must not move a bit of
+        # the frames while every stepped eigenblock has fewer than about 500
+        # rows.  At N = 400, a = -5 steps only the even block of 200 rows and
+        # a = -6 the one block of 400.
         for grid_a in ("-5", "-6"):
-            frames = []
-            for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("unset", {})):
-                out = tmp_path / grid_a / name
-                code = (
-                    "from qwave.cli import main; main(['simulate', '--grid.n_points', '400', "
-                    f"'--grid.a', {grid_a!r}, '--io.output_dir', {str(out)!r}])"
-                )
-                subprocess.run([sys.executable, "-c", code], env={**env, **threads}, check=True)
-                frames.append((out / "frames.csv").read_bytes())
+            argv = ("--grid.n_points", "400", "--grid.a", grid_a)
+            frames = [self._frames_at(tmp_path / grid_a / t, t, *argv) for t in ("1", "2")]
             assert frames[0] == frames[1], f"grid.a {grid_a}"
+
+    @pytest.mark.parametrize("argv", [
+        ("--grid.n_points", "1000"),  # the even block of 500 rows
+        ("--grid.n_points", "520", "--grid.a", "-6"),  # one block of 520 rows
+    ])
+    def test_unset_thread_count_is_one_thread(self, tmp_path, argv):
+        # past about 500 rows dsyevd splits its work by thread count; with no
+        # variable set the CLI runs one thread, so the frames are those of
+        # OPENBLAS_NUM_THREADS=1 whatever the machine's core count
+        unset = self._frames_at(tmp_path / "unset", None, *argv)
+        assert unset == self._frames_at(tmp_path / "one", "1", *argv)
 
     def test_surrogate_bitwise_across_blas_threads(self, tmp_path):
         # train and predict at the default sizes run float32 GEMMs; a second

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qwave
 from qwave.config import RunConfig, config_keys, key_type
 
@@ -14,12 +16,24 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
 
-def _child_stdout(code: str) -> list[str]:
-    """The lines a fresh interpreter prints running code, with this qwave first on its path."""
+# the variables OpenBLAS reads its thread count from, in its order
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child_stdout(code: str, **threads: str) -> list[str]:
+    """The lines a fresh interpreter prints running code, with this qwave first on its
+    path and, of the thread variables, only those given."""
     src = os.path.dirname(os.path.dirname(qwave.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(threads, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return run.stdout.splitlines()
+
+
+def _thread_variables_after_cli_import(**threads: str) -> dict[str, str | None]:
+    code = f"import os, qwave.cli; print({{k: os.environ.get(k) for k in {THREAD_VARIABLES!r}}})"
+    (line,) = _child_stdout(code, **threads)
+    return ast.literal_eval(line)
 
 
 def test_import_loads_no_submodule():
@@ -39,6 +53,35 @@ def test_cli_import_loads_only_the_simulate_chain():
         "qwave", "qwave.artifacts", "qwave.cli", "qwave.config",
         "qwave.discretize", "qwave.errors", "qwave.evolve", "qwave.spectral",
     ]
+
+
+def test_cli_import_runs_openblas_on_one_thread():
+    assert _thread_variables_after_cli_import() == {
+        "OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None,
+    }
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_cli_import_starts_no_blas_thread():
+    (line,) = _child_stdout("import os, qwave.cli; print(len(os.listdir('/proc/self/task')))")
+    assert line == "1"
+
+
+@pytest.mark.parametrize("name", THREAD_VARIABLES)
+def test_cli_import_keeps_a_thread_count_the_user_set(name):
+    expected = dict.fromkeys(THREAD_VARIABLES, None) | {name: "2"}
+    assert _thread_variables_after_cli_import(**{name: "2"}) == expected
+
+
+def test_cli_import_after_numpy_leaves_the_environment_alone():
+    # numpy has loaded OpenBLAS already, so a variable set now would only
+    # reach the caller's own child processes
+    code = "import os; before = dict(os.environ); import numpy, qwave.cli; print(dict(os.environ) == before)"
+    assert _child_stdout(code) == ["True"]
+
+
+def test_cli_import_loads_no_logging():
+    assert _child_stdout("import sys, qwave.cli; print('logging' in sys.modules)") == ["False"]
 
 
 def test_readme_quick_start_runs(capsys):
