@@ -1,16 +1,18 @@
-"""Atomic artifact writes and the one CSV writer.
+"""Atomic artifact writes, the one CSV writer and the one key=value reader.
 
 Every file a CLI stage writes goes through atomic_text: the text goes to
 a temp file beside the target and is moved into place with os.replace
 only once it is complete.  A stage that fails or is killed mid-write
 leaves the previous artifact, or none, never a truncated one for the
-next stage to read.  Every CSV artifact goes through write_csv.
+next stage to read.  write_csv writes every CSV; read_fields reads key=value.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+
+from .errors import ConfigError
 
 
 @contextlib.contextmanager
@@ -50,3 +52,29 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write((labelled if isinstance(row[0], str) else fmt) % tuple(row))
+
+
+def read_fields(lines, where, types) -> dict:
+    """Read `key=value` lines, with or without their newline, into {key: types[key](value)}.
+
+    Blank lines and # comments are skipped; keys and values are stripped.  A line
+    without `=`, an unknown or repeated key, or a value its type refuses raises
+    ConfigError as `<where>:<line>: ...`, lines counted from 1.
+    """
+    values = {}
+    for lineno, raw in enumerate(lines, start=1):
+        raw = raw.rstrip("\n")
+        if raw.strip()[:1] in ("", "#"):
+            continue
+        key, sep, value = (part.strip() for part in raw.partition("="))
+        if not sep or not key:
+            raise ConfigError(f"{where}:{lineno}: expected key=value, got {raw!r}")
+        if key not in types:
+            raise ConfigError(f"{where}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{where}:{lineno}: key {key!r} repeats")
+        try:
+            values[key] = types[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}:{lineno}: cannot parse {key}={value!r} as {types[key].__name__}") from exc
+    return values

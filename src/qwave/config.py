@@ -12,6 +12,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
+from .artifacts import read_fields
 from .errors import ConfigError
 
 
@@ -34,40 +35,20 @@ class RunConfig:
     io_output_dir: str = "out"
 
 
-# key -> (field name, parser): the key is the field's section, a dot, then the
-# rest of its name; the file format and the flags are untyped text
+# key -> parser: the key is its field's name with the first underscore made a
+# dot (`grid.a` for grid_a); the file format and the flags are untyped text
 _PARSERS = {"float": float, "int": int, "str": str}
-_SCHEMA = {f.name.replace("_", ".", 1): (f.name, _PARSERS[f.type]) for f in fields(RunConfig)}
+_SCHEMA = {f.name.replace("_", ".", 1): _PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     """Parse `section.key=value` lines; blank lines and # comments ignored."""
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        if key not in _SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        field_name, cast = _SCHEMA[key]
-        if field_name in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate config key {key!r}")
-        try:
-            values[field_name] = cast(value)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{source}:{lineno}: cannot parse {key}={value!r} as {cast.__name__}"
-            ) from exc
-    return replace(RunConfig(), **values)
+    return apply_overrides(RunConfig(), read_fields(text.splitlines(), source, _SCHEMA))
 
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a leading byte-order mark
             text = fh.read()
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
@@ -79,10 +60,10 @@ def load_config(path) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Emit every key in schema order; parse(serialize(c)) == c."""
+    """Emit every key in schema order; parse(serialize(c)) == c if validate_config accepts c."""
     lines = []
-    for key, (field_name, _) in _SCHEMA.items():
-        value = getattr(cfg, field_name)
+    for key in _SCHEMA:
+        value = getattr(cfg, key.replace(".", "_", 1))
         if isinstance(value, float):
             text = repr(value)  # shortest exact round-trip form
         else:
@@ -97,20 +78,20 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, object]) -> RunConfig:
     for key, value in overrides.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        updates[_SCHEMA[key][0]] = value
+        updates[key.replace(".", "_", 1)] = value
     return replace(cfg, **updates)
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     """Range-check every field before any computation; fail fast."""
     for key in ("grid.a", "grid.b", "evolution.dt", "training.lr"):
-        value = getattr(cfg, _SCHEMA[key][0])
+        value = getattr(cfg, key.replace(".", "_", 1))
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
     # numpy sizes an array by a signed 64-bit int, and dx needs n_points as a float
     sizes = ("grid.n_points", "evolution.n_steps", "dataset.lookback", "training.epochs", "training.hidden_dim")
     for key in sizes:
-        value = getattr(cfg, _SCHEMA[key][0])
+        value = getattr(cfg, key.replace(".", "_", 1))
         if value > 2**63 - 1:
             raise ConfigError(f"{key} must be at most 2**63 - 1, got a {len(str(value))}-digit number")
     if cfg.training_rng_seed < 0:
@@ -150,6 +131,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"training.hidden_dim must be >= 1, got {cfg.training_hidden_dim}")
     if not cfg.io_output_dir:
         raise ConfigError("io.output_dir must be non-empty")
+    if cfg.io_output_dir != cfg.io_output_dir.strip() or len(cfg.io_output_dir.splitlines()) != 1:
+        # the config file could not carry it: its lines are split and stripped
+        raise ConfigError(f"io.output_dir must be one line without space at its ends, got {cfg.io_output_dir!r}")
     return cfg
 
 
@@ -159,4 +143,4 @@ def config_keys() -> tuple[str, ...]:
 
 def key_type(key: str) -> Callable[[str], object]:
     """The parser of key's text, shared by the config file and its flag."""
-    return _SCHEMA[key][1]
+    return _SCHEMA[key]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import atomic_text
+from .artifacts import atomic_text, read_fields
 
 
 @dataclass(frozen=True)
@@ -168,21 +168,8 @@ def save_scaler(scaler: Scaler, path) -> None:
 
 
 def load_scaler(path) -> Scaler:
-    values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, raw = (part.strip() for part in line.partition("="))
-            if key in values:
-                raise ValueError(f"{path} is not a scaler sidecar (key {key!r} repeats)")
-            try:
-                values[key] = float(raw)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path} is not a scaler sidecar (line {line!r} is not key=float)"
-                ) from exc
+        values = read_fields(fh, path, {"min": float, "max": float})
     if set(values) != {"min", "max"}:
         raise ValueError(f"{path} is not a scaler sidecar (keys {sorted(values)})")
     try:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import atomic_text, write_csv
+from .artifacts import atomic_text, read_fields, write_csv
 from .dataset import WindowedDataset
 from .errors import NonFiniteError
 
@@ -51,8 +51,8 @@ PARAM_KEYS = tuple(f"{kind}_{g}" for g in GATES for kind in ("W", "U", "b")) + (
 
 # the stacked blocks, back to back in the flat vector
 _BLOCKS = ("W", "U", "b", "W_out", "b_out")
-# a checkpoint's header fields, in the order save_checkpoint writes them
-_HEADER = ("input_dim", "hidden_dim", "seed", "dtype")
+# a checkpoint's header fields and their types, in the order save_checkpoint writes them
+_HEADER = {"input_dim": int, "hidden_dim": int, "seed": int, "dtype": str}
 
 # entries per Adam chunk: the scratch is one chunk, not a whole parameter
 # vector, which lowers train's peak RSS at the same speed (CHANGES.md)
@@ -483,29 +483,19 @@ def save_checkpoint(model: SurrogateModel, path) -> None:
 def load_checkpoint(path) -> SurrogateModel:
     """Read a save_checkpoint file into a float32 model; sizes must be >= 1 and sections match
     their parameters' shapes and be finite, as train leaves them (past float32 reads as inf)."""
-    header: dict[str, int | str] = {}
+    header_lines: list[str] = []
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        for raw in fh:
+            line = raw.strip()
             if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1]
-                current = sections.setdefault(name, [])
+                current = sections.setdefault(line[1:-1], [])
             elif current is None:
-                key, _, raw = (part.strip() for part in line.partition("="))
-                if key in header:
-                    raise ValueError(f"checkpoint {path} repeats header field {key!r}")
-                if key not in _HEADER:
-                    raise ValueError(f"checkpoint {path} has unknown header field {key!r}")
-                try:
-                    header[key] = raw if key == "dtype" else int(raw)
-                except ValueError as exc:
-                    raise ValueError(f"checkpoint {path} header line {line!r} is not name=int") from exc
-            else:
+                header_lines.append(raw)  # every line from the first, so read_fields numbers them
+            elif line:
                 current.append(line)
+    header = read_fields(header_lines, path, _HEADER)
     missing = set(_HEADER) - set(header)
     if missing:
         raise ValueError(f"checkpoint {path} is missing header fields {sorted(missing)}")

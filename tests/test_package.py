@@ -148,3 +148,16 @@ def test_every_private_helper_is_referenced():
         if not any(helper.name in names for node, names in zip(statements, read) if node is not helper)
     ]
     assert dead == []
+
+
+def test_only_artifacts_splits_key_value_lines():
+    # the config file, scaler.txt and the model.ckpt header share one reader,
+    # artifacts.read_fields, and so one grammar and one set of refusals
+    splitters = {
+        path.name
+        for path in (ROOT / "src" / "qwave").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "partition"
+        and [getattr(arg, "value", None) for arg in node.args] == ["="]
+    }
+    assert splitters == {"artifacts.py"}
