@@ -382,7 +382,7 @@ def cmd_snapshot(cfg: RunConfig, args: argparse.Namespace) -> None:
     n_fit = _n_fit(cfg)
     pred_first, _, preds = _read_frames(cfg, lo, hi, args.mode)
     physical = dsm.inverse_transform(scaler, preds)
-    picks, names = [], {}
+    names = {}  # file name -> (first time, frame), in the order the times name them
     for t in args.times:
         k = first + cp._nearest_frame(times, t, cfg.evolution_dt)
         if k < n_fit:
@@ -394,9 +394,8 @@ def cmd_snapshot(cfg: RunConfig, args: argparse.Namespace) -> None:
         first_t, first_k = names.setdefault(name, (t, k))
         if first_k != k:
             raise ConfigError(f"t={first_t} and t={t} are different frames, but both name {name}")
-        picks.append((name, k))
     grid = dz.make_grid(cfg.grid_a, cfg.grid_b, cfg.grid_n_points)
-    for name, k in picks:
+    for name, (_, k) in names.items():
         path = _out_path(cfg, name)
         cp.write_snapshot_csv(grid, truth[k - first], physical[k - pred_first], path)
         print(f"snapshot: wrote {path}")

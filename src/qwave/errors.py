@@ -18,19 +18,7 @@ class FrameCountError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Base class for failures of a numerical guarantee."""
-
-
-class ConvergenceError(NumericalError):
-    """The eigensolver failed on a block, or an eigenpair missed its residual bound."""
-
-
-class ConservationError(NumericalError):
-    """Probability conservation drifted beyond the abort threshold."""
-
-
-class NonFiniteError(NumericalError):
-    """A NaN or infinity appeared where a finite value is required."""
+    """A numerical guarantee failed (eigenpair, conservation, finiteness); the message says which."""
 
 
 class MissingArtifactError(FileNotFoundError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .discretize import Grid, Hamiltonian
-from .errors import ConservationError, FrameCountError
+from .errors import FrameCountError, NumericalError
 from .spectral import SpectralDecomposition, build_propagator, eigendecompose
 
 NORMALIZATION_MODES = ("ell2", "dx_weighted")
@@ -99,7 +99,7 @@ def run_evolution(config: EvolutionConfig, h: Hamiltonian) -> EvolutionRecord:
     The initial state is the Gaussian packet in the configured
     normalization.  The propagator steps it, solving only the eigenblocks
     it occupies, and each step's density and norm drift go straight into
-    the record.  Aborts with ConservationError at the first step whose norm
+    the record.  Aborts with NumericalError at the first step whose norm
     drifts by more than 1e-8 or is not finite, which signals a broken
     decomposition, not rounding.
     """
@@ -126,7 +126,7 @@ def run_evolution(config: EvolutionConfig, h: Hamiltonian) -> EvolutionRecord:
         bad = np.flatnonzero(~(drifts <= _DRIFT_ABORT))
         if bad.size:
             k = k0 + int(bad[0])
-            raise ConservationError(
+            raise NumericalError(
                 f"norm drifted by {drifts[bad[0]]:.3e} at step {k} (t={k * config.dt:.4g}), "
                 f"beyond the {_DRIFT_ABORT:.0e} abort threshold"
             )
@@ -160,8 +160,9 @@ def read_frames_csv(
     floats.  n_rows, when given, is the row count the table must have;
     FrameCountError (a ValueError) says how many it has otherwise.
 
-    Raises ValueError naming path if the file is not a whole frame table or
-    the range does not lie inside it.
+    Raises ValueError naming path if the file is not a whole frame table,
+    the range does not lie inside it, or a row in range holds a NaN or an
+    infinity (rows out of range are not checked).
     """
     rows = 0
 
@@ -194,6 +195,9 @@ def read_frames_csv(
         raise FrameCountError(f"{path} has {rows} frame rows, expected {n_rows}", rows)
     if not 0 <= start <= (rows if stop is None else stop) <= rows:
         raise ValueError(f"rows [{start}, {stop}) are not inside the {rows} rows of {path}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path} has a non-finite value in frame row {start + int(bad[0])}")
     return data[:, 0], data[:, 1:]
 
 

@@ -6,7 +6,7 @@ with the row reflection J, and an orthogonal P folds it into an even and
 an odd block of half the size.  A zero off-diagonal splits the (folded)
 bands into unreduced blocks.  Each is solved by LAPACK through
 np.linalg.eigh when first read, and its pairs must meet
-|T v - lam v| <= 1e-10 max|H| against its own bands, or ConvergenceError
+|T v - lam v| <= 1e-10 max|H| against its own bands, or NumericalError
 names its rows and the eigenvector.
 
 U(dt) = Q diag(exp(-i lam dt)) Q^T is exact, so stepping carries no
@@ -32,7 +32,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .discretize import Hamiltonian
-from .errors import ConvergenceError
+from .errors import NumericalError
 
 # the largest accepted |H q - lam q| of a column, relative to max|H|
 _RESIDUAL_BOUND = 1e-10
@@ -63,7 +63,7 @@ class EigenBlock:
 
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, v) by np.linalg.eigh; ConvergenceError if LAPACK fails or a pair misses bound."""
+        """(lam, v) by np.linalg.eigh; NumericalError if LAPACK fails or a pair misses bound."""
         d, e = self.diagonal, self.off_diagonal
         where = f"the block of rows {self.rows.start}:{self.rows.stop}"
         t = np.diag(d)
@@ -72,7 +72,7 @@ class EigenBlock:
         try:
             lam, v = np.linalg.eigh(t)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK eigh failed on {where} ({exc})") from exc
+            raise NumericalError(f"LAPACK eigh failed on {where} ({exc})") from exc
         del t  # the residual check reuses its memory
         _check_residuals(d, e, lam, v, self.bound, f" of {where}")
         lam.setflags(write=False)
@@ -140,7 +140,7 @@ class SpectralDecomposition:
 
         Each column is signed so that the first entry within a relative
         _SIGN_TIE of its largest magnitude is positive, which makes Q
-        reproducible across runs.  Raises ConvergenceError if a column
+        reproducible across runs.  Raises NumericalError if a column
         misses its residual bound against H.
         """
         q = np.zeros((self.n, self.n))
@@ -275,7 +275,7 @@ def _residual_bound(d: np.ndarray, e: np.ndarray) -> float:
 def _check_residuals(
     d: np.ndarray, e: np.ndarray, lam: np.ndarray, q: np.ndarray, bound: float, where: str
 ) -> None:
-    """Raise ConvergenceError unless max_i |(T q_j - lam_j q_j)_i| <= bound
+    """Raise NumericalError unless max_i |(T q_j - lam_j q_j)_i| <= bound
     for every column j of q, T the tridiagonal with bands d and e; the
     message names column j as eigenvector j, followed by where.  Works on
     blocks of rows, so it holds no N x N temporary."""
@@ -293,7 +293,7 @@ def _check_residuals(
     failed = np.flatnonzero(~(worst <= bound))
     if failed.size:
         j = int(failed[0])
-        raise ConvergenceError(
+        raise NumericalError(
             f"eigenvector {j}{where} (eigenvalue {lam[j]:.17g}) has residual |Hq - lam q| = "
             f"{worst[j]:.3e}, above {bound:.3e} ({_RESIDUAL_BOUND:g} max|H|)"
         )

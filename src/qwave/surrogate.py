@@ -42,7 +42,7 @@ import numpy as np
 
 from .artifacts import atomic_text, read_fields, write_csv
 from .dataset import WindowedDataset
-from .errors import NonFiniteError
+from .errors import NumericalError
 
 GATES = ("i", "f", "c", "o")
 
@@ -227,7 +227,7 @@ def forward(model: SurrogateModel, windows: np.ndarray) -> tuple[np.ndarray, Tap
     prediction = hiddens[-1] @ p.W_out.T
     prediction += p.b_out
     if not np.all(np.isfinite(prediction)):
-        raise NonFiniteError("non-finite activation in forward pass")
+        raise NumericalError("non-finite activation in forward pass")
     return prediction, Tape(inputs, gates, cells, hiddens, prediction)
 
 
@@ -376,7 +376,7 @@ def train(
     `forward` and `backward` cast each batch to the model's dtype; losses
     take the targets as given.  Every loss is taken before its update, so a
     forward pass over the pairs checks the parameters the final update
-    leaves; it raises NonFiniteError naming that update rather than
+    leaves; it raises NumericalError naming that update rather than
     return weights that overflow every later forward pass.
     """
     if epochs < 1:
@@ -403,17 +403,17 @@ def train(
             try:
                 pred, tape = forward(work, inputs)
                 loss = mse(pred, targets)
-            except NonFiniteError:
+            except NumericalError:
                 loss = math.inf
             if not np.isfinite(loss):
-                raise NonFiniteError(f"loss diverged at epoch {epoch + 1}, pairs {batch.tolist()}")
+                raise NumericalError(f"loss diverged at epoch {epoch + 1}, pairs {batch.tolist()}")
             total += loss * len(batch)
             grads = backward(work, tape, targets, out=grads)
             # adam_step needs a finite gradient; NaN, inf or an entry past sqrt(max) make this non-finite
             if not np.isfinite(grads.flat @ grads.flat):
                 bad = [key for key in PARAM_KEYS if not np.isfinite(grads[key]).all()]
                 if bad:
-                    raise NonFiniteError(
+                    raise NumericalError(
                         f"non-finite gradient for parameter {bad[0]} "
                         f"at epoch {epoch + 1}, pairs {batch.tolist()}"
                     )
@@ -424,8 +424,8 @@ def train(
         # in training-sized batches, so the check needs no more memory than an update
         for start in range(0, n_pairs, _BATCH_SIZE):
             forward(work, pairs.inputs[start : start + _BATCH_SIZE])
-    except NonFiniteError:
-        raise NonFiniteError(
+    except NumericalError:
+        raise NumericalError(
             f"non-finite activation in forward pass after the final update "
             f"(update {state.step}, epoch {epochs})"
         ) from None

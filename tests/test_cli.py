@@ -426,6 +426,15 @@ class TestExitCodes:
         assert code == 2
         assert "error: numerical:" in capsys.readouterr().err
 
+    def test_norm_drift_aborts_simulate(self, tmp_path, capsys, monkeypatch):
+        # no step can meet a negative threshold, so the first one stepped fails
+        monkeypatch.setattr(ev, "_DRIFT_ABORT", -1.0)
+        out = tmp_path / "out"
+        assert _cli(out, "simulate") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: numerical: norm drifted by") and "at step 1 " in line
+        assert not os.path.exists(out / "frames.csv") and not os.path.exists(out / "conservation.csv")
+
     @pytest.mark.parametrize("argv, failing, rows", [([], 0, "0:20"), (["--dump-eigen"], 1, "20:40")])
     def test_block_that_misses_its_residual_bound(self, tmp_path, capsys, monkeypatch, argv, failing, rows):
         # the run solves the even block; --dump-eigen solves the odd one, and
@@ -587,6 +596,51 @@ class TestExitCodes:
         # the same time twice names one frame
         assert _cli(out, "snapshot", "--times", "0.026,0.026", "--evolution.dt", "0.001") == 0
         assert [p.name for p in out.glob("snapshot_*")] == ["snapshot_0.03.csv"]
+
+    def test_snapshot_writes_each_file_once(self, predicted_run, tmp_path, capsys):
+        # 1.4 and 1.41 are both frame 28; files come in the order the times first name them
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        capsys.readouterr()
+        assert _cli(out, "snapshot", "--times", "1.4,1.41,1.3,1.4") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"snapshot: wrote {out / name}" for name in ("snapshot_1.40.csv", "snapshot_1.30.csv")
+        ]
+        written = {name: (out / name).read_bytes() for name in ("snapshot_1.40.csv", "snapshot_1.30.csv")}
+        for name in written:
+            (out / name).unlink()
+        assert _cli(out, "snapshot", "--times", "1.3") == 0 and _cli(out, "snapshot", "--times", "1.4") == 0
+        assert written == {name: (out / name).read_bytes() for name in written}
+
+    # FAST's n_fit is 25: export-dataset and train read frames 0-24, predict
+    # frames 21-30, and frame 27 is prediction row 2
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, row, argv", [
+        ("frames.csv", 3, ["export-dataset"]),
+        ("frames.csv", 3, ["train"]),
+        ("frames.csv", 27, ["predict"]),
+        ("frames.csv", 27, ["compare"]),
+        ("frames.csv", 27, ["snapshot", "--times", "1.35"]),
+        ("frames.csv", 27, ["table", "--times", "1.35"]),
+        ("pred_onestep.csv", 2, ["compare"]),
+        ("pred_onestep.csv", 2, ["snapshot", "--times", "1.35"]),
+    ], ids=[
+        "frames-export-dataset", "frames-train", "frames-predict", "frames-compare", "frames-snapshot",
+        "frames-table", "pred-compare", "pred-snapshot",
+    ])
+    def test_non_finite_frame_value_is_refused(self, predicted_run, tmp_path, capsys, name, row, argv, value):
+        out = tmp_path / "out"
+        shutil.copytree(predicted_run, out)
+        lines = (out / name).read_text().splitlines(keepends=True)
+        fields = lines[1 + row].split(",")
+        fields[5] = value
+        lines[1 + row] = ",".join(fields)
+        (out / name).write_text("".join(lines))
+        capsys.readouterr()
+        assert _cli(out, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config: {out / name} has a non-finite value in frame row {row}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("name, edit, detail", [
         ("scaler.txt", lambda text: re.sub(r"max=.*", "max", text), "'max'"),

@@ -10,7 +10,7 @@ from qwave import evolve as ev
 from qwave import spectral as sp
 from qwave import surrogate as sg
 from qwave.discretize import Grid, assemble_hamiltonian, harmonic_potential, laplacian, make_grid
-from qwave.errors import ConservationError, FrameCountError
+from qwave.errors import FrameCountError, NumericalError
 
 
 def _small_setup(n=40, a=-4.0, b=4.0):
@@ -120,7 +120,7 @@ class TestRunEvolution:
         grid, h = _small_setup()
         bad = np.full(grid.n_points, 0.5)
         monkeypatch.setattr(ev, "gaussian_initial", lambda grid, mode: bad)
-        with pytest.raises(ConservationError, match="at step 1 "):
+        with pytest.raises(NumericalError, match="at step 1 "):
             ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=3), h)
 
     def test_abort_names_the_step_inside_a_block(self, monkeypatch):
@@ -129,7 +129,7 @@ class TestRunEvolution:
         grid, h = _small_setup()
         phases = sp._phases
         monkeypatch.setattr(sp, "_phases", lambda lam, dt: phases(lam, dt) * np.sqrt(1.0 - 3e-9))
-        with pytest.raises(ConservationError, match="at step 4 "):
+        with pytest.raises(NumericalError, match="at step 4 "):
             ev.run_evolution(ev.EvolutionConfig(grid, dt=0.05, n_steps=30), h)
 
     def test_frames_match_direct_evaluation(self):
@@ -335,6 +335,22 @@ class TestFrameCsv:
         assert info.value.rows == 4
         with pytest.raises(ValueError, match=r"rows \[2, 5\) are not inside the 4 rows"):
             ev.read_frames_csv(path, 2, 5)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_row_in_range_refused(self, tmp_path, value):
+        path = tmp_path / "frames.csv"
+        ev.write_frames_csv(np.arange(5.0), np.ones((5, 3)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace(",1,", f",{value},", 1)  # frame row 2
+        path.write_text("".join(lines))
+        for rows in ((), (2, 3), (1, 5)):
+            with pytest.raises(ValueError, match=r"frames.csv has a non-finite value in frame row 2$"):
+                ev.read_frames_csv(path, *rows, n_rows=5)
+        # rows out of range are not converted, so not checked
+        assert ev.read_frames_csv(path, 3, 5, n_rows=5)[1].shape == (2, 3)
+        # a table of the wrong length is refused by its count first
+        with pytest.raises(FrameCountError, match="has 5 frame rows, expected 6"):
+            ev.read_frames_csv(path, n_rows=6)
 
     def test_record_from_frames_csv_width_mismatch(self, tmp_path):
         grid, h = _small_setup()

@@ -161,3 +161,15 @@ def test_only_artifacts_splits_key_value_lines():
         and [getattr(arg, "value", None) for arg in node.args] == ["="]
     }
     assert splitters == {"artifacts.py"}
+
+
+def test_error_types_are_flat():
+    # a type exists only where a caller tells it apart or reads its data (as
+    # FrameCountError.rows); one that only narrows another is caught as its parent
+    classes = [node for node in ast.parse((ROOT / "src" / "qwave" / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    names = {node.name for node in classes}
+    assert {
+        node.name: base.id for node in classes for base in node.bases
+        if isinstance(base, ast.Name) and base.id in names
+    } == {}

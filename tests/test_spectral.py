@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qwave
 from qwave import spectral as sp
 from qwave.discretize import Hamiltonian, assemble_hamiltonian, harmonic_potential, laplacian, make_grid
-from qwave.errors import ConvergenceError
+from qwave.errors import NumericalError
 
 from conftest import dense, dense_unitary
 
@@ -124,7 +124,7 @@ class TestEigendecompose:
 
         monkeypatch.setattr(sp.np.linalg, "eigh", perturbed)
         d = sp.eigendecompose(_random_symmetric(8, 6))
-        with pytest.raises(ConvergenceError, match=r"eigenvector 3 .* residual") as caught:
+        with pytest.raises(NumericalError, match=r"eigenvector 3 .* residual") as caught:
             d.eigenvalues
         assert "of the block of rows 0:8" in str(caught.value)
 

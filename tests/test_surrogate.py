@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qwave import dataset as dsm
 from qwave import surrogate as sg
-from qwave.errors import NonFiniteError
+from qwave.errors import NumericalError
 
 from conftest import float64_model, small_frames
 
@@ -550,7 +550,7 @@ class TestTrain:
     def test_divergence_aborts_with_diagnostics(self, tiny_split):
         _, split = tiny_split
         model = sg.init_model(12, 6, 0)
-        with pytest.raises(NonFiniteError, match="epoch"):
+        with pytest.raises(NumericalError, match="epoch"):
             sg.train(model, split.train, epochs=2, lr=1e160)
 
     @staticmethod
@@ -570,13 +570,13 @@ class TestTrain:
         _, split = tiny_split
         self._set_in_every_gradient(monkeypatch, {("U_o", (1, 2)): math.nan})
         model = sg.init_model(12, 6, 0)
-        with pytest.raises(NonFiniteError, match="U_o"):
+        with pytest.raises(NumericalError, match="U_o"):
             sg.train(model, split.train, epochs=1, lr=2e-3)
 
     def test_two_nonfinite_gradients_name_the_first_bad_parameter(self, tiny_split, monkeypatch):
         _, split = tiny_split
         self._set_in_every_gradient(monkeypatch, {("b_out", 0): math.nan, ("W_f", (0, 0)): math.inf})
-        with pytest.raises(NonFiniteError, match="parameter W_f at epoch 1"):
+        with pytest.raises(NumericalError, match="parameter W_f at epoch 1"):
             sg.train(sg.init_model(12, 6, 0), split.train, epochs=1, lr=2e-3)
 
     def test_finite_gradient_whose_square_overflows_trains(self, tiny_split, monkeypatch):
