@@ -12,8 +12,6 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .errors import ConfigError
-
 
 @contextlib.contextmanager
 def atomic_text(path):
@@ -59,7 +57,7 @@ def read_fields(lines, where, types) -> dict:
 
     Blank lines and # comments are skipped; keys and values are stripped.  A line
     without `=`, an unknown or repeated key, or a value its type refuses raises
-    ConfigError as `<where>:<line>: ...`, lines counted from 1.
+    ValueError as `<where>:<line>: ...`, lines counted from 1.
     """
     values = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -68,13 +66,13 @@ def read_fields(lines, where, types) -> dict:
             continue
         key, sep, value = (part.strip() for part in raw.partition("="))
         if not sep or not key:
-            raise ConfigError(f"{where}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{where}:{lineno}: expected key=value, got {raw!r}")
         if key not in types:
-            raise ConfigError(f"{where}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{where}:{lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"{where}:{lineno}: key {key!r} repeats")
+            raise ValueError(f"{where}:{lineno}: key {key!r} repeats")
         try:
             values[key] = types[key](value)
         except ValueError as exc:
-            raise ConfigError(f"{where}:{lineno}: cannot parse {key}={value!r} as {types[key].__name__}") from exc
+            raise ValueError(f"{where}:{lineno}: cannot parse {key}={value!r} as {types[key].__name__}") from exc
     return values

@@ -41,7 +41,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .errors import ConfigError, FrameCountError, MissingArtifactError, NumericalError
+from .errors import FrameCountError, MissingArtifactError, NumericalError
 
 if TYPE_CHECKING:
     from . import dataset as dsm
@@ -52,17 +52,18 @@ CHECKPOINT_FILE = "model.ckpt"
 LOSS_FILE = "loss.csv"
 PRED_FILES = {"one-step": "pred_onestep.csv", "rollout": "pred_rollout.csv"}
 REPORT_FILE = "report.csv"
+TABLE_FILE = "table.txt"
 EIGEN_FILE = "eigen.csv"
 
 
 class _CleanArgumentParser(argparse.ArgumentParser):
-    """argparse that raises ConfigError instead of exiting with status 2, and
+    """argparse that raises ValueError instead of exiting with status 2, and
     takes the token after a flag as its value even when it starts with '-',
     as in `--grid.a -5e0` or `--times -1,0.5`, which argparse alone reads as
     two flags.  A token that is itself a flag of this parser stays a flag."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
     def parse_known_args(self, args=None, namespace=None):
         flags = self._option_string_actions
@@ -150,7 +151,7 @@ def _out_path(cfg: RunConfig, name: str) -> str:
     try:
         os.makedirs(cfg.io_output_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(
+        raise ValueError(
             f"io.output_dir {cfg.io_output_dir!r} cannot be made a directory: {exc.strerror}"
         ) from exc
     return os.path.join(cfg.io_output_dir, name)
@@ -186,7 +187,7 @@ def _n_fit(cfg: RunConfig) -> int:
     fraction = cfg.dataset_split_fraction
     n_fit = dsm.train_frame_count(_n_frames(cfg), cfg.dataset_lookback, fraction) if n_pairs else 0
     if n_fit - cfg.dataset_lookback < 1:
-        raise ConfigError(
+        raise ValueError(
             f"dataset.split_fraction={fraction!r} leaves no train pair of the "
             f"{n_pairs} pairs that evolution.n_steps="
             f"{cfg.evolution_n_steps} and dataset.lookback={cfg.dataset_lookback} give"
@@ -206,7 +207,7 @@ def _frames_near(cfg: RunConfig, times: list[float]) -> tuple[float, float]:
     """
     steps = np.floor(np.asarray(times, dtype=float) / cfg.evolution_dt)
     if np.isnan(steps).any():
-        raise ConfigError(f"times must be numbers, got {list(times)}")
+        raise ValueError(f"times must be numbers, got {list(times)}")
     return steps.min() - 1, steps.max() + 3
 
 
@@ -220,7 +221,7 @@ def _read_frames(
     row j of a prediction file is frame n_fit + j, so the two tables hold
     frames [0, n_steps] and [n_fit, n_steps].  [lo, hi) is moved inside the
     table's frames, holding at least one.  The table's row count and width,
-    and the times of the rows read, must match the config; ConfigError
+    and the times of the rows read, must match the config; ValueError
     names the keys otherwise.
     """
     n = _n_frames(cfg)
@@ -239,16 +240,16 @@ def _read_frames(
     try:
         times, values = ev.read_frames_csv(path, lo - first, hi - first, n - first)
     except FrameCountError as exc:
-        raise ConfigError(f"{path} has {exc.rows} frames, but {count}") from exc
+        raise ValueError(f"{path} has {exc.rows} frames, but {count}") from exc
     if values.shape[1] != cfg.grid_n_points:
-        raise ConfigError(
+        raise ValueError(
             f"{path} has {values.shape[1]} columns, expected {cfg.grid_n_points} from grid.n_points"
         )
     expected = cfg.evolution_dt * np.arange(lo, hi)
     bad = np.flatnonzero(times != expected)
     if bad.size:
         j = int(bad[0])
-        raise ConfigError(
+        raise ValueError(
             f"{path} has t={float(times[j])!r} for step {lo + j}, "
             f"but evolution.dt={cfg.evolution_dt!r} puts it at t={float(expected[j])!r}"
         )
@@ -294,14 +295,15 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> None:
     from . import compare as cp
+    lo, hi = _frames_near(cfg, args.times)  # first, so that both paths refuse a NaN time
     if os.path.exists(os.path.join(cfg.io_output_dir, FRAMES_FILE)):
-        record = _record(cfg, *_frames_near(cfg, args.times))
+        record = _record(cfg, lo, hi)
     else:
-        record = _simulate(cfg)  # compute on the fly; nothing is written
+        record = _simulate(cfg)  # compute on the fly; frames.csv is not written
     text = cp.render_table(record, args.times, args.indices)
-    sys.stdout.write(text)
-    with atomic_text(_out_path(cfg, "table.txt")) as fh:
+    with atomic_text(_out_path(cfg, TABLE_FILE)) as fh:
         fh.write(text)
+    sys.stdout.write(text)  # after table.txt is written: a failed write prints only its error line
 
 
 def cmd_export_dataset(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -339,7 +341,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> None:
         ("hidden_dim", model.hidden_dim, "training.hidden_dim", cfg.training_hidden_dim),
     ):
         if got != want:
-            raise ConfigError(f"checkpoint {field} {got} does not match {key} {want}")
+            raise ValueError(f"checkpoint {field} {got} does not match {key} {want}")
     mode = args.mode
     if mode == "one-step":
         preds = sg.predict_one_step(model, split.test.inputs)
@@ -386,14 +388,14 @@ def cmd_snapshot(cfg: RunConfig, args: argparse.Namespace) -> None:
     for t in args.times:
         k = first + cp._nearest_frame(times, t, cfg.evolution_dt)
         if k < n_fit:
-            raise ConfigError(
+            raise ValueError(
                 f"t={t} is outside the predicted horizon "
                 f"[{n_fit * cfg.evolution_dt:.6g}, {cfg.evolution_n_steps * cfg.evolution_dt:.6g}]"
             )
         name = f"snapshot_{times[k - first]:.2f}.csv"
         first_t, first_k = names.setdefault(name, (t, k))
         if first_k != k:
-            raise ConfigError(f"t={first_t} and t={t} are different frames, but both name {name}")
+            raise ValueError(f"t={first_t} and t={t} are different frames, but both name {name}")
     grid = dz.make_grid(cfg.grid_a, cfg.grid_b, cfg.grid_n_points)
     for name, (_, k) in names.items():
         path = _out_path(cfg, name)
@@ -416,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # an artifact path that cannot be read or written, e.g. a directory

@@ -15,7 +15,6 @@ import numpy as np
 from .artifacts import write_csv
 from .dataset import Scaler, inverse_transform
 from .discretize import Grid
-from .errors import ConfigError
 from .evolve import EvolutionRecord
 
 REPORT_COLUMNS = ("t", "mse", "mae", "max_abs_err", "peak_position_err")
@@ -113,10 +112,8 @@ def build_report(
 
 def _nearest_frame(times: np.ndarray, t: float, dt: float) -> int:
     k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > dt / 2:
-        raise ConfigError(
-            f"no recorded frame within dt/2 of t={t} (closest is t={times[k]:.6g})"
-        )
+    if not abs(times[k] - t) <= dt / 2:  # a NaN time is refused too
+        raise ValueError(f"no recorded frame within dt/2 of t={t} (closest is t={times[k]:.6g})")
     return k
 
 
@@ -130,7 +127,7 @@ def table_slice(record: EvolutionRecord, times: list[float], indices: list[int])
     n = grid.n_points
     for i in indices:
         if not 0 <= i < n:
-            raise ConfigError(f"grid index {i} out of range [0, {n})")
+            raise ValueError(f"grid index {i} out of range [0, {n})")
     cols = [_nearest_frame(recorded, t, record.config.dt) for t in times]
     rows = []
     for i in indices:

@@ -13,7 +13,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 from .artifacts import read_fields
-from .errors import ConfigError
+
+NORMALIZATION_MODES = ("ell2", "dx_weighted")  # evolve's, kept here: the CLI checks them before numpy loads
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,11 @@ def load_config(path) -> RunConfig:
         with open(path, "r", encoding="utf-8-sig") as fh:  # skips a leading byte-order mark
             text = fh.read()
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raise ValueError(f"config file not found: {path}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+        raise ValueError(f"config file {path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
     return parse_config(text, source=str(path))
 
 
@@ -77,7 +78,7 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, object]) -> RunConfig:
     updates = {}
     for key, value in overrides.items():
         if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         updates[key.replace(".", "_", 1)] = value
     return replace(cfg, **updates)
 
@@ -87,53 +88,53 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     for key in ("grid.a", "grid.b", "evolution.dt", "training.lr"):
         value = getattr(cfg, key.replace(".", "_", 1))
         if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
+            raise ValueError(f"{key} must be finite, got {value}")
     # numpy sizes an array by a signed 64-bit int, and dx needs n_points as a float
     sizes = ("grid.n_points", "evolution.n_steps", "dataset.lookback", "training.epochs", "training.hidden_dim")
     for key in sizes:
         value = getattr(cfg, key.replace(".", "_", 1))
         if value > 2**63 - 1:
-            raise ConfigError(f"{key} must be at most 2**63 - 1, got a {len(str(value))}-digit number")
+            raise ValueError(f"{key} must be at most 2**63 - 1, got a {len(str(value))}-digit number")
     if cfg.training_rng_seed < 0:
-        raise ConfigError(f"training.rng_seed must be >= 0, got {cfg.training_rng_seed}")
+        raise ValueError(f"training.rng_seed must be >= 0, got {cfg.training_rng_seed}")
     if not cfg.grid_b > cfg.grid_a:
-        raise ConfigError(f"grid.b ({cfg.grid_b}) must exceed grid.a ({cfg.grid_a})")
+        raise ValueError(f"grid.b ({cfg.grid_b}) must exceed grid.a ({cfg.grid_a})")
     if cfg.grid_n_points < 3:
-        raise ConfigError(f"grid.n_points must be >= 3, got {cfg.grid_n_points}")
+        raise ValueError(f"grid.n_points must be >= 3, got {cfg.grid_n_points}")
     # the Laplacian scales by 1/dx^2 and the potential by x^2: both stay in the float range
     dx = (cfg.grid_b - cfg.grid_a) / (cfg.grid_n_points - 1)
     edge = max(abs(cfg.grid_a), abs(cfg.grid_b))
     if not (sys.float_info.min <= dx * dx < math.inf and edge * edge < math.inf):
-        raise ConfigError(
+        raise ValueError(
             f"grid.a={cfg.grid_a!r}, grid.b={cfg.grid_b!r} and grid.n_points={cfg.grid_n_points} "
             f"give dx={dx:.3g}; dx^2 must be a normal float and grid.a^2 and grid.b^2 finite"
         )
     if not cfg.evolution_dt > 0:
-        raise ConfigError(f"evolution.dt must be positive, got {cfg.evolution_dt}")
+        raise ValueError(f"evolution.dt must be positive, got {cfg.evolution_dt}")
     if cfg.evolution_n_steps < 1:
-        raise ConfigError(f"evolution.n_steps must be >= 1, got {cfg.evolution_n_steps}")
-    if cfg.evolution_normalization_mode not in ("ell2", "dx_weighted"):
-        raise ConfigError(
-            "evolution.normalization_mode must be 'ell2' or 'dx_weighted', "
+        raise ValueError(f"evolution.n_steps must be >= 1, got {cfg.evolution_n_steps}")
+    if cfg.evolution_normalization_mode not in NORMALIZATION_MODES:
+        raise ValueError(
+            f"evolution.normalization_mode must be {' or '.join(map(repr, NORMALIZATION_MODES))}, "
             f"got {cfg.evolution_normalization_mode!r}"
         )
     if cfg.dataset_lookback < 1:
-        raise ConfigError(f"dataset.lookback must be >= 1, got {cfg.dataset_lookback}")
+        raise ValueError(f"dataset.lookback must be >= 1, got {cfg.dataset_lookback}")
     if not 0.0 < cfg.dataset_split_fraction < 1.0:
-        raise ConfigError(
+        raise ValueError(
             f"dataset.split_fraction must lie in (0, 1), got {cfg.dataset_split_fraction}"
         )
     if cfg.training_epochs < 1:
-        raise ConfigError(f"training.epochs must be >= 1, got {cfg.training_epochs}")
+        raise ValueError(f"training.epochs must be >= 1, got {cfg.training_epochs}")
     if not cfg.training_lr >= 0:
-        raise ConfigError(f"training.lr must be >= 0, got {cfg.training_lr}")
+        raise ValueError(f"training.lr must be >= 0, got {cfg.training_lr}")
     if cfg.training_hidden_dim < 1:
-        raise ConfigError(f"training.hidden_dim must be >= 1, got {cfg.training_hidden_dim}")
+        raise ValueError(f"training.hidden_dim must be >= 1, got {cfg.training_hidden_dim}")
     if not cfg.io_output_dir:
-        raise ConfigError("io.output_dir must be non-empty")
+        raise ValueError("io.output_dir must be non-empty")
     if cfg.io_output_dir != cfg.io_output_dir.strip() or len(cfg.io_output_dir.splitlines()) != 1:
         # the config file could not carry it: its lines are split and stripped
-        raise ConfigError(f"io.output_dir must be one line without space at its ends, got {cfg.io_output_dir!r}")
+        raise ValueError(f"io.output_dir must be one line without space at its ends, got {cfg.io_output_dir!r}")
     return cfg
 
 

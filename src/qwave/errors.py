@@ -1,12 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: config errors exit 1, numerical
-failures exit 2, missing pipeline artifacts exit 3.
+The CLI maps these onto exit codes: a `ValueError` (a refused config,
+flag or artifact) exits 1, `NumericalError` 2, `MissingArtifactError` 3.
 """
-
-
-class ConfigError(ValueError):
-    """A run configuration key is unknown, malformed, or out of range."""
 
 
 class FrameCountError(ValueError):

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
+from .config import NORMALIZATION_MODES
 from .discretize import Grid, Hamiltonian
 from .errors import FrameCountError, NumericalError
 from .spectral import SpectralDecomposition, build_propagator, eigendecompose
-
-NORMALIZATION_MODES = ("ell2", "dx_weighted")
 
 # hard-abort threshold; tests assert the tighter 1e-10 bound
 _DRIFT_ABORT = 1e-8

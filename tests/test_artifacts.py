@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from qwave import cli
 from qwave import surrogate as sg
 from qwave.artifacts import atomic_text, read_fields
-from qwave.errors import ConfigError
 
 
 class TestAtomicText:
@@ -114,7 +113,7 @@ class TestReadFields:
             types = {**types, "N": int}  # upper case: no drawn key
             bad, detail = "N = 1.5", "cannot parse N='1.5' as int"
         lines.insert(at, bad + data.draw(st.sampled_from(["", "\n"])))
-        with pytest.raises(ConfigError) as caught:
+        with pytest.raises(ValueError) as caught:
             read_fields(lines, "f.txt", types)
         assert str(caught.value) == f"f.txt:{at + 1}: {detail}"
 
@@ -135,6 +134,6 @@ class TestReadFields:
         lines = path.read_text().splitlines(keepends=True)
         lines[at:at] = [line + "\n" for line in [*skipped, "seed=x"]]
         path.write_text("".join(lines))
-        with pytest.raises(ConfigError) as caught:
+        with pytest.raises(ValueError) as caught:
             sg.load_checkpoint(path)
         assert str(caught.value).startswith(f"{path}:{at + len(skipped) + 1}: ")

@@ -22,6 +22,7 @@ from qwave import dataset as dsm
 from qwave import evolve as ev
 from qwave import spectral as sp
 from qwave.config import (
+    NORMALIZATION_MODES,
     RunConfig,
     apply_overrides,
     load_config,
@@ -29,8 +30,6 @@ from qwave.config import (
     serialize_config,
     validate_config,
 )
-from qwave.errors import ConfigError
-from qwave.evolve import NORMALIZATION_MODES
 
 # small, fast settings exercising every pipeline stage
 FAST = [
@@ -99,19 +98,19 @@ class TestConfigFile:
         assert parse_config(serialize_config(RunConfig())) == RunConfig()
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="^<config>:1: unknown key 'grid.zz'$"):
+        with pytest.raises(ValueError, match="^<config>:1: unknown key 'grid.zz'$"):
             parse_config("grid.zz=1\n")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError, match="cannot parse"):
+        with pytest.raises(ValueError, match="cannot parse"):
             parse_config("grid.n_points=many\n")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match="^<config>:2: key 'grid.a' repeats$"):
+        with pytest.raises(ValueError, match="^<config>:2: key 'grid.a' repeats$"):
             parse_config("grid.a=1\ngrid.a=2\n")
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(ConfigError, match="key=value"):
+        with pytest.raises(ValueError, match="key=value"):
             parse_config("grid.a\n")
 
     def test_comments_and_blanks_ignored(self):
@@ -127,7 +126,7 @@ class TestConfigFile:
         # of the drawn fields only the output dir is refused for the text it holds
         try:
             validate_config(RunConfig(io_output_dir=cfg.io_output_dir))
-        except ConfigError as exc:
+        except ValueError as exc:
             assert str(exc).startswith("io.output_dir must be")
         else:
             assert parse_config(serialize_config(cfg)) == cfg
@@ -162,8 +161,13 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and str(path) in err and "UTF-8" in err
 
+    def test_normalization_mode_refusal_names_every_mode(self):
+        message = "^evolution.normalization_mode must be 'ell2' or 'dx_weighted', got 'l1'$"
+        with pytest.raises(ValueError, match=message):
+            validate_config(RunConfig(evolution_normalization_mode="l1"))
+
     def test_missing_file(self):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(ValueError, match="not found"):
             load_config("/nonexistent/config.txt")
 
     def test_overrides_win(self):
@@ -201,7 +205,7 @@ class TestConfigFile:
             {"training.rng_seed": -1},
         ):
             (key,) = bad
-            with pytest.raises(ConfigError, match=re.escape(key)):
+            with pytest.raises(ValueError, match=re.escape(key)):
                 validate_config(apply_overrides(RunConfig(), bad))
         validate_config(apply_overrides(RunConfig(), {"training.epochs": 2**63 - 1}))
 
@@ -723,6 +727,39 @@ class TestExitCodes:
         failed = subprocess.run(argv, env=_child_env(), capture_output=True, text=True)
         assert failed.returncode == 1
         assert failed.stderr.splitlines() == [f"error: config: {path}: Is a directory"]
+
+    @pytest.mark.parametrize("has_frames", [False, True], ids=["on-the-fly", "frames-csv"])
+    def test_table_refuses_a_nan_time_on_both_paths(self, tmp_path, capsys, has_frames):
+        out = tmp_path / "out"
+        if has_frames:
+            assert _cli(out, "simulate") == 0
+        capsys.readouterr()
+        assert _cli(out, "table", "--times", "nan,0", "--indices", "0,1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: config: times must be numbers, got [nan, 0.0]"]
+
+    @pytest.mark.parametrize("has_frames", [False, True], ids=["on-the-fly", "frames-csv"])
+    def test_table_into_a_directory_prints_only_its_error(self, tmp_path, capsys, has_frames):
+        out = tmp_path / "out"
+        if has_frames:
+            assert _cli(out, "simulate") == 0
+        path = out / "table.txt"
+        path.mkdir(parents=True)
+        capsys.readouterr()
+        assert _cli(out, "table") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: config: {path}: Is a directory"]
+
+    def test_table_under_a_regular_file_prints_only_its_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert _cli(taken / "out", "table") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: config: io.output_dir") and str(taken / "out") in line
 
     def test_output_dir_naming_a_file(self, tmp_path, capsys):
         path = tmp_path / "taken"

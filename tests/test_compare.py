@@ -6,7 +6,6 @@ from qwave import dataset as dsm
 from qwave import evolve as ev
 from qwave import surrogate as sg
 from qwave.discretize import assemble_hamiltonian, harmonic_potential, laplacian, make_grid
-from qwave.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +76,7 @@ class TestBuildReport:
 
     def test_unrecorded_time_rejected(self, small_record):
         scaler = dsm.Scaler(0.0, 1.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="no recorded frame within dt/2"):
             cp.build_report(small_record, np.zeros((1, 40)), np.array([99.0]), scaler)
 
     def test_negative_predictions_clamped_and_counted(self, small_record):
@@ -129,11 +128,15 @@ class TestTableSlice:
 
     def test_unrecorded_time_rejected(self, small_record):
         # the run records t up to 1.0 only
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="no recorded frame within dt/2"):
             cp.table_slice(small_record, [1.2], [0])
 
+    def test_nan_time_rejected(self, small_record):
+        with pytest.raises(ValueError, match="no recorded frame within dt/2 of t=nan"):
+            cp.table_slice(small_record, [float("nan")], [0])
+
     def test_index_out_of_range(self, small_record):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="grid index 40 out of range"):
             cp.table_slice(small_record, [0.0], [40])
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qwave
+from qwave import errors
 from qwave.config import RunConfig, config_keys, key_type
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -173,3 +174,32 @@ def test_error_types_are_flat():
         node.name: base.id for node in classes for base in node.bases
         if isinstance(base, ast.Name) and base.id in names
     } == {}
+
+
+def test_every_error_type_is_told_apart_or_read():
+    # the rule above, against builtin bases too: a type that every handler
+    # catches beside a builtin it derives from is caught as that builtin
+    trees = {path.name: ast.parse(path.read_text()) for path in (ROOT / "src" / "qwave").glob("*.py")}
+    caught = [
+        {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+         if isinstance(n, (ast.Name, ast.Attribute))}
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+    ]
+    read = {
+        node.attr for name, tree in trees.items() if name != "errors.py" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    classes = [node for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)]
+    assert classes
+    idle = []
+    for node in classes:
+        builtin_bases = {c.__name__ for c in getattr(errors, node.name).__mro__[1:] if c.__module__ == "builtins"}
+        told_apart = any(node.name in names and not names & builtin_bases for names in caught)
+        sets = {
+            target.attr for n in ast.walk(node) if isinstance(n, ast.Assign) for target in n.targets
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == "self"
+        }
+        if not (told_apart or sets & read):
+            idle.append(node.name)
+    assert idle == []
